@@ -58,7 +58,6 @@ from .operators import (
     hamiltonian_matrix,
     kg_residual,
     kg_rhs_matrix,
-    mode_eigensystem,
     plane_wave_solve,
 )
 from .nonrel import (
@@ -85,6 +84,5 @@ from .evolution import (
     write_trajectory_csv,
 )
 from .verify import format_report, run_verification
-from ._accel import ACTIVE_BACKEND
 
 __version__ = "0.1.0"

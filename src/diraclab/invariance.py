@@ -105,6 +105,8 @@ class GeneralizedParams:
         c = np.asarray(self.c, dtype=np.complex128)
         if c.shape != (4,):
             raise ValueError(f"c must have 4 components, got shape {c.shape}")
+        if not (np.isfinite(a) and np.all(np.isfinite(c))):
+            raise ValueError("a and c must be finite")
         if abs(a.real) > _IMAG_TOL or float(np.max(np.abs(c.real))) > _IMAG_TOL:
             raise ValueError("a and c must be purely imaginary for Hermiticity")
         if (-1j * a).real < 0.0:

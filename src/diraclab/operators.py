@@ -31,7 +31,6 @@ __all__ = [
     "dispersion",
     "PlaneWaveSolution",
     "plane_wave_solve",
-    "mode_eigensystem",
     "kg_rhs_matrix",
     "kg_residual",
     "dirac_square_equals_kg",
@@ -143,52 +142,6 @@ def plane_wave_solve(k, params: GeneralizedParams) -> list[PlaneWaveSolution]:
             PlaneWaveSolution(k, -w - params.eps_tilde, -1, bispinor(upper, lower))
         )
     return sols
-
-
-def mode_eigensystem(kz, params: GeneralizedParams):
-    """Vectorized eigensystem for a batch of momenta along the z axis.
-
-    Returns (energies, vectors) with shapes (n, 4) and (n, 4, 4); column
-    j of vectors[m] is the j-th eigenvector, matching plane_wave_solve's
-    ordering and tie-breaking mode by mode.  This is the setup path for
-    the spectral propagator, where every grid momentum needs its
-    decomposition at once.
-    """
-    kz = np.asarray(kz, dtype=float).ravel()
-    p = params.p_tilde
-    m0 = params.m0
-    kx = np.full_like(kz, p[0])
-    ky = np.full_like(kz, p[1])
-    kzz = kz + p[2]
-    w = np.sqrt(m0 ** 2 + kx ** 2 + ky ** 2 + kzz ** 2)
-    denom = w + m0
-    if np.any(denom < 1e-300):
-        raise ValueError("massless modes at zero kinetic momentum are not supported here")
-
-    n = kz.size
-    pm = kx + 1j * ky
-    mm = kx - 1j * ky
-    vec = np.zeros((n, 4, 4), dtype=np.complex128)
-    # upper branch, canonical large components
-    vec[:, 0, 0] = 1.0
-    vec[:, 2, 0] = kzz / denom
-    vec[:, 3, 0] = pm / denom
-    vec[:, 1, 1] = 1.0
-    vec[:, 2, 1] = mm / denom
-    vec[:, 3, 1] = -kzz / denom
-    # lower branch, canonical small components
-    vec[:, 0, 2] = -kzz / denom
-    vec[:, 1, 2] = -pm / denom
-    vec[:, 2, 2] = 1.0
-    vec[:, 0, 3] = -mm / denom
-    vec[:, 1, 3] = kzz / denom
-    vec[:, 3, 3] = 1.0
-    vec /= np.linalg.norm(vec, axis=1, keepdims=True)
-
-    energies = np.empty((n, 4))
-    energies[:, 0] = energies[:, 1] = w - params.eps_tilde
-    energies[:, 2] = energies[:, 3] = -w - params.eps_tilde
-    return energies, vec
 
 
 def kg_rhs_matrix(k, params: GeneralizedParams) -> np.ndarray:

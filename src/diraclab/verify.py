@@ -213,6 +213,8 @@ def run_verification(trials: int = 200, seed: int = 42, tol: float | None = None
     check; the negative controls (which pass by exceeding a violation
     floor) and the uniqueness suite keep their own gates.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
 
     def gate(default: float) -> float:

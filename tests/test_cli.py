@@ -77,6 +77,13 @@ class TestVerifyCommand:
         code, out, _ = run_main(capsys, ["verify", "--trials", "40", "--seed", "7"])
         assert code == 0
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_non_positive_trials_exit_2(self, capsys, trials):
+        code, out, err = run_main(capsys, ["verify", f"--trials={trials}"])
+        assert code == 2
+        assert out == ""
+        assert "trials" in err
+
 
 class TestDispersionCommand:
     def test_golden_row(self, capsys):
@@ -161,6 +168,33 @@ class TestEvolveCommand:
         )
         assert code == 2
         assert "width" in err
+
+    @pytest.mark.parametrize("flag, value", [("--dt", "nan"), ("--m0", "inf")])
+    def test_non_finite_input_exits_2_without_output(self, capsys, flag, value):
+        argv = {
+            "--n": "128", "--length": "100", "--dt": "0.05", "--steps": "10",
+            "--k0": "0.5", "--width": "8", "--m0": "1",
+        }
+        argv[flag] = value
+        code, out, err = run_main(capsys, ["evolve", *(x for kv in argv.items() for x in kv)])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_massless_packet_moves_at_light_speed(self, capsys):
+        code, out, err = run_main(
+            capsys,
+            [
+                "evolve", "--n", "512", "--length", "200", "--dt", "0.5",
+                "--steps", "100", "--k0", "0.5", "--width", "8", "--m0", "0",
+                "--x0", "50", "--sample-every", "10",
+            ],
+        )
+        assert code == 0, err
+        data = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+        t, norm, mean_x = data[:, 0], data[:, 1], data[:, 2]
+        assert np.max(np.abs(norm - 1.0)) <= 1e-10
+        assert np.polyfit(t, mean_x, 1)[0] == pytest.approx(1.0, rel=0.01)
 
 
 class TestLimitCommand:

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from diraclab import _accel
 from diraclab.evolution import (
     SpectralPropagator,
     WavePacket,
@@ -159,38 +159,51 @@ def test_gauge_map_density_equivalence():
         assert np.max(np.abs(da - db)) <= 1e-8
 
 
-class TestBackends:
-    def test_numpy_path_matches_active(self):
-        packet = init_gaussian(128, 50.0, 25.0, 0.4, width=4.0, params=STD)
-        prop = SpectralPropagator(packet.n, packet.length, STD)
-        u = prop.step_matrices(0.05)
-        psi_k = np.fft.fft(packet.values, axis=0)
-        a = _accel.propagate_steps_numpy(u, psi_k, 50)
-        b = _accel.propagate_steps(u, psi_k, 50)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+class TestClosedFormPropagator:
+    N, LENGTH = 64, 16.0 * np.pi  # grid momenta are multiples of 1/8
 
-    @pytest.mark.skipif(not _accel.NUMBA_AVAILABLE, reason="numba not installed")
-    def test_numba_path_matches_numpy(self):
-        rng = np.random.default_rng(71)
-        n = 64
-        u = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
-        psi_k = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
-        a = _accel.propagate_steps_numpy(u, psi_k, 7)
-        b = _accel.propagate_steps_numba(u, psi_k, 7)
-        np.testing.assert_allclose(a, b, atol=1e-10)
+    def random_spectrum(self, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(self.N, 4)) + 1j * rng.normal(size=(self.N, 4))
 
-    def test_kernel_validation(self):
-        with pytest.raises(ValueError):
-            _accel.propagate_steps_numpy(np.zeros((4, 4)), np.zeros((4, 4)), 1)
-        with pytest.raises(ValueError):
-            _accel.propagate_steps_numpy(
-                np.zeros((8, 4, 4)), np.zeros((7, 4)), 1
-            )
-        with pytest.raises(ValueError):
-            _accel.propagate_steps_numpy(np.zeros((8, 4, 4)), np.zeros((8, 4)), -1)
+    @pytest.mark.parametrize(
+        "params",
+        [
+            GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6)),
+            # massless, with the grid mode k = 0.25 at k + p = 0
+            GeneralizedParams.from_physical(0.0, 0.7, (0.0, 0.0, -0.25)),
+        ],
+        ids=["generalized", "massless"],
+    )
+    def test_advance_matches_dense_exponential(self, params):
+        prop = SpectralPropagator(self.N, self.LENGTH, params)
+        k = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.LENGTH / self.N)
+        psi_k = self.random_spectrum(91)
+        for t in (0.0, 0.37, -2.9):
+            out = prop.advance(psi_k, t)
+            for m in range(self.N):
+                u = expm(-1j * hamiltonian_matrix([0.0, 0.0, k[m]], params) * t)
+                np.testing.assert_allclose(out[m], u @ psi_k[m], rtol=0, atol=1e-12)
 
-    def test_propagator_matrices_unitary(self):
-        prop = SpectralPropagator(128, 60.0, STD)
-        u = prop.step_matrices(0.3)
-        prod = np.einsum("mab,mcb->mac", u, u.conj())
-        assert np.max(np.abs(prod - np.eye(4))) <= 1e-12
+    def test_composition(self):
+        params = GeneralizedParams.from_physical(0.8, 0.3, (0.1, 0.2, -0.5))
+        prop = SpectralPropagator(self.N, self.LENGTH, params)
+        psi_k = self.random_spectrum(92)
+        two_steps = prop.advance(prop.advance(psi_k, 1.9), 3.4)
+        np.testing.assert_allclose(two_steps, prop.advance(psi_k, 5.3), rtol=0, atol=1e-12)
+
+
+def test_rejects_non_finite_inputs():
+    packet = init_gaussian(128, 100.0, 50.0, 0.5, width=8.0, params=STD)
+    for dt in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt"):
+            trajectory(packet, STD, dt=dt, steps=4)
+        with pytest.raises(ValueError, match="dt"):
+            evolve(packet, STD, dt)
+    with pytest.raises(ValueError, match="length"):
+        WavePacket(n=128, length=np.inf, values=packet.values)
+    good = dict(n=128, length=100.0, x0=50.0, k0=0.5, width=8.0)
+    for name in ("length", "x0", "k0", "width"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                init_gaussian(**{**good, name: bad}, params=STD)

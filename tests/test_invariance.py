@@ -35,6 +35,14 @@ class TestGeneralizedParams:
         with pytest.raises(ValueError):
             GeneralizedParams(a=-1j, c=np.zeros(4, dtype=complex))
 
+    @pytest.mark.parametrize(
+        "m0, eps, p", [(np.inf, 0.0, 0.0), (np.nan, 0.0, 0.0), (1.0, np.nan, 0.0),
+                       (1.0, 0.0, (0.0, np.inf, 0.0))]
+    )
+    def test_rejects_non_finite(self, m0, eps, p):
+        with pytest.raises(ValueError, match="finite"):
+            GeneralizedParams.from_physical(m0, eps, p)
+
     def test_scalar_p_tilde_means_z(self):
         p = GeneralizedParams.from_physical(1.0, 0.0, 0.4)
         np.testing.assert_allclose(p.p_tilde, [0, 0, 0.4])

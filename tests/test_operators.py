@@ -15,7 +15,6 @@ from diraclab.operators import (
     hamiltonian_matrix,
     kg_residual,
     kg_rhs_matrix,
-    mode_eigensystem,
     plane_wave_solve,
 )
 
@@ -173,21 +172,6 @@ class TestPlaneWaves:
         b = plane_wave_solve([0.3, -0.2, 0.9], GEN)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.spinor, y.spinor)
-
-
-def test_mode_eigensystem_matches_plane_waves():
-    rng = np.random.default_rng(47)
-    kz = rng.uniform(-3, 3, 32)
-    params = GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6))
-    energies, vectors = mode_eigensystem(kz, params)
-    for m, k in enumerate(kz):
-        sols = plane_wave_solve([0, 0, k], params)
-        for j, s in enumerate(sols):
-            assert energies[m, j] == pytest.approx(s.energy, abs=1e-12)
-            np.testing.assert_allclose(vectors[m, :, j], s.spinor, atol=1e-12)
-    # columns orthonormal
-    gram = np.einsum("mai,maj->mij", vectors.conj(), vectors)
-    assert max_abs(gram - np.eye(4)) <= 1e-12
 
 
 class TestSecondOrder:
