@@ -19,12 +19,12 @@ from .evolution import init_gaussian, trajectory, write_trajectory_csv
 from .invariance import GeneralizedParams
 from .nonrel import (
     NonRelParams,
+    dirac_energy,
     kinetic_minus_rest,
     nonrel_abs_error,
     nonrel_error,
     pauli_energy,
 )
-from .operators import dispersion
 from .verify import format_report, report_header, run_verification
 
 __all__ = ["main", "build_parser", "parse_matrix_file", "write_matrix_file"]
@@ -86,6 +86,18 @@ def _open_output(path):
     if path is None or path == "-":
         return sys.stdout, False
     return open(path, "w", encoding="utf-8"), True
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """Write equal-length float columns as CSV rows, each value as repr(float)."""
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    stream, close = _open_output(path)
+    try:
+        stream.write(header + "\n")
+        stream.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    finally:
+        if close:
+            stream.close()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,32 +162,19 @@ def _cmd_verify(args) -> int:
 def _cmd_dispersion(args) -> int:
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
-    params = GeneralizedParams.from_physical(
-        args.m0, args.eps_tilde, (0.0, 0.0, args.p_tilde)
-    )
+    if not np.isfinite([args.k_min, args.k_max]).all():
+        raise ValueError("--k-min and --k-max must be finite")
     nr = NonRelParams(
         m0=args.m0,
         eps_tilde=args.eps_tilde,
         c_tilde=(0.0, 0.0, args.p_tilde),
         c_light=args.c_light,
     )
-    stream, close = _open_output(args.output)
-    try:
-        stream.write("k,eps_plus,eps_minus,eps_pauli,eps_ll\n")
-        for k in np.linspace(args.k_min, args.k_max, args.steps):
-            if args.c_light == 1.0:
-                plus = dispersion(float(k), params, +1)
-                minus = dispersion(float(k), params, -1)
-            else:
-                w = kinetic_minus_rest(float(k), nr) + args.m0 * args.c_light ** 2
-                plus = w - args.eps_tilde
-                minus = -w - args.eps_tilde
-            pauli = pauli_energy(float(k), nr)
-            row = (float(k), plus, minus, pauli, pauli)
-            stream.write(",".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if close:
-            stream.close()
+    ks = np.linspace(args.k_min, args.k_max, args.steps)
+    k3 = ks[:, None] * (0.0, 0.0, 1.0)  # the sweep runs along z
+    pauli = pauli_energy(k3, nr)
+    columns = (ks, dirac_energy(k3, nr, +1), dirac_energy(k3, nr, -1), pauli, pauli)
+    _write_csv(args.output, "k,eps_plus,eps_minus,eps_pauli,eps_ll", columns)
     return 0
 
 
@@ -202,23 +201,20 @@ def _cmd_evolve(args) -> int:
 def _cmd_limit(args) -> int:
     if args.points < 2:
         raise ValueError("--points must be at least 2")
-    if args.k_max <= 0:
-        raise ValueError("--k-max must be positive")
+    if not (np.isfinite(args.k_max) and args.k_max > 0):
+        raise ValueError("--k-max must be positive and finite")
     nr = NonRelParams(m0=args.m0, c_light=args.c_light)
     ks = np.geomspace(args.k_max * 1e-3, args.k_max, args.points)
-    stream, close = _open_output(args.output)
-    try:
-        stream.write("k,dirac_kinetic,pauli_kinetic,abs_error,rel_error\n")
-        for k in ks:
-            kin = kinetic_minus_rest(float(k), nr)
-            pauli = pauli_energy(float(k), nr)
-            err = nonrel_error(float(k), nr)
-            rel = err.value if err.relative else float("nan")
-            row = (float(k), kin, pauli, nonrel_abs_error(float(k), nr), rel)
-            stream.write(",".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if close:
-            stream.close()
+    k3 = ks[:, None] * (0.0, 0.0, 1.0)
+    err = nonrel_error(k3, nr)
+    columns = (
+        ks,
+        kinetic_minus_rest(k3, nr),
+        pauli_energy(k3, nr),
+        nonrel_abs_error(k3, nr),
+        np.where(err.relative, err.value, np.nan),
+    )
+    _write_csv(args.output, "k,dirac_kinetic,pauli_kinetic,abs_error,rel_error", columns)
     return 0
 
 

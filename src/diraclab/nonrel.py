@@ -10,6 +10,10 @@ gap scales as |k + shift|^4 / (8 m0^3 c^2).
 
 The speed of light is an explicit parameter here; natural-unit callers
 pass 1.
+
+The energy functions take the momentum k as a scalar (momentum along z)
+or a 3-vector, and return a float; or as a (..., 3) stack of momenta, and
+return an array of shape (...).  levy_leblond_solve takes one momentum.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import PAULI
+from .operators import _as_k3, _k2, _value, _w
 
 __all__ = [
     "NonRelParams",
@@ -57,18 +62,12 @@ class NonRelParams:
             raise ValueError(f"c_light must be positive, got {self.c_light}")
         ct.flags.writeable = False
         object.__setattr__(self, "c_tilde", ct)
+        scalars = (self.m0, self.eps_tilde, self.c_light, self.scalar_potential, self.charge)
+        if not np.all(np.isfinite([*scalars, *ct])):
+            raise ValueError(f"parameters must be finite, got {self}")
 
 
-def _as_k3(k) -> np.ndarray:
-    k = np.asarray(k, dtype=float)
-    if k.shape == ():
-        k = np.array([0.0, 0.0, float(k)])
-    if k.shape != (3,):
-        raise ValueError(f"momentum must be a 3-vector, got shape {k.shape}")
-    return k
-
-
-def pauli_energy(k, params: NonRelParams, vector_potential=None) -> float:
+def pauli_energy(k, params: NonRelParams, vector_potential=None) -> float | np.ndarray:
     """Two-component limit energy |k + shift|^2 / 2m0 + e*A0 - eps_tilde.
 
     Only the zero-vector-potential case is supported: with A_j = 0 and a
@@ -82,12 +81,9 @@ def pauli_energy(k, params: NonRelParams, vector_potential=None) -> float:
                 "nonzero vector potentials are out of scope; only the constant "
                 "scalar potential is supported"
             )
-    k = _as_k3(k)
-    kk = k + params.c_tilde
-    return float(
-        (kk @ kk) / (2.0 * params.m0)
-        + params.charge * params.scalar_potential
-        - params.eps_tilde
+    k2 = _k2(k, params.c_tilde)
+    return _value(
+        k2 / (2.0 * params.m0) + params.charge * params.scalar_potential - params.eps_tilde
     )
 
 
@@ -124,44 +120,34 @@ def levy_leblond_solve(k, params: NonRelParams, phi_seed=None) -> LevyLeblondSol
     return LevyLeblondSolution(energy, phi / norm, chi / norm)
 
 
-def dirac_energy(k, params: NonRelParams, branch: int = +1) -> float:
+def dirac_energy(k, params: NonRelParams, branch: int = +1) -> float | np.ndarray:
     """Relativistic branch energy in physical units, constant potential
     included: +/- sqrt(m0^2 c^4 + c^2 |k+shift|^2) + e*A0 - eps_tilde."""
     if branch not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
-    k = _as_k3(k)
-    kk = k + params.c_tilde
-    c = params.c_light
-    w = float(np.sqrt((params.m0 * c ** 2) ** 2 + c ** 2 * (kk @ kk)))
-    return branch * w + params.charge * params.scalar_potential - params.eps_tilde
+    w = _w(_k2(k, params.c_tilde), params.m0, params.c_light)
+    return _value(branch * w + params.charge * params.scalar_potential - params.eps_tilde)
 
 
-def kinetic_minus_rest(k, params: NonRelParams) -> float:
+def kinetic_minus_rest(k, params: NonRelParams) -> float | np.ndarray:
     """sqrt(m0^2 c^4 + c^2 K^2) - m0 c^2 in the cancellation-free form
     c^2 K^2 / (sqrt(...) + m0 c^2)."""
-    k = _as_k3(k)
-    kk = k + params.c_tilde
     c = params.c_light
-    rest = params.m0 * c ** 2
-    k2 = float(kk @ kk)
-    w = float(np.sqrt(rest ** 2 + c ** 2 * k2))
-    return c ** 2 * k2 / (w + rest)
+    k2 = _k2(k, params.c_tilde)
+    return _value(c ** 2 * k2 / (_w(k2, params.m0, c) + params.m0 * c ** 2))
 
 
-def nonrel_abs_error(k, params: NonRelParams) -> float:
+def nonrel_abs_error(k, params: NonRelParams) -> float | np.ndarray:
     """|relativistic kinetic energy - limit kinetic energy|, stable form.
 
     The shifts and the potential cancel identically between the two
     energies, leaving K^4 c^2 / (2 m0 (W + m0 c^2)^2) with
     W = sqrt(m0^2 c^4 + c^2 K^2); at small K this is K^4 / (8 m0^3 c^2).
     """
-    k = _as_k3(k)
-    kk = k + params.c_tilde
     c = params.c_light
-    rest = params.m0 * c ** 2
-    k2 = float(kk @ kk)
-    w = float(np.sqrt(rest ** 2 + c ** 2 * k2))
-    return k2 ** 2 * c ** 2 / (2.0 * params.m0 * (w + rest) ** 2)
+    k2 = _k2(k, params.c_tilde)
+    w = _w(k2, params.m0, c)
+    return _value(k2 ** 2 * c ** 2 / (2.0 * params.m0 * (w + params.m0 * c ** 2) ** 2))
 
 
 class NonRelError(NamedTuple):
@@ -174,13 +160,12 @@ class NonRelError(NamedTuple):
 def nonrel_error(k, params: NonRelParams, floor: float = 1e-300) -> NonRelError:
     """Relative gap between the relativistic branch (rest energy removed)
     and the limit energy; falls back to the absolute gap, flagged, when
-    the limit energy vanishes."""
-    k = _as_k3(k)
-    kk = k + params.c_tilde
-    if float(np.sqrt(kk @ kk)) >= params.m0 * params.c_light:
+    the limit energy vanishes.  On a stack of momenta both fields are
+    arrays, and every momentum must stay below m0 * c_light."""
+    if np.any(np.sqrt(_k2(k, params.c_tilde)) >= params.m0 * params.c_light):
         raise ValueError("kinetic momentum must stay below m0 * c_light")
     abs_err = nonrel_abs_error(k, params)
-    denom = abs(pauli_energy(k, params))
-    if denom < floor:
-        return NonRelError(abs_err, relative=False)
-    return NonRelError(abs_err / denom, relative=True)
+    denom = np.abs(pauli_energy(k, params))
+    relative = ~(denom < floor)
+    value = _value(abs_err / np.where(relative, denom, 1.0))
+    return NonRelError(value, bool(relative) if np.ndim(relative) == 0 else relative)

@@ -44,13 +44,32 @@ for _m in ALPHA:
     _m.flags.writeable = False
 
 
-def _as_k3(k) -> np.ndarray:
+def _as_k3(k, stack: bool = False) -> np.ndarray:
+    """Momentum as a float array: a scalar is k along z, otherwise a
+    3-vector or, with stack=True, a (..., 3) stack of 3-vectors."""
     k = np.asarray(k, dtype=float)
-    if k.shape == ():
-        k = np.array([0.0, 0.0, float(k)])
-    if k.shape != (3,):
-        raise ValueError(f"momentum must be a 3-vector, got shape {k.shape}")
+    if k.ndim == 0:
+        return np.array([0.0, 0.0, float(k)])
+    if k.shape[-1:] != (3,) or (k.ndim > 1 and not stack):
+        raise ValueError(f"momentum shape {k.shape} is not {'(..., 3)' if stack else '(3,)'}")
     return k
+
+
+def _k2(k, shift):
+    """|k + shift|^2 on the trailing axis of a momentum or a (..., 3) stack."""
+    kk = _as_k3(k, stack=True) + shift
+    # matmul, not a sum over the axis: for one momentum this is exactly kk @ kk
+    return (kk[..., None, :] @ kk[..., :, None])[..., 0, 0]
+
+
+def _w(k2, m0: float, c: float = 1.0):
+    """Branch energy without shifts, sqrt(m0^2 c^4 + c^2 K^2), for K^2 = k2."""
+    return np.sqrt((m0 * c ** 2) ** 2 + c ** 2 * k2)
+
+
+def _value(x):
+    """A Python float for one momentum, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _alpha_dot(v) -> np.ndarray:
@@ -64,14 +83,13 @@ def hamiltonian_matrix(k, params: GeneralizedParams) -> np.ndarray:
     return _alpha_dot(kk) + params.m0 * BETA - params.eps_tilde * I4
 
 
-def dispersion(k, params: GeneralizedParams, branch: int = +1) -> float:
-    """Plane-wave energy on the given branch: +/- sqrt(m0^2+|k+p|^2) - eps."""
+def dispersion(k, params: GeneralizedParams, branch: int = +1) -> float | np.ndarray:
+    """Plane-wave energy on the given branch: +/- sqrt(m0^2+|k+p|^2) - eps;
+    a float for one momentum k, an array for a (..., 3) stack of momenta."""
     if branch not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
-    k = _as_k3(k)
-    kk = k + params.p_tilde
-    w = float(np.sqrt(params.m0 ** 2 + kk @ kk))
-    return branch * w - params.eps_tilde
+    w = _w(_k2(k, params.p_tilde), params.m0)
+    return _value(branch * w - params.eps_tilde)
 
 
 @dataclass(frozen=True)
@@ -109,7 +127,7 @@ def plane_wave_solve(k, params: GeneralizedParams) -> list[PlaneWaveSolution]:
     k = _as_k3(k)
     kk = k + params.p_tilde
     m0 = params.m0
-    w = float(np.sqrt(m0 ** 2 + kk @ kk))
+    w = float(_w(kk @ kk, m0))
     sk = _sigma_dot(kk)
 
     def bispinor(upper, lower):

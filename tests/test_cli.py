@@ -1,19 +1,91 @@
 """Command-line interface: subcommands, file formats, determinism."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diraclab
 from diraclab.cli import main, parse_matrix_file, write_matrix_file
 from diraclab.clifford import GAMMA5, random_matrix
+from diraclab.invariance import GeneralizedParams
+from diraclab.nonrel import (
+    NonRelParams,
+    kinetic_minus_rest,
+    nonrel_abs_error,
+    nonrel_error,
+    pauli_energy,
+)
+from diraclab.operators import dispersion
 
 
 def run_main(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Reference sweeps: the per-row loops the dispersion and limit commands ran
+# before they became single array calls, one scalar call per value.
+def reference_dispersion_csv(m0, eps, p, k_min, k_max, steps, c_light=1.0):
+    params = GeneralizedParams.from_physical(m0, eps, (0.0, 0.0, p))
+    nr = NonRelParams(m0=m0, eps_tilde=eps, c_tilde=(0.0, 0.0, p), c_light=c_light)
+    lines = ["k,eps_plus,eps_minus,eps_pauli,eps_ll"]
+    for k in np.linspace(k_min, k_max, steps):
+        if c_light == 1.0:
+            plus = dispersion(float(k), params, +1)
+            minus = dispersion(float(k), params, -1)
+        else:
+            w = kinetic_minus_rest(float(k), nr) + m0 * c_light ** 2
+            plus = w - eps
+            minus = -w - eps
+        pauli = pauli_energy(float(k), nr)
+        row = (float(k), plus, minus, pauli, pauli)
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_limit_csv(m0, k_max, points, c_light=1.0):
+    nr = NonRelParams(m0=m0, c_light=c_light)
+    lines = ["k,dirac_kinetic,pauli_kinetic,abs_error,rel_error"]
+    for k in np.geomspace(k_max * 1e-3, k_max, points):
+        kin = kinetic_minus_rest(float(k), nr)
+        pauli = pauli_energy(float(k), nr)
+        err = nonrel_error(float(k), nr)
+        rel = err.value if err.relative else float("nan")
+        row = (float(k), kin, pauli, nonrel_abs_error(float(k), nr), rel)
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# Set before comparing: the array path may round the last digit differently
+# from the scalar calls (the square of an array is x*x, of a float pow(x, 2));
+# at c_light != 1 the command takes the branch energy as sqrt(...) itself,
+# the loop as the cancellation-free kinetic energy plus m0 c^2.
+SWEEP_RTOL = 1e-15
+
+
+def assert_csv_close(out, reference, exact_columns):
+    got = [line.split(",") for line in out.splitlines()]
+    ref = [line.split(",") for line in reference.splitlines()]
+    assert got[0] == ref[0] and len(got) == len(ref)
+    header = ref[0]
+    for col, name in enumerate(header):
+        column_got = [row[col] for row in got[1:]]
+        column_ref = [row[col] for row in ref[1:]]
+        if name in exact_columns:
+            assert column_got == column_ref, name
+        else:
+            np.testing.assert_allclose(
+                np.array(column_got, dtype=float),
+                np.array(column_ref, dtype=float),
+                rtol=SWEEP_RTOL,
+                atol=0,
+                err_msg=name,
+            )
 
 
 class TestMatrixFiles:
@@ -138,6 +210,45 @@ class TestDispersionCommand:
         assert code == 2
         assert "steps" in err
 
+    @pytest.mark.parametrize(
+        "m0, eps, p, k_min, k_max, steps",
+        [(1.0, 0.5, 0.25, -2.0, 2.0, 81), (0.73, -0.61, -0.42, -2.0, 2.0, 1001),
+         (1.9, 0.0, 0.0, 0.0, 3.5, 7)],
+    )
+    def test_matches_row_loop_byte_for_byte(self, capsys, m0, eps, p, k_min, k_max, steps):
+        code, out, _ = run_main(
+            capsys,
+            ["dispersion", "--m0", repr(m0), f"--eps-tilde={eps!r}", f"--p-tilde={p!r}",
+             "--k-min", repr(k_min), "--k-max", repr(k_max), "--steps", str(steps)],
+        )
+        assert code == 0
+        assert out == reference_dispersion_csv(m0, eps, p, k_min, k_max, steps)
+
+    def test_physical_units_match_row_loop(self, capsys):
+        code, out, _ = run_main(
+            capsys,
+            ["dispersion", "--m0", "0.73", "--eps-tilde=-0.61", "--p-tilde=-0.42",
+             "--k-min", "-2", "--k-max", "2", "--steps", "1001", "--c-light", "10"],
+        )
+        assert code == 0
+        reference = reference_dispersion_csv(0.73, -0.61, -0.42, -2.0, 2.0, 1001, 10.0)
+        assert_csv_close(out, reference, {"k", "eps_pauli", "eps_ll"})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--k-min", "0", "--k-max", "inf", "--steps", "3"],
+            ["--k-min", "nan", "--k-max", "1", "--steps", "3"],
+            ["--k-min", "0", "--k-max", "1", "--steps", "3", "--c-light", "nan"],
+            ["--k-min", "0", "--k-max", "1", "--steps", "3", "--eps-tilde", "inf"],
+        ],
+    )
+    def test_non_finite_input_exits_2_without_output(self, capsys, argv):
+        code, out, err = run_main(capsys, ["dispersion", "--m0", "1", *argv])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
 
 class TestEvolveCommand:
     def test_trajectory_csv(self, capsys):
@@ -215,6 +326,50 @@ class TestLimitCommand:
         code, _, err = run_main(capsys, ["limit", "--m0", "1", "--k-max", "0.1", "--points", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "m0, k_max, points, c_light",
+        [(1.0, 0.1, 21, 1.0), (0.73, 0.6, 1001, 1.0), (1.9, 1.7, 301, 1.0),
+         (1.0, 9.0, 101, 10.0)],
+    )
+    def test_matches_row_loop(self, capsys, m0, k_max, points, c_light):
+        code, out, _ = run_main(
+            capsys,
+            ["limit", "--m0", repr(m0), "--k-max", repr(k_max), "--points", str(points),
+             "--c-light", repr(c_light)],
+        )
+        assert code == 0
+        assert_csv_close(
+            out,
+            reference_limit_csv(m0, k_max, points, c_light),
+            {"k", "dirac_kinetic", "pauli_kinetic"},
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--m0", "nan", "--k-max", "0.1", "--points", "3"],
+            ["--m0", "1", "--k-max", "nan", "--points", "3"],
+            ["--m0", "1", "--k-max", "0.1", "--points", "3", "--c-light", "inf"],
+        ],
+    )
+    def test_non_finite_input_exits_2_without_output(self, capsys, argv):
+        code, out, err = run_main(capsys, ["limit", *argv])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_relativistic_momentum_writes_nothing(self, capsys, tmp_path):
+        argv = ["limit", "--m0", "1", "--k-max", "5", "--points", "4"]
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "m0 * c_light" in err
+        path = tmp_path / "limit.csv"
+        code, out, _ = run_main(capsys, [*argv, "-o", str(path)])
+        assert code == 2
+        assert out == ""
+        assert not path.exists()
+
 
 class TestDecomposeCommand:
     def test_chiral_element(self, capsys, tmp_path):
@@ -258,10 +413,14 @@ class TestUsageErrors:
 
 
 def test_module_entry_point():
+    # the child process imports the same diraclab as this one, installed or not
+    src = str(Path(diraclab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "diraclab", "verify", "--trials", "10", "--seed", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# diraclab verify trials=10 seed=1")

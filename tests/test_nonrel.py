@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diraclab.clifford import pauli
+from diraclab.invariance import GeneralizedParams
 from diraclab.nonrel import (
     NonRelParams,
     dirac_energy,
@@ -14,6 +18,7 @@ from diraclab.nonrel import (
     nonrel_error,
     pauli_energy,
 )
+from diraclab.operators import dispersion
 
 FREE = NonRelParams(m0=1.0)
 
@@ -35,6 +40,15 @@ class TestParams:
             NonRelParams(m0=1.0, c_light=0.0)
         with pytest.raises(ValueError):
             NonRelParams(m0=1.0, c_tilde=np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "field", ["m0", "eps_tilde", "c_tilde", "c_light", "scalar_potential", "charge"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"m0": 1.0, field: (0.0, value, 0.0) if field == "c_tilde" else value}
+        with pytest.raises(ValueError):
+            NonRelParams(**kwargs)
 
     def test_scalar_c_tilde_means_z(self):
         p = NonRelParams(m0=1.0, c_tilde=0.2)
@@ -220,3 +234,113 @@ class TestLimitError:
         assert levy_leblond_solve(k, gen).energy == pytest.approx(
             float(k @ k) / (2 * 1.7), abs=1e-15
         )
+
+
+# Tolerance fixed before the comparison: a stack and the per-row calls run
+# the same float64 formulas, so they may differ by at most about one
+# rounding of the result.
+BATCH_RTOL = 1e-15
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def nonrel_params(draw):
+    return NonRelParams(
+        m0=draw(st.floats(0.1, 4.0)),
+        eps_tilde=draw(_unit),
+        c_tilde=draw(arrays(float, 3, elements=_unit)),
+        c_light=draw(st.sampled_from([0.5, 3.0, 137.0])),
+        scalar_potential=draw(st.floats(-0.5, 0.5)),
+        charge=draw(st.floats(-2.0, 2.0)),
+    )
+
+
+def _rows(n):
+    return arrays(float, (n, 3), elements=st.floats(-3.0, 3.0))
+
+
+def _energies(params):
+    """Every batched energy helper, as k -> value, for one parameter set."""
+    gen = GeneralizedParams.from_physical(params.m0, params.eps_tilde, params.c_tilde)
+    return {
+        "dispersion+": lambda k: dispersion(k, gen, +1),
+        "dispersion-": lambda k: dispersion(k, gen, -1),
+        "dirac_energy+": lambda k: dirac_energy(k, params, +1),
+        "dirac_energy-": lambda k: dirac_energy(k, params, -1),
+        "kinetic_minus_rest": lambda k: kinetic_minus_rest(k, params),
+        "nonrel_abs_error": lambda k: nonrel_abs_error(k, params),
+        "pauli_energy": lambda k: pauli_energy(k, params),
+    }
+
+
+class TestBatchedEnergies:
+    """A (N, 3) stack of momenta gives the per-row results in one call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), params=nonrel_params(), n=st.integers(1, 12))
+    def test_stack_equals_rows(self, data, params, n):
+        ks = data.draw(_rows(n))
+        for name, energy in _energies(params).items():
+            batched = energy(ks)
+            assert batched.shape == (n,), name
+            rows = [energy(k) for k in ks]
+            np.testing.assert_allclose(batched, rows, rtol=BATCH_RTOL, atol=0, err_msg=name)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), params=nonrel_params(), n=st.integers(1, 12))
+    def test_nonrel_error_stack_equals_rows(self, data, params, n):
+        # kinetic momenta |k + shift| strictly inside m0 * c_light
+        u = data.draw(_rows(n))
+        radius = 0.9 * params.m0 * params.c_light
+        ks = radius * u / (1.0 + np.linalg.norm(u, axis=1, keepdims=True)) - params.c_tilde
+        batched = nonrel_error(ks, params)
+        rows = [nonrel_error(k, params) for k in ks]
+        np.testing.assert_array_equal(batched.relative, [r.relative for r in rows])
+        np.testing.assert_allclose(
+            batched.value, [r.value for r in rows], rtol=BATCH_RTOL, atol=0
+        )
+
+    @pytest.mark.parametrize("k", [0.3, np.float64(-0.2), [0.1, -0.2, 0.3], np.zeros(3)])
+    def test_one_momentum_gives_float(self, k):
+        params = NonRelParams(m0=1.3, eps_tilde=0.2, c_tilde=(0.1, 0.0, -0.2), c_light=2.0)
+        for name, energy in _energies(params).items():
+            assert type(energy(k)) is float, name
+        err = nonrel_error(k, params)
+        assert type(err.value) is float and type(err.relative) is bool
+
+    def test_one_momentum_squares_exactly_like_k_dot_k(self):
+        # criterion 08 compares pauli_energy with float(k @ k) / (2 m0)
+        # bit for bit; 2 m0 = 1 here, so the energy is |k|^2 itself
+        ks = np.random.default_rng(66).uniform(-3.0, 3.0, (300, 3))
+        half = NonRelParams(m0=0.5)
+        assert [pauli_energy(k, half) for k in ks] == [float(k @ k) for k in ks]
+        np.testing.assert_array_equal(pauli_energy(ks, half), [k @ k for k in ks])
+
+    def test_scalar_momentum_is_along_z(self):
+        params = NonRelParams(m0=1.3, eps_tilde=0.2, c_tilde=(0.1, 0.0, -0.2), c_light=2.0)
+        for name, energy in _energies(params).items():
+            assert energy(0.4) == energy([0.0, 0.0, 0.4]), name
+
+    def test_nested_stack_keeps_leading_shape(self):
+        ks = np.random.default_rng(65).uniform(-0.5, 0.5, (2, 4, 3))
+        for name, energy in _energies(FREE).items():
+            out = energy(ks)
+            assert out.shape == (2, 4), name
+            np.testing.assert_allclose(out, energy(ks.reshape(8, 3)).reshape(2, 4), rtol=0)
+        assert nonrel_error(ks, FREE).value.shape == (2, 4)
+
+    @pytest.mark.parametrize("k", [np.zeros(2), np.zeros(4), np.zeros((5, 2)), np.zeros((3, 4))])
+    def test_wrong_momentum_shape_raises(self, k):
+        for name, energy in _energies(FREE).items():
+            with pytest.raises(ValueError, match="shape"):
+                energy(k)
+        with pytest.raises(ValueError, match="shape"):
+            nonrel_error(k, FREE)
+
+    @pytest.mark.parametrize("kz", [1.0, 1.5])
+    def test_nonrel_error_rejects_stack_reaching_m0_c(self, kz):
+        ks = np.zeros((5, 3))
+        ks[:, 2] = [0.1, 0.2, kz, 0.3, 0.4]
+        with pytest.raises(ValueError, match="m0 \\* c_light"):
+            nonrel_error(ks, FREE)
