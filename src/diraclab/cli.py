@@ -40,7 +40,7 @@ def parse_matrix_file(path: str) -> np.ndarray:
     lines = [(i + 1, line) for i, line in enumerate(raw) if line.strip()]
     if len(lines) != 4:
         raise ValueError(f"{path}: expected 4 data lines, found {len(lines)}")
-    out = np.zeros((4, 4), dtype=np.complex128)
+    out = np.zeros((4, 8))
     for row, (lineno, line) in enumerate(lines):
         fields = line.split()
         if len(fields) != 8:
@@ -49,17 +49,13 @@ def parse_matrix_file(path: str) -> np.ndarray:
             )
         for col, token in enumerate(fields):
             try:
-                value = float(token)
+                out[row, col] = float(token)
             except ValueError:
                 raise ValueError(
                     f"{path}: line {lineno}, field {col + 1}: "
                     f"could not parse {token!r} as a number"
                 ) from None
-            if col % 2 == 0:
-                out[row, col // 2] += value
-            else:
-                out[row, col // 2] += 1j * value
-    return out
+    return out.view(np.complex128)  # (re, im) pairs, bit for bit, signed zeros too
 
 
 def write_matrix_file(path: str, m: np.ndarray) -> None:
@@ -248,6 +244,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.subcommand](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: the inputs overflow double precision: {exc}", file=sys.stderr)
         return 2
 
 

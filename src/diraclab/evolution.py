@@ -9,7 +9,9 @@ w = sqrt(m0^2 + |k + p_tilde|^2), the propagator has the closed form
 
 (Thaller, The Dirac Equation, 1992, ch. 1), evaluated directly at each
 requested time in momentum space: no time-step error, and the roundoff
-does not grow with the number of samples.  Grid conventions:
+does not grow with the number of samples.  A trajectory sample costs one
+inverse FFT; its mean_k comes from the spectral coefficients.  Grid
+conventions:
 
 * samples live at x_i = i * L / n for i = 0..n-1 with n a power of two;
 * grid momenta are 2*pi*fftfreq(n, L/n), i.e. FFT ordering covering
@@ -45,6 +47,13 @@ __all__ = [
 ]
 
 
+def _check_grid(n: int, length: float) -> None:
+    if n < 64 or (n & (n - 1)) != 0:
+        raise ValueError(f"n must be a power of two >= 64, got {n}")
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError(f"length must be positive and finite, got {length}")
+
+
 @dataclass(frozen=True)
 class WavePacket:
     """Periodic 1-D grid of 4-component spinor samples."""
@@ -55,10 +64,7 @@ class WavePacket:
     time: float = 0.0
 
     def __post_init__(self):
-        if self.n < 64 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"n must be a power of two >= 64, got {self.n}")
-        if not (math.isfinite(self.length) and self.length > 0.0):
-            raise ValueError(f"length must be positive and finite, got {self.length}")
+        _check_grid(self.n, self.length)
         v = np.ascontiguousarray(self.values, dtype=np.complex128)
         if v.shape != (self.n, 4):
             raise ValueError(f"values must have shape ({self.n}, 4), got {v.shape}")
@@ -90,19 +96,22 @@ class Observables:
     mean_k: float
 
 
-def observables(packet: WavePacket) -> Observables:
-    density = np.sum(np.abs(packet.values) ** 2, axis=1)
-    norm = float(np.sum(density) * packet.dx)
-    x = packet.x
-    weight = density * packet.dx / norm
+def _reduce(values_x, values_k, x, k, dx) -> tuple[float, float, float, float]:
+    """norm, mean_x, spread and mean_k of one state from its spinor-major
+    (4, n) samples in position and in momentum space."""
+    density = np.sum(np.abs(values_x) ** 2, axis=0)
+    norm = float(np.sum(density) * dx)
+    weight = density * dx / norm
     mean_x = float(np.sum(x * weight))
     var = float(np.sum((x - mean_x) ** 2 * weight))
-    spread = math.sqrt(max(var, 0.0))
+    kweight = np.sum(np.abs(values_k) ** 2, axis=0)
+    mean_k = float(np.sum(k * kweight) / np.sum(kweight))
+    return norm, mean_x, math.sqrt(max(var, 0.0)), mean_k
 
-    psi_k = np.fft.fft(packet.values, axis=0)
-    kweight = np.sum(np.abs(psi_k) ** 2, axis=1)
-    mean_k = float(np.sum(packet.k * kweight) / np.sum(kweight))
-    return Observables(norm=norm, mean_x=mean_x, spread=spread, mean_k=mean_k)
+
+def observables(packet: WavePacket) -> Observables:
+    values = packet.values.T
+    return Observables(*_reduce(values, np.fft.fft(values), packet.x, packet.k, packet.dx))
 
 
 def init_gaussian(
@@ -123,7 +132,8 @@ def init_gaussian(
         params = GeneralizedParams.standard(1.0)
     if branch not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
-    for name, value in (("length", length), ("x0", x0), ("k0", k0), ("width", width)):
+    _check_grid(n, length)
+    for name, value in (("x0", x0), ("k0", k0), ("width", width)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     dx = length / n
@@ -171,18 +181,18 @@ class SpectralPropagator:
         """H0 = alpha.(k + p) + m0*beta applied mode by mode to (n, 4) coefficients."""
         return psi_k @ self._h_fixed.T + self._k[:, None] * (psi_k @ ALPHA[2].T)
 
-    def _propagate(self, psi_k: np.ndarray, minus_i_h0_psi: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i H t) psi_k, given -i H0 psi_k."""
+    def _coefficients(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-mode cos(wt) and sin(wt)/w, each times the phase exp(i eps t):
+        exp(-i H t) psi = cos * psi + sin_over_w * (-i H0 psi)."""
         wt = self._w * t
         phase = np.exp(1j * self.params.eps_tilde * t)
-        cos = phase * np.cos(wt)
         # sin(wt)/w, exact at w = 0 (a massless mode at k + p = 0)
-        sin_over_w = phase * t * np.sinc(wt / np.pi)
-        return cos[:, None] * psi_k + sin_over_w[:, None] * minus_i_h0_psi
+        return phase * np.cos(wt), phase * t * np.sinc(wt / np.pi)
 
     def advance(self, psi_k: np.ndarray, t: float) -> np.ndarray:
-        """One-shot exact advance of spectral coefficients by time t."""
-        return self._propagate(psi_k, -1j * self._h0(psi_k), t)
+        """One-shot exact advance of (n, 4) spectral coefficients by time t."""
+        cos, sin_over_w = self._coefficients(t)
+        return cos[:, None] * psi_k + sin_over_w[:, None] * (-1j * self._h0(psi_k))
 
 
 def evolve(
@@ -214,14 +224,7 @@ class TrajectoryResult:
     packet: WavePacket
 
     def rows(self):
-        for i in range(self.times.size):
-            yield (
-                self.times[i],
-                self.norms[i],
-                self.mean_x[i],
-                self.spreads[i],
-                self.mean_k[i],
-            )
+        return zip(self.times, self.norms, self.mean_x, self.spreads, self.mean_k)
 
 
 def trajectory(
@@ -235,8 +238,9 @@ def trajectory(
 
     Each sample is the closed-form propagator applied to the initial
     spectral coefficients at t_j = dt * (steps done), so samples carry no
-    accumulated roundoff from earlier ones.  The initial state is always
-    the first sample and the state after `steps` steps the last.
+    accumulated roundoff from earlier ones.  Each sample costs one inverse
+    FFT, and mean_k is read from its spectral coefficients.  The initial
+    state is the first sample and the state after `steps` steps the last.
     """
     _check_dt(dt)
     if steps < 1:
@@ -245,30 +249,24 @@ def trajectory(
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     prop = SpectralPropagator(packet.n, packet.length, params)
     psi0_k = np.fft.fft(packet.values, axis=0)
-    minus_i_h0_psi0 = -1j * prop._h0(psi0_k)
+    minus_i_h0_psi0 = np.ascontiguousarray((-1j * prop._h0(psi0_k)).T)
+    psi0_k = np.ascontiguousarray(psi0_k.T)
+    x, k, dx = packet.x, packet.k, packet.dx
 
-    times = [packet.time]
-    samples = [observables(packet)]
-    done = 0
-    current = packet
-    while done < steps:
-        done += min(sample_every, steps - done)
-        psi_k = prop._propagate(psi0_k, minus_i_h0_psi0, dt * done)
-        values = np.fft.ifft(psi_k, axis=0)
-        current = WavePacket(
-            packet.n, packet.length, values, packet.time + dt * done
-        )
-        times.append(current.time)
-        samples.append(observables(current))
-
-    return TrajectoryResult(
-        times=np.array(times),
-        norms=np.array([s.norm for s in samples]),
-        mean_x=np.array([s.mean_x for s in samples]),
-        spreads=np.array([s.spread for s in samples]),
-        mean_k=np.array([s.mean_k for s in samples]),
-        packet=current,
-    )
+    done = np.minimum(np.arange(0, steps + sample_every, sample_every), steps)
+    times = packet.time + dt * done
+    table = np.empty((done.size, 4))
+    values = packet.values.T
+    table[0] = _reduce(values, psi0_k, x, k, dx)
+    for j in range(1, done.size):
+        cos, sin_over_w = prop._coefficients(dt * done[j])
+        psi_k = cos * psi0_k + sin_over_w * minus_i_h0_psi0
+        values = np.fft.ifft(psi_k)
+        table[j] = _reduce(values, psi_k, x, k, dx)
+    if not np.isfinite(table).all():
+        raise ValueError("trajectory is not finite: the inputs overflow double precision")
+    final = WavePacket(packet.n, packet.length, values.T, float(times[-1]))
+    return TrajectoryResult(times, *table.T, packet=final)
 
 
 def group_velocity_estimate(

@@ -134,7 +134,8 @@ def kinetic_minus_rest(k, params: NonRelParams) -> float | np.ndarray:
     c^2 K^2 / (sqrt(...) + m0 c^2)."""
     c = params.c_light
     k2 = _k2(k, params.c_tilde)
-    return _value(c ** 2 * k2 / (_w(k2, params.m0, c) + params.m0 * c ** 2))
+    w = _w(k2, params.m0, c)
+    return _value(c ** 2 * k2 / (w + params.m0 * c ** 2))
 
 
 def nonrel_abs_error(k, params: NonRelParams) -> float | np.ndarray:

@@ -17,6 +17,7 @@ with the spinor unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +65,25 @@ def _k2(k, shift):
 
 def _w(k2, m0: float, c: float = 1.0):
     """Branch energy without shifts, sqrt(m0^2 c^4 + c^2 K^2), for K^2 = k2."""
-    return np.sqrt((m0 * c ** 2) ** 2 + c ** 2 * k2)
+    try:
+        w = np.sqrt((m0 * c ** 2) ** 2 + c ** 2 * k2)
+    except OverflowError:  # Python float ** raises where numpy gives inf
+        w = np.inf
+    return _finite(w)
+
+
+def _finite(x):
+    """x itself; ValueError if any entry overflowed to a non-finite energy."""
+    # math.isfinite for one momentum (np.float64 is a float): the scalar
+    # energy helpers run thousands of times per verify report
+    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+        raise ValueError("energy is not finite: the inputs overflow double precision")
+    return x
 
 
 def _value(x):
-    """A Python float for one momentum, the array for a stack."""
+    """A Python float for one momentum, the array for a stack, checked finite."""
+    x = _finite(x)
     return float(x) if np.ndim(x) == 0 else x
 
 

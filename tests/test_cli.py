@@ -3,10 +3,14 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import diraclab
 from diraclab.cli import main, parse_matrix_file, write_matrix_file
@@ -107,6 +111,16 @@ class TestMatrixFiles:
             m = random_matrix(rng, 3.0)
             write_matrix_file(str(path), m)
             np.testing.assert_array_equal(parse_matrix_file(str(path)), m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.complex128, (4, 4), elements=st.complex_numbers(allow_nan=False, allow_infinity=False)))
+    def test_roundtrip_is_bit_exact(self, m):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.mat")
+            write_matrix_file(path, m)
+            back = parse_matrix_file(path)
+        # compared as bits, so signed zeros and subnormals count too
+        np.testing.assert_array_equal(back.view(np.uint64), m.view(np.uint64))
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad.mat"
@@ -241,6 +255,9 @@ class TestDispersionCommand:
             ["--k-min", "nan", "--k-max", "1", "--steps", "3"],
             ["--k-min", "0", "--k-max", "1", "--steps", "3", "--c-light", "nan"],
             ["--k-min", "0", "--k-max", "1", "--steps", "3", "--eps-tilde", "inf"],
+            # finite, but the energies overflow
+            ["--k-min", "0", "--k-max", "1e200", "--steps", "3"],
+            ["--k-min", "0", "--k-max", "1", "--steps", "2", "--m0", "1e200"],
         ],
     )
     def test_non_finite_input_exits_2_without_output(self, capsys, argv):
@@ -280,17 +297,39 @@ class TestEvolveCommand:
         assert code == 2
         assert "width" in err
 
+    ARGV = {
+        "--n": "128", "--length": "100", "--dt": "0.05", "--steps": "10",
+        "--k0": "0.5", "--width": "8", "--m0": "1",
+    }
+
     @pytest.mark.parametrize("flag, value", [("--dt", "nan"), ("--m0", "inf")])
     def test_non_finite_input_exits_2_without_output(self, capsys, flag, value):
-        argv = {
-            "--n": "128", "--length": "100", "--dt": "0.05", "--steps": "10",
-            "--k0": "0.5", "--width": "8", "--m0": "1",
-        }
-        argv[flag] = value
+        argv = {**self.ARGV, flag: value}
         code, out, err = run_main(capsys, ["evolve", *(x for kv in argv.items() for x in kv)])
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            # finite inputs that overflow
+            ("--m0", "1e200", "overflow"),
+            ("--dt", "1e308", "overflow"),
+            ("--width", "1e300", "overflow"),
+            # grid sizes, checked before the grid spacing is computed
+            ("--n", "0", "n must be"),
+            ("--n", "-64", "n must be"),
+            ("--length", "0", "length must be"),
+            ("--length", "-100", "length must be"),
+        ],
+    )
+    def test_out_of_range_input_exits_2_without_output(self, capsys, flag, value, message):
+        argv = {**self.ARGV, flag: value}
+        code, out, err = run_main(capsys, ["evolve", *(x for kv in argv.items() for x in kv)])
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_massless_packet_moves_at_light_speed(self, capsys):
         code, out, err = run_main(
@@ -350,6 +389,7 @@ class TestLimitCommand:
             ["--m0", "nan", "--k-max", "0.1", "--points", "3"],
             ["--m0", "1", "--k-max", "nan", "--points", "3"],
             ["--m0", "1", "--k-max", "0.1", "--points", "3", "--c-light", "inf"],
+            ["--m0", "1", "--k-max", "0.1", "--points", "3", "--c-light", "1e200"],
         ],
     )
     def test_non_finite_input_exits_2_without_output(self, capsys, argv):

@@ -207,3 +207,63 @@ def test_rejects_non_finite_inputs():
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match=name):
                 init_gaussian(**{**good, name: bad}, params=STD)
+
+
+# Reference: the per-sample loop trajectory ran before it kept the spectral
+# coefficients spinor-major.  It built a WavePacket per sample and reduced it
+# with the old observables formulas, which FFT the sample back to k-space.
+def reference_observables(packet):
+    density = np.sum(np.abs(packet.values) ** 2, axis=1)
+    norm = float(np.sum(density) * packet.dx)
+    weight = density * packet.dx / norm
+    mean_x = float(np.sum(packet.x * weight))
+    var = float(np.sum((packet.x - mean_x) ** 2 * weight))
+    kweight = np.sum(np.abs(np.fft.fft(packet.values, axis=0)) ** 2, axis=1)
+    mean_k = float(np.sum(packet.k * kweight) / np.sum(kweight))
+    return [norm, mean_x, np.sqrt(max(var, 0.0)), mean_k]
+
+
+def reference_trajectory(packet, params, dt, steps, sample_every):
+    prop = SpectralPropagator(packet.n, packet.length, params)
+    psi0_k = np.fft.fft(packet.values, axis=0)
+    times, rows, done, current = [packet.time], [reference_observables(packet)], 0, packet
+    while done < steps:
+        done += min(sample_every, steps - done)
+        values = np.fft.ifft(prop.advance(psi0_k, dt * done), axis=0)
+        current = WavePacket(packet.n, packet.length, values, packet.time + dt * done)
+        times.append(current.time)
+        rows.append(reference_observables(current))
+    return np.array(times), np.array(rows), current
+
+
+@pytest.mark.parametrize(
+    "params, k0, dt, steps, sample_every, t0",
+    [
+        (GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6)), 0.5, -0.37, 23, 5, 2.5),
+        (GeneralizedParams.from_physical(0.0, 0.7, (0.1, 0.0, -0.25)), 0.4, 0.45, 17, 4, -1.25),
+    ],
+    ids=["generalized", "massless"],
+)
+def test_trajectory_matches_per_sample_loop_and_evolve(params, k0, dt, steps, sample_every, t0):
+    start = init_gaussian(256, 100.0, 50.0, k0, width=8.0, params=params)
+    packet = WavePacket(start.n, start.length, start.values, time=t0)
+    result = trajectory(packet, params, dt, steps, sample_every)
+
+    times, rows, final = reference_trajectory(packet, params, dt, steps, sample_every)
+    np.testing.assert_array_equal(result.times, times)
+    columns = np.column_stack([result.norms, result.mean_x, result.spreads, result.mean_k])
+    np.testing.assert_allclose(columns, rows, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(result.packet.values, final.values, rtol=1e-13, atol=0)
+
+    done = [*range(0, steps, sample_every), steps]
+    assert result.times.size == len(done)
+    for j, n_steps in enumerate(done):
+        expected = observables(evolve(packet, params, dt, n_steps))
+        got = [result.norms[j], result.mean_x[j], result.spreads[j], result.mean_k[j]]
+        np.testing.assert_allclose(
+            got, [expected.norm, expected.mean_x, expected.spread, expected.mean_k],
+            rtol=1e-13, atol=0,
+        )
+    direct = evolve(packet, params, dt, steps)
+    np.testing.assert_array_equal(result.packet.values, direct.values)
+    assert result.packet.time == direct.time == times[-1]

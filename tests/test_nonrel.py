@@ -50,6 +50,24 @@ class TestParams:
         with pytest.raises(ValueError):
             NonRelParams(**kwargs)
 
+    def test_overflowing_energy_raises_value_error(self):
+        # finite inputs whose energy overflows: Python float ** raised
+        # OverflowError here, and numpy arrays returned inf
+        stack = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1e200]])
+        big_c = NonRelParams(m0=1.0, c_light=1e200)
+        calls = [
+            lambda: dispersion(0.0, GeneralizedParams.from_physical(1e200)),
+            lambda: dirac_energy(0.5, NonRelParams(m0=1e200)),
+            lambda: kinetic_minus_rest(0.5, big_c),
+            lambda: nonrel_abs_error(0.5, big_c),
+            lambda: nonrel_error(0.5, big_c),
+            lambda: dirac_energy(stack, FREE),
+            lambda: pauli_energy(stack, FREE),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
     def test_scalar_c_tilde_means_z(self):
         p = NonRelParams(m0=1.0, c_tilde=0.2)
         np.testing.assert_allclose(p.c_tilde, [0, 0, 0.2])
