@@ -9,9 +9,10 @@ w = sqrt(m0^2 + |k + p_tilde|^2), the propagator has the closed form
 
 (Thaller, The Dirac Equation, 1992, ch. 1), evaluated directly at each
 requested time in momentum space: no time-step error, and the roundoff
-does not grow with the number of samples.  A trajectory sample costs one
-inverse FFT; its mean_k comes from the spectral coefficients.  Grid
-conventions:
+does not grow with the number of samples.  H0 and w on the grid come from
+operators (_h0, _k2, _w), the one place that defines them.  A trajectory
+sample costs one inverse FFT; its mean_k comes from the spectral
+coefficients.  Grid conventions:
 
 * samples live at x_i = i * L / n for i = 0..n-1 with n a power of two;
 * grid momenta are 2*pi*fftfreq(n, L/n), i.e. FFT ordering covering
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariance import GeneralizedParams
-from .operators import ALPHA, BETA, plane_wave_solve
+from .operators import _h0, _k2, _w, plane_wave_solve
 
 __all__ = [
     "WavePacket",
@@ -68,6 +69,8 @@ class WavePacket:
         v = np.ascontiguousarray(self.values, dtype=np.complex128)
         if v.shape != (self.n, 4):
             raise ValueError(f"values must have shape ({self.n}, 4), got {v.shape}")
+        if not (math.isfinite(self.time) and np.isfinite(v).all()):
+            raise ValueError("values and time must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -156,9 +159,12 @@ def init_gaussian(
     return WavePacket(n=n, length=length, values=values / norm, time=0.0)
 
 
-def _check_dt(dt: float) -> None:
+def _check_span(time: float, dt: float, steps: int) -> None:
+    """dt and the end time time + dt*steps (time itself is finite) are finite."""
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
+    if not math.isfinite(time + dt * steps):
+        raise ValueError(f"time {time} + dt*steps ({dt}*{steps}) overflows double precision")
 
 
 class SpectralPropagator:
@@ -168,18 +174,14 @@ class SpectralPropagator:
         self.n = n
         self.length = length
         self.params = params
-        self._k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
-        p = params.p_tilde
-        # H0 = h_fixed + k * alpha_z per grid momentum k along z
-        self._h_fixed = (
-            p[0] * ALPHA[0] + p[1] * ALPHA[1] + p[2] * ALPHA[2] + params.m0 * BETA
-        )
-        kz = self._k + p[2]
-        self._w = np.sqrt(params.m0 ** 2 + p[0] ** 2 + p[1] ** 2 + kz ** 2)
+        k = np.zeros((n, 3))
+        k[:, 2] = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+        self._h0 = _h0(k, params)
+        self._w = _w(_k2(k, params.p_tilde), params.m0)
 
-    def _h0(self, psi_k: np.ndarray) -> np.ndarray:
-        """H0 = alpha.(k + p) + m0*beta applied mode by mode to (n, 4) coefficients."""
-        return psi_k @ self._h_fixed.T + self._k[:, None] * (psi_k @ ALPHA[2].T)
+    def _minus_i_h0(self, psi_k: np.ndarray) -> np.ndarray:
+        """-i H0 applied mode by mode to (n, 4) coefficients."""
+        return -1j * (self._h0 @ psi_k[:, :, None])[:, :, 0]
 
     def _coefficients(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-mode cos(wt) and sin(wt)/w, each times the phase exp(i eps t):
@@ -192,25 +194,21 @@ class SpectralPropagator:
     def advance(self, psi_k: np.ndarray, t: float) -> np.ndarray:
         """One-shot exact advance of (n, 4) spectral coefficients by time t."""
         cos, sin_over_w = self._coefficients(t)
-        return cos[:, None] * psi_k + sin_over_w[:, None] * (-1j * self._h0(psi_k))
+        return cos[:, None] * psi_k + sin_over_w[:, None] * self._minus_i_h0(psi_k)
 
 
 def evolve(
-    packet: WavePacket,
-    params: GeneralizedParams,
-    dt: float,
-    steps: int = 1,
-    propagator: SpectralPropagator | None = None,
+    packet: WavePacket, params: GeneralizedParams, dt: float, steps: int = 1
 ) -> WavePacket:
     """Advance a packet by dt*steps with the exact mode-wise propagator."""
-    _check_dt(dt)
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    if propagator is None:
-        propagator = SpectralPropagator(packet.n, packet.length, params)
+    _check_span(packet.time, dt, steps)
+    propagator = SpectralPropagator(packet.n, packet.length, params)
     psi_k = np.fft.fft(packet.values, axis=0)
-    psi_k = propagator.advance(psi_k, dt * steps)
-    values = np.fft.ifft(psi_k, axis=0)
+    # a span whose phase w*t overflows gives NaN values, which WavePacket rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.fft.ifft(propagator.advance(psi_k, dt * steps), axis=0)
     return WavePacket(packet.n, packet.length, values, packet.time + dt * steps)
 
 
@@ -242,14 +240,14 @@ def trajectory(
     FFT, and mean_k is read from its spectral coefficients.  The initial
     state is the first sample and the state after `steps` steps the last.
     """
-    _check_dt(dt)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    _check_span(packet.time, dt, steps)
     prop = SpectralPropagator(packet.n, packet.length, params)
     psi0_k = np.fft.fft(packet.values, axis=0)
-    minus_i_h0_psi0 = np.ascontiguousarray((-1j * prop._h0(psi0_k)).T)
+    minus_i_h0_psi0 = np.ascontiguousarray(prop._minus_i_h0(psi0_k).T)
     psi0_k = np.ascontiguousarray(psi0_k.T)
     x, k, dx = packet.x, packet.k, packet.dx
 
@@ -258,11 +256,13 @@ def trajectory(
     table = np.empty((done.size, 4))
     values = packet.values.T
     table[0] = _reduce(values, psi0_k, x, k, dx)
-    for j in range(1, done.size):
-        cos, sin_over_w = prop._coefficients(dt * done[j])
-        psi_k = cos * psi0_k + sin_over_w * minus_i_h0_psi0
-        values = np.fft.ifft(psi_k)
-        table[j] = _reduce(values, psi_k, x, k, dx)
+    # a time whose phase w*t overflows gives NaN samples, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, done.size):
+            cos, sin_over_w = prop._coefficients(dt * done[j])
+            psi_k = cos * psi0_k + sin_over_w * minus_i_h0_psi0
+            values = np.fft.ifft(psi_k)
+            table[j] = _reduce(values, psi_k, x, k, dx)
     if not np.isfinite(table).all():
         raise ValueError("trajectory is not finite: the inputs overflow double precision")
     final = WavePacket(packet.n, packet.length, values.T, float(times[-1]))

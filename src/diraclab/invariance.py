@@ -144,9 +144,6 @@ class GeneralizedParams:
     def p_tilde(self) -> np.ndarray:
         return (-1j * self.c[1:]).real.copy()
 
-    def cache_key(self):
-        return (complex(self.a), tuple(complex(z) for z in self.c))
-
 
 def zeta_rotation(c, axis: int, theta: float) -> PhaseFunction:
     """Phase gradient restoring invariance under a rotation.

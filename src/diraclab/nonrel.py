@@ -23,8 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import PAULI
-from .operators import _as_k3, _k2, _value, _w
+from .operators import _as_k3, _k2, _sigma_dot, _value, _w
 
 __all__ = [
     "NonRelParams",
@@ -51,11 +50,7 @@ class NonRelParams:
     charge: float = 1.0
 
     def __post_init__(self):
-        ct = np.asarray(self.c_tilde, dtype=float)
-        if ct.shape == ():
-            ct = np.array([0.0, 0.0, float(ct)])
-        if ct.shape != (3,):
-            raise ValueError(f"c_tilde must have 3 components, got shape {ct.shape}")
+        ct = _as_k3(self.c_tilde)
         if self.m0 <= 0.0:
             raise ValueError(f"m0 must be positive, got {self.m0}")
         if self.c_light <= 0.0:
@@ -102,11 +97,8 @@ def levy_leblond_solve(k, params: NonRelParams, phi_seed=None) -> LevyLeblondSol
     jointly: e = |k + shift|^2 / 2m0 - eps_tilde with
     chi = sigma.(k + shift) phi / 2m0, returned with unit total norm.
     """
-    k = _as_k3(k)
-    kk = k + params.c_tilde
-    sk = (
-        kk[0] * PAULI[0] + kk[1] * PAULI[1] + kk[2] * PAULI[2]
-    )
+    kk = _as_k3(k) + params.c_tilde
+    sk = _sigma_dot(kk)
     if phi_seed is None:
         phi = np.array([1.0, 0.0], dtype=np.complex128)
     else:

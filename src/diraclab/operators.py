@@ -59,8 +59,10 @@ def _as_k3(k, stack: bool = False) -> np.ndarray:
 def _k2(k, shift):
     """|k + shift|^2 on the trailing axis of a momentum or a (..., 3) stack."""
     kk = _as_k3(k, stack=True) + shift
-    # matmul, not a sum over the axis: for one momentum this is exactly kk @ kk
-    return (kk[..., None, :] @ kk[..., :, None])[..., 0, 0]
+    # matmul, not a sum over the axis: for one momentum this is exactly kk @ kk;
+    # an overflow gives inf quietly, and _finite rejects it downstream
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (kk[..., None, :] @ kk[..., :, None])[..., 0, 0]
 
 
 def _w(k2, m0: float, c: float = 1.0):
@@ -88,14 +90,19 @@ def _value(x):
 
 
 def _alpha_dot(v) -> np.ndarray:
-    return v[0] * ALPHA[0] + v[1] * ALPHA[1] + v[2] * ALPHA[2]
+    """alpha . v: 4x4 for a 3-vector, (..., 4, 4) for a (..., 3) stack."""
+    x, y, z = v[..., 0, None, None], v[..., 1, None, None], v[..., 2, None, None]
+    return x * ALPHA[0] + y * ALPHA[1] + z * ALPHA[2]
+
+
+def _h0(k: np.ndarray, params: GeneralizedParams) -> np.ndarray:
+    """H0 = alpha.(k + p_tilde) + m0*beta at a 3-vector k or a (..., 3) stack."""
+    return _alpha_dot(k + params.p_tilde) + params.m0 * BETA
 
 
 def hamiltonian_matrix(k, params: GeneralizedParams) -> np.ndarray:
     """Hermitian 4x4 Hamiltonian at momentum k (scalar k means k along z)."""
-    k = _as_k3(k)
-    kk = k + params.p_tilde
-    return _alpha_dot(kk) + params.m0 * BETA - params.eps_tilde * I4
+    return _h0(_as_k3(k), params) - params.eps_tilde * I4
 
 
 def dispersion(k, params: GeneralizedParams, branch: int = +1) -> float | np.ndarray:
@@ -211,6 +218,27 @@ def dirac_square_equals_kg(k, params: GeneralizedParams) -> float:
     return max_abs(h @ h - kg_rhs_matrix(k, params))
 
 
+def _shift(
+    solution: PlaneWaveSolution, params: GeneralizedParams, sign: int, residual_tol: float
+) -> PlaneWaveSolution:
+    """The solution moved by sign * (p_tilde, eps_tilde), spinor unchanged,
+    after checking that it is an eigenstate of the Hamiltonian it comes
+    from: the generalized one for sign = +1, the standard one for -1."""
+    source = params if sign > 0 else GeneralizedParams.standard(params.m0)
+    h = hamiltonian_matrix(solution.k, source)
+    defect = max_abs(h @ solution.spinor - solution.energy * solution.spinor)
+    if defect > residual_tol:
+        raise ValueError(
+            f"input is not an eigenstate of its Hamiltonian (residual {defect:.3e})"
+        )
+    return PlaneWaveSolution(
+        k=solution.k + sign * params.p_tilde,
+        energy=solution.energy + sign * params.eps_tilde,
+        branch=solution.branch,
+        spinor=solution.spinor,
+    )
+
+
 def gauge_map_to_standard(
     solution: PlaneWaveSolution, params: GeneralizedParams, residual_tol: float = 1e-8
 ) -> PlaneWaveSolution:
@@ -220,35 +248,13 @@ def gauge_map_to_standard(
     the identical spinor; it satisfies the mass-only Hamiltonian exactly.
     Raises if the input does not solve its own eigenproblem.
     """
-    h = hamiltonian_matrix(solution.k, params)
-    defect = max_abs(h @ solution.spinor - solution.energy * solution.spinor)
-    if defect > residual_tol:
-        raise ValueError(
-            f"input is not an eigenstate of its Hamiltonian (residual {defect:.3e})"
-        )
-    return PlaneWaveSolution(
-        k=solution.k + params.p_tilde,
-        energy=solution.energy + params.eps_tilde,
-        branch=solution.branch,
-        spinor=solution.spinor,
-    )
+    return _shift(solution, params, +1, residual_tol)
 
 
 def gauge_map_from_standard(
     solution: PlaneWaveSolution, params: GeneralizedParams, residual_tol: float = 1e-8
 ) -> PlaneWaveSolution:
     """Inverse shift: take a standard-equation solution back to the
-    generalized one at momentum k - p_tilde and energy e - eps_tilde."""
-    standard = GeneralizedParams.standard(params.m0)
-    h = hamiltonian_matrix(solution.k, standard)
-    defect = max_abs(h @ solution.spinor - solution.energy * solution.spinor)
-    if defect > residual_tol:
-        raise ValueError(
-            f"input is not a standard-equation eigenstate (residual {defect:.3e})"
-        )
-    return PlaneWaveSolution(
-        k=solution.k - params.p_tilde,
-        energy=solution.energy - params.eps_tilde,
-        branch=solution.branch,
-        spinor=solution.spinor,
-    )
+    generalized one at momentum k - p_tilde and energy e - eps_tilde.
+    Raises if the input does not solve the standard eigenproblem."""
+    return _shift(solution, params, -1, residual_tol)

@@ -452,16 +452,45 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
-def test_module_entry_point():
-    # the child process imports the same diraclab as this one, installed or not
+EVOLVE_ARGV = [
+    "evolve", "--n", "128", "--length", "100", "--steps", "10",
+    "--k0", "0.5", "--width", "8", "--m0", "1",
+]
+
+
+def run_module(*argv):
+    """Run `python -m diraclab` in a child process that imports the same
+    diraclab as this one, installed or not."""
     src = str(Path(diraclab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "diraclab", "verify", "--trials", "10", "--seed", "1"],
+    return subprocess.run(
+        [sys.executable, "-m", "diraclab", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = run_module("verify", "--trials", "10", "--seed", "1")
     assert proc.returncode == 0
     assert proc.stdout.startswith("# diraclab verify trials=10 seed=1")
     assert "CHECK clifford_anticommutators" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dispersion", "--m0", "1", "--k-min", "0", "--k-max", "1e200", "--steps", "3"],
+        [*EVOLVE_ARGV, "--dt", "1e308"],  # dt * steps overflows
+        [*EVOLVE_ARGV, "--dt", "1e307"],  # the span is finite, the phase w*t is not
+    ],
+    ids=["dispersion-k-max", "evolve-span", "evolve-phase"],
+)
+def test_overflow_prints_one_error_line(argv):
+    # numpy's RuntimeWarnings must not reach stderr ahead of the error line
+    proc = run_module(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr

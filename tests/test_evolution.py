@@ -209,6 +209,40 @@ def test_rejects_non_finite_inputs():
                 init_gaussian(**{**good, name: bad}, params=STD)
 
 
+def test_rejects_spans_that_overflow():
+    packet = init_gaussian(128, 100.0, 50.0, 0.5, width=8.0, params=STD)
+    late = WavePacket(packet.n, packet.length, packet.values, time=1e308)
+    # dt*steps, or the end time, overflows: rejected before any work
+    for start, dt, steps in ((packet, 1e308, 10), (late, 1e308, 1), (packet, -1e308, 3)):
+        with pytest.raises(ValueError, match="overflows"):
+            evolve(start, STD, dt, steps)
+        with pytest.raises(ValueError, match="overflows"):
+            trajectory(start, STD, dt, steps)
+    # a finite span whose phase w*t overflows gives NaN modes
+    with pytest.raises(ValueError, match="finite"):
+        evolve(packet, STD, 1e307, 10)
+    with pytest.raises(ValueError, match="finite"):
+        trajectory(packet, STD, 1e307, 10, sample_every=5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_packet_rejects_non_finite_values_and_time(bad):
+    WavePacket(n=128, length=10.0, values=np.zeros((128, 4)), time=2.5)
+    for part in (1.0, 1j):
+        values = np.zeros((128, 4), dtype=complex)
+        values[17, 2] = bad * part
+        with pytest.raises(ValueError, match="finite"):
+            WavePacket(n=128, length=10.0, values=values)
+    with pytest.raises(ValueError, match="finite"):
+        WavePacket(n=128, length=10.0, values=np.zeros((128, 4)), time=bad)
+
+
+def test_propagator_rejects_overflowing_energy():
+    # the grid energies come from operators._w, which raises on overflow
+    with pytest.raises(ValueError, match="finite"):
+        SpectralPropagator(128, 100.0, GeneralizedParams.standard(1e200))
+
+
 # Reference: the per-sample loop trajectory ran before it kept the spectral
 # coefficients spinor-major.  It built a WavePacket per sample and reduced it
 # with the old observables formulas, which FFT the sample back to k-space.

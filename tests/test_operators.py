@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diraclab.clifford import max_abs, pauli
 from diraclab.invariance import GeneralizedParams
 from diraclab.operators import (
     ALPHA,
     BETA,
+    _h0,
     dirac_square_equals_kg,
     dispersion,
     gauge_map_from_standard,
@@ -277,3 +281,67 @@ class TestGaugeMap:
         )
         with pytest.raises(ValueError):
             gauge_map_to_standard(bad, GEN)
+
+
+def reals(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+def momenta(shape=3):
+    return arrays(float, shape, elements=reals(-2.0, 2.0))
+
+
+@st.composite
+def generalized_params(draw):
+    """m0 in [0, 5] with the massless case drawn explicitly, eps and a general p."""
+    m0 = draw(st.one_of(st.just(0.0), reals(0.0, 5.0)))
+    return GeneralizedParams.from_physical(
+        m0, draw(reals(-1.0, 1.0)), draw(arrays(float, 3, elements=reals(-1.0, 1.0)))
+    )
+
+
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+class TestSpectralCoreProperties:
+    """One H0 and one energy formula for every momentum, parameter and stack."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=generalized_params(), k=momenta())
+    def test_dispersion_matches_eigensolver(self, params, k):
+        eig = np.linalg.eigvalsh(hamiltonian_matrix(k, params))
+        lo, hi = dispersion(k, params, -1), dispersion(k, params, +1)
+        assert np.max(np.abs(eig - np.sort([lo, lo, hi, hi]))) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=generalized_params(), ks=st.integers(1, 8).flatmap(lambda n: momenta((n, 3))))
+    def test_stacked_h0_rows_equal_one_momentum(self, params, ks):
+        stack = _h0(ks, params)
+        assert stack.shape == (len(ks), 4, 4)
+        for k, h in zip(ks, stack):
+            np.testing.assert_array_equal(bits(h), bits(_h0(k, params)))
+        nested = _h0(ks[None], params)
+        np.testing.assert_array_equal(bits(nested[0]), bits(stack))
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=generalized_params(), k=momenta())
+    def test_gauge_map_roundtrip(self, params, k):
+        for sol in plane_wave_solve(k, params):
+            back = gauge_map_from_standard(gauge_map_to_standard(sol, params), params)
+            np.testing.assert_array_equal(bits(back.spinor), bits(sol.spinor))
+            assert np.max(np.abs(back.k - sol.k)) <= 1e-12
+            assert abs(back.energy - sol.energy) <= 1e-12
+            assert back.branch == sol.branch
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=generalized_params(), k=momenta(), offset=reals(0.01, 3.0))
+    def test_from_standard_rejects_non_eigenstate(self, params, k, offset):
+        std = GeneralizedParams.standard(params.m0)
+        for sol in plane_wave_solve(k, std):
+            gauge_map_from_standard(sol, params)  # a standard eigenstate maps
+            bad = type(sol)(
+                k=sol.k, energy=sol.energy + offset, branch=sol.branch, spinor=sol.spinor
+            )
+            with pytest.raises(ValueError, match="eigenstate"):
+                gauge_map_from_standard(bad, params)
