@@ -16,9 +16,6 @@ from .clifford import (
     commutator,
     gamma,
     gamma5_gamma,
-    gamma_lower,
-    is_hermitian_matrix,
-    matrices_close,
     max_abs,
     pauli,
     sigma_pair,
@@ -27,13 +24,6 @@ from .clifford import (
 from .poincare import (
     PoincareTransform,
     covariance_residual,
-    rapidity_from_velocity,
-    spinor_boost,
-    spinor_rotation,
-    vector_boost,
-    vector_rep,
-    vector_rotation,
-    velocity_from_rapidity,
 )
 from .invariance import (
     CheckResult,
@@ -41,7 +31,6 @@ from .invariance import (
     PhaseFunction,
     bc_condition_residual,
     bc_matrix,
-    phase_apply,
     verify_phi0_uniqueness,
     zeta_boost,
     zeta_for,
@@ -56,7 +45,6 @@ from .operators import (
     gauge_map_from_standard,
     gauge_map_to_standard,
     hamiltonian_matrix,
-    kg_residual,
     kg_rhs_matrix,
     plane_wave_solve,
 )

@@ -22,20 +22,16 @@ __all__ = [
     "I4",
     "PAULI",
     "GAMMA",
-    "GAMMA_LOWER",
     "GAMMA5",
     "SIGMA_PAIRS",
     "pauli",
     "gamma",
-    "gamma_lower",
     "sigma_pair",
     "gamma5_gamma",
     "anticommutator",
     "commutator",
     "vector_contract",
     "max_abs",
-    "matrices_close",
-    "is_hermitian_matrix",
     "BasisCoefficients",
     "basis_matrices",
     "basis_labels",
@@ -68,9 +64,6 @@ GAMMA = (
     _frozen(np.block([[_Z2, 1j * PAULI[2]], [-1j * PAULI[2], _Z2]])),
 )
 
-# Covariant partners: index 0 unchanged, spatial entries negated.
-GAMMA_LOWER = (GAMMA[0], _frozen(-GAMMA[1]), _frozen(-GAMMA[2]), _frozen(-GAMMA[3]))
-
 GAMMA5 = _frozen(1j * GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3])
 
 # Index pairs (mu < nu) for the six antisymmetric products, in fixed order.
@@ -89,13 +82,6 @@ def gamma(mu: int) -> np.ndarray:
     if mu not in (0, 1, 2, 3):
         raise ValueError(f"spacetime index must be in 0..3, got {mu}")
     return GAMMA[mu]
-
-
-def gamma_lower(mu: int) -> np.ndarray:
-    """Covariant generator: gamma(0) for mu=0, -gamma(j) for spatial mu."""
-    if mu not in (0, 1, 2, 3):
-        raise ValueError(f"spacetime index must be in 0..3, got {mu}")
-    return GAMMA_LOWER[mu]
 
 
 def sigma_pair(mu: int, nu: int) -> np.ndarray:
@@ -132,15 +118,6 @@ def vector_contract(coeffs, mats=GAMMA) -> np.ndarray:
 def max_abs(m: np.ndarray) -> float:
     """Largest entry magnitude; the max-norm used for all residuals."""
     return float(np.max(np.abs(m)))
-
-
-def matrices_close(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> bool:
-    """Tolerance-based matrix equality in the max-norm."""
-    return max_abs(np.asarray(a) - np.asarray(b)) <= tol
-
-
-def is_hermitian_matrix(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return max_abs(m - np.conj(m.T)) <= tol
 
 
 def _build_basis():

@@ -66,7 +66,7 @@ class WavePacket:
 
     def __post_init__(self):
         _check_grid(self.n, self.length)
-        v = np.ascontiguousarray(self.values, dtype=np.complex128)
+        v = np.array(self.values, dtype=np.complex128, order="C")
         if v.shape != (self.n, 4):
             raise ValueError(f"values must have shape ({self.n}, 4), got {v.shape}")
         if not (math.isfinite(self.time) and np.isfinite(v).all()):

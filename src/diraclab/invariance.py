@@ -20,7 +20,7 @@ constant matrix to a multiple of the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .clifford import (
     max_abs,
     vector_contract,
 )
-from .poincare import ROTATION_PLANES, PoincareTransform, covariance_residual
+from .poincare import ROTATION_PLANES, PoincareTransform, _checked, covariance_residual
 
 __all__ = [
     "PhaseFunction",
@@ -46,7 +46,6 @@ __all__ = [
     "zeta_for",
     "bc_matrix",
     "bc_condition_residual",
-    "phase_apply",
     "CheckResult",
     "verify_phi0_uniqueness",
 ]
@@ -54,34 +53,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhaseFunction:
-    """Affine phase zeta . x + zeta_c multiplying the wavefunction.
+    """Gradient zeta of the affine phase multiplying the wavefunction.
 
-    The stored zeta tuple is the one appearing in the signed contraction
-    i * vector_contract(zeta) of the invariance condition.  The scalar
-    value at a coordinate 4-tuple uses the plain component sum, which is
-    all the phase-application contract depends on.
+    zeta is a read-only copy of the 4-tuple that enters the invariance
+    condition through the signed contraction i * vector_contract(zeta).
     """
 
     zeta: np.ndarray
-    zeta_c: complex = 0.0
 
     def __post_init__(self):
-        z = np.asarray(self.zeta, dtype=np.complex128)
+        z = np.array(self.zeta, dtype=np.complex128)
         if z.shape != (4,):
             raise ValueError(f"zeta must have 4 components, got shape {z.shape}")
         z.flags.writeable = False
         object.__setattr__(self, "zeta", z)
-        object.__setattr__(self, "zeta_c", complex(self.zeta_c))
 
     @classmethod
     def zero(cls) -> "PhaseFunction":
         return cls(np.zeros(4, dtype=np.complex128))
-
-    def value(self, x) -> complex:
-        x = np.asarray(x, dtype=np.complex128)
-        if x.shape != (4,):
-            raise ValueError(f"coordinate must have 4 components, got {x.shape}")
-        return complex(np.dot(self.zeta, x) + self.zeta_c)
 
 
 _IMAG_TOL = 1e-12
@@ -102,7 +91,7 @@ class GeneralizedParams:
 
     def __post_init__(self):
         a = complex(self.a)
-        c = np.asarray(self.c, dtype=np.complex128)
+        c = np.array(self.c, dtype=np.complex128)
         if c.shape != (4,):
             raise ValueError(f"c must have 4 components, got shape {c.shape}")
         if not (np.isfinite(a) and np.all(np.isfinite(c))):
@@ -157,8 +146,7 @@ def zeta_rotation(c, axis: int, theta: float) -> PhaseFunction:
     bc_condition_residual to vanish for the half-angle rotation matrices;
     see the module tests for the closure property.
     """
-    if axis not in ROTATION_PLANES:
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    theta = _checked("rotation", axis, theta)
     c = np.asarray(c, dtype=np.complex128)
     k, l = ROTATION_PLANES[axis]
     z = np.zeros(4, dtype=np.complex128)
@@ -175,8 +163,7 @@ def zeta_boost(c, axis: int, eta: float) -> PhaseFunction:
         zeta_0 = 2i*c_0*sinh^2(e/2) + 2*c_a*sinh(e/2)cosh(e/2)
         zeta_a = 2i*c_a*sinh^2(e/2) - 2*c_0*sinh(e/2)cosh(e/2)
     """
-    if axis not in ROTATION_PLANES:
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    eta = _checked("boost", axis, eta)
     c = np.asarray(c, dtype=np.complex128)
     sh = np.sinh(eta / 2)
     ch = np.cosh(eta / 2)
@@ -208,12 +195,6 @@ def bc_condition_residual(a, c, transform: PoincareTransform, phase: PhaseFuncti
     S = transform.spinor_rep
     Sinv = transform.spinor_inverse()
     return max_abs(B - S @ B @ Sinv - 1j * vector_contract(phase.zeta))
-
-
-def phase_apply(psi, phase: PhaseFunction, x) -> np.ndarray:
-    """Multiply a spinor sample by exp(i * phase(x))."""
-    psi = np.asarray(psi, dtype=np.complex128)
-    return np.exp(1j * phase.value(x)) * psi
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ class NonRelParams:
     charge: float = 1.0
 
     def __post_init__(self):
-        ct = _as_k3(self.c_tilde)
+        ct = _as_k3(self.c_tilde).copy()
         if self.m0 <= 0.0:
             raise ValueError(f"m0 must be positive, got {self.m0}")
         if self.c_light <= 0.0:

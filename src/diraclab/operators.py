@@ -33,7 +33,6 @@ __all__ = [
     "PlaneWaveSolution",
     "plane_wave_solve",
     "kg_rhs_matrix",
-    "kg_residual",
     "dirac_square_equals_kg",
     "gauge_map_to_standard",
     "gauge_map_from_standard",
@@ -124,8 +123,8 @@ class PlaneWaveSolution:
     spinor: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.k, dtype=float)
-        s = np.asarray(self.spinor, dtype=np.complex128)
+        k = np.array(self.k, dtype=float)
+        s = np.array(self.spinor, dtype=np.complex128)
         k.flags.writeable = False
         s.flags.writeable = False
         object.__setattr__(self, "k", k)
@@ -203,12 +202,6 @@ def kg_rhs_matrix(k, params: GeneralizedParams) -> np.ndarray:
         - 2.0 * eps * _alpha_dot(k)
         - 2.0 * eps * _alpha_dot(p)
     )
-
-
-def kg_residual(k, energy: float, spinor, params: GeneralizedParams) -> float:
-    """Max-norm defect of the second-order equation on one plane wave."""
-    spinor = np.asarray(spinor, dtype=np.complex128)
-    return max_abs(energy ** 2 * spinor - kg_rhs_matrix(k, params) @ spinor)
 
 
 def dirac_square_equals_kg(k, params: GeneralizedParams) -> float:

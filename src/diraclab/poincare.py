@@ -1,11 +1,16 @@
 """Spinor and index representations of rotations and boosts.
 
+PoincareTransform.make(kind, axis, parameter) is the one builder: it checks
+its arguments and pairs the two representations, each written once.
+
 Rotations about axis a act in the plane of the other two axes through the
 half-angle single-product form cos(t/2)*I - gamma(k)gamma(l)*sin(t/2) with
 (a, k, l) a cyclic permutation of (3, 1, 2).  Boost spinor matrices are
-built from the covariant generator pair, cosh(e/2)*I + i*gl(a)gl(0)*sinh(e/2),
-which is what makes the index transformation below (cosh/sinh rows carrying
-explicit factors of i) conjugate correctly.
+built from the covariant generator pair, cosh(e/2)*I + i*gl(a)gl(0)*sinh(e/2)
+with gl(0) = gamma(0) and gl(a) = -gamma(a), which is what makes the index
+transformation below (cosh/sinh rows carrying explicit factors of i)
+conjugate correctly.  The spinor inverse is the same formula at the negated
+parameter.
 
 The index ("vector") representation acts on a 4-tuple of matrices B^mu and
 is complex for boosts: the time row mixes as (cosh, -i sinh) and the boosted
@@ -20,17 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import I4, gamma, gamma_lower, max_abs
+from .clifford import GAMMA, I4, max_abs
 
 __all__ = [
     "ROTATION_PLANES",
-    "rapidity_from_velocity",
-    "velocity_from_rapidity",
-    "spinor_rotation",
-    "spinor_boost",
-    "vector_rotation",
-    "vector_boost",
-    "vector_rep",
     "PoincareTransform",
     "covariance_residual",
 ]
@@ -38,70 +36,47 @@ __all__ = [
 # axis -> (k, l): rotation about the axis mixes the (k, l) plane.
 ROTATION_PLANES = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
+# Generator products, per axis: gamma(k)gamma(l) for the rotation plane and
+# i*gl(a)gl(0) for the boost.
+_ROTATION_GEN = {a: GAMMA[k] @ GAMMA[l] for a, (k, l) in ROTATION_PLANES.items()}
+_BOOST_GEN = {a: 1j * (-GAMMA[a] @ GAMMA[0]) for a in ROTATION_PLANES}
 
-def _check_axis(axis: int) -> None:
+
+def _checked(kind: str, axis: int, parameter: float) -> float:
+    """The parameter as a float, once kind, axis and finiteness are checked."""
+    if kind not in ("rotation", "boost"):
+        raise ValueError(f"kind must be 'rotation' or 'boost', got {kind!r}")
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    par = float(parameter)
+    if not math.isfinite(par):
+        raise ValueError(f"{kind} parameter must be finite, got {parameter}")
+    return par
 
 
-def rapidity_from_velocity(v: float) -> float:
-    """Additive boost parameter for a velocity in units of the light speed."""
-    if not -1.0 < v < 1.0:
-        raise ValueError(f"|v| must be below the light speed, got {v}")
-    return math.atanh(v)
-
-
-def velocity_from_rapidity(eta: float) -> float:
-    return math.tanh(eta)
-
-
-def spinor_rotation(axis: int, theta: float) -> np.ndarray:
-    """Half-angle spinor rotation matrix about the given axis."""
-    _check_axis(axis)
-    k, l = ROTATION_PLANES[axis]
-    return np.cos(theta / 2) * I4 - gamma(k) @ gamma(l) * np.sin(theta / 2)
-
-
-def spinor_boost(axis: int, eta: float) -> np.ndarray:
-    """Spinor boost matrix along the given axis with rapidity eta."""
-    _check_axis(axis)
-    if not math.isfinite(eta):
-        raise ValueError(f"rapidity must be finite, got {eta}")
-    gen = gamma_lower(axis) @ gamma_lower(0)
-    return np.cosh(eta / 2) * I4 + 1j * gen * np.sinh(eta / 2)
-
-
-def vector_rotation(axis: int, theta: float) -> np.ndarray:
-    """Index-representation rotation: real SO(2) block on the plane axes."""
-    _check_axis(axis)
-    k, l = ROTATION_PLANES[axis]
-    L = np.eye(4, dtype=np.complex128)
-    L[k, k] = np.cos(theta)
-    L[k, l] = np.sin(theta)
-    L[l, k] = -np.sin(theta)
-    L[l, l] = np.cos(theta)
-    return L
-
-
-def vector_boost(axis: int, eta: float) -> np.ndarray:
-    """Index-representation boost mixing the time row and the boosted row."""
-    _check_axis(axis)
-    if not math.isfinite(eta):
-        raise ValueError(f"rapidity must be finite, got {eta}")
-    L = np.eye(4, dtype=np.complex128)
-    L[0, 0] = np.cosh(eta)
-    L[0, axis] = -1j * np.sinh(eta)
-    L[axis, 0] = 1j * np.sinh(eta)
-    L[axis, axis] = np.cosh(eta)
-    return L
-
-
-def vector_rep(kind: str, axis: int, parameter: float) -> np.ndarray:
+def _spinor(kind: str, axis: int, par: float) -> np.ndarray:
+    """Half-angle spinor matrix of a checked rotation or boost."""
     if kind == "rotation":
-        return vector_rotation(axis, parameter)
-    if kind == "boost":
-        return vector_boost(axis, parameter)
-    raise ValueError(f"kind must be 'rotation' or 'boost', got {kind!r}")
+        return np.cos(par / 2) * I4 - _ROTATION_GEN[axis] * np.sin(par / 2)
+    return np.cosh(par / 2) * I4 + _BOOST_GEN[axis] * np.sinh(par / 2)
+
+
+def _vector(kind: str, axis: int, par: float) -> np.ndarray:
+    """Index matrix: a real SO(2) block on the rotation plane, or the
+    complex block mixing the time row with the boosted row."""
+    L = np.eye(4, dtype=np.complex128)
+    if kind == "rotation":
+        k, l = ROTATION_PLANES[axis]
+        L[k, k] = np.cos(par)
+        L[k, l] = np.sin(par)
+        L[l, k] = -np.sin(par)
+        L[l, l] = np.cos(par)
+    else:
+        L[0, 0] = np.cosh(par)
+        L[0, axis] = -1j * np.sinh(par)
+        L[axis, 0] = 1j * np.sinh(par)
+        L[axis, axis] = np.cosh(par)
+    return L
 
 
 @dataclass(frozen=True)
@@ -115,42 +90,27 @@ class PoincareTransform:
     vector_rep: np.ndarray
 
     @classmethod
+    def make(cls, kind: str, axis: int, parameter: float) -> "PoincareTransform":
+        """The transform of the given kind about (rotation) or along (boost)
+        axis 1, 2 or 3; the angle or rapidity must be finite."""
+        par = _checked(kind, axis, parameter)
+        return cls(kind, axis, par, _spinor(kind, axis, par), _vector(kind, axis, par))
+
+    @classmethod
     def rotation(cls, axis: int, theta: float) -> "PoincareTransform":
-        return cls(
-            kind="rotation",
-            axis=axis,
-            parameter=float(theta),
-            spinor_rep=spinor_rotation(axis, theta),
-            vector_rep=vector_rotation(axis, theta),
-        )
+        return cls.make("rotation", axis, theta)
 
     @classmethod
     def boost(cls, axis: int, eta: float) -> "PoincareTransform":
-        return cls(
-            kind="boost",
-            axis=axis,
-            parameter=float(eta),
-            spinor_rep=spinor_boost(axis, eta),
-            vector_rep=vector_boost(axis, eta),
-        )
-
-    @classmethod
-    def make(cls, kind: str, axis: int, parameter: float) -> "PoincareTransform":
-        if kind == "rotation":
-            return cls.rotation(axis, parameter)
-        if kind == "boost":
-            return cls.boost(axis, parameter)
-        raise ValueError(f"kind must be 'rotation' or 'boost', got {kind!r}")
+        return cls.make("boost", axis, eta)
 
     @classmethod
     def identity(cls) -> "PoincareTransform":
-        return cls.rotation(3, 0.0)
+        return cls.make("rotation", 3, 0.0)
 
     def spinor_inverse(self) -> np.ndarray:
         """Exact inverse: the same formula at the negated parameter."""
-        if self.kind == "rotation":
-            return spinor_rotation(self.axis, -self.parameter)
-        return spinor_boost(self.axis, -self.parameter)
+        return _spinor(self.kind, self.axis, -self.parameter)
 
 
 def covariance_residual(bset, transform: PoincareTransform) -> float:
@@ -158,7 +118,8 @@ def covariance_residual(bset, transform: PoincareTransform) -> float:
 
     Zero (to tolerance) exactly when the four matrices transform
     covariantly: contracting the index representation over the tuple
-    reproduces conjugation by the spinor representation.
+    reproduces conjugation by the spinor representation.  A NaN entry in
+    the tuple gives a NaN residual, which fails every tolerance gate.
     """
     bset = [np.asarray(b, dtype=np.complex128) for b in bset]
     if len(bset) != 4:
@@ -170,14 +131,12 @@ def covariance_residual(bset, transform: PoincareTransform) -> float:
         # a corrupted transform object.
         raise RuntimeError("spinor representation is not invertible")
     L = transform.vector_rep
-    worst = 0.0
-    for beta in range(4):
-        lhs = (
-            L[beta, 0] * bset[0]
-            + L[beta, 1] * bset[1]
-            + L[beta, 2] * bset[2]
-            + L[beta, 3] * bset[3]
-        )
-        rhs = S @ bset[beta] @ Sinv
-        worst = max(worst, max_abs(lhs - rhs))
-    return worst
+    defects = [
+        L[beta, 0] * bset[0]
+        + L[beta, 1] * bset[1]
+        + L[beta, 2] * bset[2]
+        + L[beta, 3] * bset[3]
+        - S @ bset[beta] @ Sinv
+        for beta in range(4)
+    ]
+    return max_abs(np.array(defects))

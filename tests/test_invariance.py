@@ -9,7 +9,6 @@ from diraclab.invariance import (
     PhaseFunction,
     bc_condition_residual,
     bc_matrix,
-    phase_apply,
     verify_phi0_uniqueness,
     zeta_boost,
     zeta_for,
@@ -88,6 +87,14 @@ class TestZetaFunctions:
         with pytest.raises(ValueError):
             zeta_boost(np.zeros(4), 5, 1.0)
 
+    @pytest.mark.parametrize("par", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter(self, par):
+        c = 1j * np.array([0.3, -0.7, 0.2, 0.9])
+        with pytest.raises(ValueError, match="finite"):
+            zeta_rotation(c, 1, par)
+        with pytest.raises(ValueError, match="finite"):
+            zeta_boost(c, 1, par)
+
 
 class TestInvarianceCondition:
     def test_identity_residual_zero(self):
@@ -134,32 +141,6 @@ class TestInvarianceCondition:
 
         m = bc_matrix(2j, np.array([0, 3j, 0, 0]))
         np.testing.assert_allclose(m, 2j * I4 - 3j * gamma(1), atol=1e-15)
-
-
-class TestPhaseApply:
-    def test_zero_phase_is_identity(self):
-        psi = np.array([1, 2j, -1, 0.5], dtype=complex)
-        out = phase_apply(psi, PhaseFunction.zero(), np.zeros(4))
-        np.testing.assert_array_equal(out, psi)
-
-    def test_constant_pi_flips_sign(self):
-        psi = np.array([1, 2j, -1, 0.5], dtype=complex)
-        phase = PhaseFunction(np.zeros(4), zeta_c=np.pi)
-        out = phase_apply(psi, phase, np.array([1.0, 2.0, 3.0, 4.0]))
-        np.testing.assert_allclose(out, -psi, atol=1e-14)
-
-    def test_norm_preserved_for_real_phase(self):
-        rng = np.random.default_rng(33)
-        for _ in range(100):
-            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-            phase = PhaseFunction(rng.normal(size=4).astype(complex), rng.normal())
-            x = rng.normal(size=4)
-            out = phase_apply(psi, phase, x)
-            np.testing.assert_allclose(np.abs(out), np.abs(psi), atol=1e-14)
-
-    def test_affine_value(self):
-        phase = PhaseFunction(np.array([1.0, 2.0, 3.0, 4.0], dtype=complex), 0.5)
-        assert phase.value([1.0, 1.0, 1.0, 1.0]) == pytest.approx(10.5)
 
 
 class TestPhi0Uniqueness:

@@ -2,53 +2,59 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diraclab.clifford import GAMMA, I4, matrices_close, max_abs
-from diraclab.poincare import (
-    PoincareTransform,
-    covariance_residual,
-    rapidity_from_velocity,
-    spinor_boost,
-    spinor_rotation,
-    vector_boost,
-    vector_rep,
-    vector_rotation,
-    velocity_from_rapidity,
-)
+from diraclab.clifford import GAMMA, I4, max_abs
+from diraclab.poincare import PoincareTransform, covariance_residual
+
+
+def spinor(kind, axis, par):
+    return PoincareTransform.make(kind, axis, par).spinor_rep
+
+
+def vector(kind, axis, par):
+    return PoincareTransform.make(kind, axis, par).vector_rep
 
 
 def test_zero_parameter_is_identity():
-    assert matrices_close(spinor_rotation(3, 0.0), I4, 0)
-    assert matrices_close(spinor_boost(3, 0.0), I4, 0)
-    assert matrices_close(vector_rotation(2, 0.0), I4, 0)
-    assert matrices_close(vector_boost(1, 0.0), I4, 0)
+    assert max_abs(spinor("rotation", 3, 0.0) - I4) <= 0
+    assert max_abs(spinor("boost", 3, 0.0) - I4) <= 0
+    assert max_abs(vector("rotation", 2, 0.0) - I4) <= 0
+    assert max_abs(vector("boost", 1, 0.0) - I4) <= 0
 
 
 def test_invalid_axis_and_parameter():
+    for kind, axis, par in [
+        ("rotation", 0, 1.0),
+        ("boost", 4, 1.0),
+        ("boost", 3, float("inf")),
+        ("shear", 1, 1.0),
+        ("rotation", 1, float("nan")),
+        ("rotation", 2, float("inf")),
+        ("rotation", 3, float("-inf")),
+        ("boost", 1, float("nan")),
+    ]:
+        with pytest.raises(ValueError):
+            PoincareTransform.make(kind, axis, par)
     with pytest.raises(ValueError):
-        spinor_rotation(0, 1.0)
-    with pytest.raises(ValueError):
-        spinor_boost(4, 1.0)
-    with pytest.raises(ValueError):
-        spinor_boost(3, float("inf"))
-    with pytest.raises(ValueError):
-        vector_rep("shear", 1, 1.0)
+        PoincareTransform.rotation(1, float("nan"))
 
 
 def test_rotation_composition_adds_angles():
-    lhs = spinor_rotation(3, 0.7) @ spinor_rotation(3, 1.1)
-    assert matrices_close(lhs, spinor_rotation(3, 1.8), 1e-14)
+    lhs = spinor("rotation", 3, 0.7) @ spinor("rotation", 3, 1.1)
+    assert max_abs(lhs - spinor("rotation", 3, 1.8)) <= 1e-14
 
 
 def test_full_turn_is_minus_identity():
-    assert matrices_close(spinor_rotation(3, 2 * np.pi), -I4, 1e-14)
-    assert matrices_close(spinor_rotation(1, 2 * np.pi), -I4, 1e-14)
+    assert max_abs(spinor("rotation", 3, 2 * np.pi) + I4) <= 1e-14
+    assert max_abs(spinor("rotation", 1, 2 * np.pi) + I4) <= 1e-14
 
 
 def test_boost_inverse_and_composition():
-    assert matrices_close(spinor_boost(3, 0.9) @ spinor_boost(3, -0.9), I4, 1e-14)
-    lhs = spinor_boost(3, 0.5) @ spinor_boost(3, 0.5)
-    assert matrices_close(lhs, spinor_boost(3, 1.0), 1e-14)
+    assert max_abs(spinor("boost", 3, 0.9) @ spinor("boost", 3, -0.9) - I4) <= 1e-14
+    lhs = spinor("boost", 3, 0.5) @ spinor("boost", 3, 0.5)
+    assert max_abs(lhs - spinor("boost", 3, 1.0)) <= 1e-14
 
 
 def test_rotations_unitary_boosts_hermitian():
@@ -56,11 +62,12 @@ def test_rotations_unitary_boosts_hermitian():
     for _ in range(200):
         axis = int(rng.integers(1, 4))
         par = float(rng.uniform(-2, 2))
-        r = spinor_rotation(axis, par)
+        r = spinor("rotation", axis, par)
         assert max_abs(r @ r.conj().T - I4) <= 1e-12
-        s = spinor_boost(axis, par)
+        t = PoincareTransform.boost(axis, par)
+        s = t.spinor_rep
         assert max_abs(s - s.conj().T) <= 1e-12
-        assert max_abs(s @ spinor_boost(axis, -par) - I4) <= 1e-12
+        assert max_abs(s @ t.spinor_inverse() - I4) <= 1e-12
 
 
 def test_same_axis_transforms_commute_and_add():
@@ -68,11 +75,11 @@ def test_same_axis_transforms_commute_and_add():
     for _ in range(50):
         axis = int(rng.integers(1, 4))
         a, b = rng.uniform(-2, 2, 2)
-        for rep in (spinor_rotation, spinor_boost):
-            ab = rep(axis, a) @ rep(axis, b)
-            ba = rep(axis, b) @ rep(axis, a)
+        for kind in ("rotation", "boost"):
+            ab = spinor(kind, axis, a) @ spinor(kind, axis, b)
+            ba = spinor(kind, axis, b) @ spinor(kind, axis, a)
             assert max_abs(ab - ba) <= 1e-10
-            assert max_abs(ab - rep(axis, a + b)) <= 1e-10
+            assert max_abs(ab - spinor(kind, axis, a + b)) <= 1e-10
 
 
 def test_half_angle_identities():
@@ -89,7 +96,7 @@ def test_half_angle_identities():
 
 def test_boost_vector_rep_rows():
     eta = 0.8
-    L = vector_boost(3, eta)
+    L = vector("boost", 3, eta)
     np.testing.assert_allclose(
         L[0], [np.cosh(eta), 0, 0, -1j * np.sinh(eta)], atol=1e-15
     )
@@ -135,8 +142,43 @@ def test_covariance_input_validation():
         covariance_residual([I4, I4], PoincareTransform.identity())
 
 
-def test_rapidity_velocity_roundtrip():
-    for v in (-0.9, -0.3, 0.0, 0.5, 0.99):
-        assert abs(velocity_from_rapidity(rapidity_from_velocity(v)) - v) <= 1e-14
-    with pytest.raises(ValueError):
-        rapidity_from_velocity(1.0)
+def test_covariance_residual_does_not_hide_nan():
+    # A NaN matrix in any slot must fail a `<=` gate, not read as 0.
+    for slot in range(4):
+        bset = list(GAMMA)
+        bset[slot] = GAMMA[slot] * np.nan
+        r = covariance_residual(bset, PoincareTransform.boost(1, 0.7))
+        assert not r <= 1e-10
+    # A NaN confined to one row of the index matrix must not be outranked
+    # by the finite defects of the other rows.
+    t = PoincareTransform.boost(1, 0.7)
+    L = t.vector_rep.copy()
+    L[2, 2] = np.nan
+    one_bad_row = PoincareTransform(t.kind, t.axis, t.parameter, t.spinor_rep, L)
+    assert not covariance_residual(GAMMA, one_bad_row) <= 1e-10
+
+
+transforms = st.builds(
+    PoincareTransform.make,
+    st.sampled_from(("rotation", "boost")),
+    st.integers(1, 3),
+    st.floats(-2.0, 2.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(transforms, transforms)
+def test_composed_transforms_are_covariant(t1, t2):
+    """The generators stay covariant under the product of two transforms.
+
+    The spinor action composes in the written order, S = S1 @ S2 with
+    S^-1 = S2^-1 @ S1^-1, while the index action composes in reverse,
+    L = L2 @ L1: conjugating by S1 @ S2 applies L2 first and then L1 to the
+    tuple index.  With t1 = rotation(3, 1.0) and t2 = boost(1, 0.7), for
+    example, L2 @ L1 leaves about 2e-16 and L1 @ L2 leaves 0.73.
+    """
+    S = t1.spinor_rep @ t2.spinor_rep
+    Sinv = t2.spinor_inverse() @ t1.spinor_inverse()
+    L = t2.vector_rep @ t1.vector_rep
+    lhs = np.einsum("bm,mij->bij", L, np.array(GAMMA))
+    assert max_abs(lhs - S @ np.array(GAMMA) @ Sinv) <= 1e-10
