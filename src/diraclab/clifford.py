@@ -107,12 +107,14 @@ def vector_contract(coeffs, mats=GAMMA) -> np.ndarray:
 
     This is the sign pattern used for every vector-indexed coefficient
     tuple in the package (the constant matrix of the first-order equation
-    and the phase-function gradient alike).
+    and the phase-function gradient alike).  A (..., 4) stack of tuples
+    gives a (..., 4, 4) stack of matrices.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
-    if c.shape != (4,):
+    if c.shape[-1:] != (4,):
         raise ValueError(f"expected 4 coefficients, got shape {c.shape}")
-    return c[0] * mats[0] - c[1] * mats[1] - c[2] * mats[2] - c[3] * mats[3]
+    c0, c1, c2, c3 = np.moveaxis(c, -1, 0)[..., None, None]
+    return c0 * mats[0] - c1 * mats[1] - c2 * mats[2] - c3 * mats[3]
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -197,8 +199,7 @@ class BasisCoefficients:
         )
 
     def reconstruct(self) -> np.ndarray:
-        flat = _BASIS_TABLE @ self.as_vector()
-        return flat.reshape(4, 4)
+        return _compose(self.as_vector())
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         """Hermiticity read off the coefficients.
@@ -226,8 +227,22 @@ def basis_decompose(m: np.ndarray) -> BasisCoefficients:
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    coeffs = np.linalg.solve(_BASIS_TABLE, m.ravel())
-    return BasisCoefficients.from_vector(coeffs)
+    return BasisCoefficients.from_vector(_decompose(m))
+
+
+def _decompose(m: np.ndarray) -> np.ndarray:
+    """Coefficient vectors (..., 16) of a (..., 4, 4) stack of matrices."""
+    flat = m.reshape(m.shape[:-2] + (16,))
+    # One single-column 16x16 solve per matrix; one multi-column solve for
+    # the whole stack rounds differently.
+    table = np.broadcast_to(_BASIS_TABLE, flat.shape[:-1] + (16, 16))
+    return np.linalg.solve(table, flat[..., None])[..., 0]
+
+
+def _compose(coeffs: np.ndarray) -> np.ndarray:
+    """Matrices (..., 4, 4) from a (..., 16) stack of coefficient vectors."""
+    flat = (_BASIS_TABLE @ coeffs[..., None])[..., 0]
+    return flat.reshape(coeffs.shape[:-1] + (4, 4))
 
 
 def random_matrix(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -50,16 +50,49 @@ class NonRelParams:
     charge: float = 1.0
 
     def __post_init__(self):
+        scalars = (self.m0, self.eps_tilde, self.c_light, self.scalar_potential, self.charge)
+        if any(np.ndim(x) for x in scalars):
+            raise ValueError(f"the parameters other than c_tilde must be scalars, got {self}")
         ct = _as_k3(self.c_tilde).copy()
-        if self.m0 <= 0.0:
-            raise ValueError(f"m0 must be positive, got {self.m0}")
-        if self.c_light <= 0.0:
-            raise ValueError(f"c_light must be positive, got {self.c_light}")
         ct.flags.writeable = False
         object.__setattr__(self, "c_tilde", ct)
-        scalars = (self.m0, self.eps_tilde, self.c_light, self.scalar_potential, self.charge)
-        if not np.all(np.isfinite([*scalars, *ct])):
-            raise ValueError(f"parameters must be finite, got {self}")
+        _check(self)
+
+
+class _NonRelStack(NamedTuple):
+    """The fields of many NonRelParams at once: m0 and eps_tilde of shape
+    (T,), c_tilde of shape (T, 3).  The energy functions take it wherever
+    they take one NonRelParams."""
+
+    m0: np.ndarray
+    eps_tilde: np.ndarray
+    c_tilde: np.ndarray
+    c_light: float = 1.0
+    scalar_potential: float = 0.0
+    charge: float = 1.0
+
+
+def _nonrel_stack(m0, eps_tilde, c_tilde) -> _NonRelStack:
+    """NonRelParams for (T,) stacks of masses and shifts, checked alike."""
+    stack = _NonRelStack(
+        np.asarray(m0, dtype=float),
+        np.asarray(eps_tilde, dtype=float),
+        _as_k3(c_tilde, stack=True),
+    )
+    _check(stack)
+    return stack
+
+
+def _check(params) -> None:
+    """NonRelParams' checks, on one set of fields or a stack of them."""
+    if np.any(np.asarray(params.m0) <= 0.0):
+        raise ValueError(f"m0 must be positive, got {params.m0}")
+    if np.any(np.asarray(params.c_light) <= 0.0):
+        raise ValueError(f"c_light must be positive, got {params.c_light}")
+    fields = (params.m0, params.eps_tilde, params.c_light, params.scalar_potential,
+              params.charge, params.c_tilde)
+    if not all(np.isfinite(x).all() for x in fields):
+        raise ValueError(f"parameters must be finite, got {params}")
 
 
 def pauli_energy(k, params: NonRelParams, vector_potential=None) -> float | np.ndarray:
@@ -97,8 +130,7 @@ def levy_leblond_solve(k, params: NonRelParams, phi_seed=None) -> LevyLeblondSol
     jointly: e = |k + shift|^2 / 2m0 - eps_tilde with
     chi = sigma.(k + shift) phi / 2m0, returned with unit total norm.
     """
-    kk = _as_k3(k) + params.c_tilde
-    sk = _sigma_dot(kk)
+    sk = _sigma_dot(_as_k3(k) + params.c_tilde)
     if phi_seed is None:
         phi = np.array([1.0, 0.0], dtype=np.complex128)
     else:
@@ -108,8 +140,13 @@ def levy_leblond_solve(k, params: NonRelParams, phi_seed=None) -> LevyLeblondSol
         phi = phi / np.linalg.norm(phi)
     chi = (sk @ phi) / (2.0 * params.m0)
     norm = np.sqrt(np.vdot(phi, phi).real + np.vdot(chi, chi).real)
-    energy = float((kk @ kk) / (2.0 * params.m0) - params.eps_tilde)
-    return LevyLeblondSolution(energy, phi / norm, chi / norm)
+    return LevyLeblondSolution(float(_levy_leblond_energy(k, params)), phi / norm, chi / norm)
+
+
+def _levy_leblond_energy(k, params):
+    """levy_leblond_solve's energy |k + shift|^2 / 2m0 - eps_tilde, for
+    one momentum or a (..., 3) stack."""
+    return _k2(k, params.c_tilde) / (2.0 * params.m0) - params.eps_tilde
 
 
 def dirac_energy(k, params: NonRelParams, branch: int = +1) -> float | np.ndarray:

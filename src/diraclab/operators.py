@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import GAMMA, I4, max_abs
+from .clifford import GAMMA, I4
 from .invariance import GeneralizedParams
 
 __all__ = [
@@ -55,19 +55,40 @@ def _as_k3(k, stack: bool = False) -> np.ndarray:
     return k
 
 
+def _dot(a, b):
+    """a . b on the trailing axis of two 3- or 4-vectors or of stacks of them.
+
+    matmul, not a sum over the axis: for one pair of vectors this is
+    exactly a @ b, so each row of a stack matches its one-vector call.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _k2(k, shift):
     """|k + shift|^2 on the trailing axis of a momentum or a (..., 3) stack."""
     kk = _as_k3(k, stack=True) + shift
-    # matmul, not a sum over the axis: for one momentum this is exactly kk @ kk;
     # an overflow gives inf quietly, and _finite rejects it downstream
     with np.errstate(over="ignore", invalid="ignore"):
-        return (kk[..., None, :] @ kk[..., :, None])[..., 0, 0]
+        return _dot(kk, kk)
 
 
-def _w(k2, m0: float, c: float = 1.0):
+def _pow2(x):
+    """x ** 2 as Python computes it for one float, by the C library's pow.
+
+    That can differ in the last bit from numpy's x * x for a stack (in
+    about 0.1% of draws), so stacked parameters take this route too and
+    each row matches its one-parameter call.
+    """
+    if np.ndim(x) == 0:
+        return x ** 2
+    x = np.asarray(x)
+    return np.array([v ** 2 for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _w(k2, m0, c: float = 1.0):
     """Branch energy without shifts, sqrt(m0^2 c^4 + c^2 K^2), for K^2 = k2."""
     try:
-        w = np.sqrt((m0 * c ** 2) ** 2 + c ** 2 * k2)
+        w = np.sqrt(_pow2(m0 * c ** 2) + c ** 2 * k2)
     except OverflowError:  # Python float ** raises where numpy gives inf
         w = np.inf
     return _finite(w)
@@ -75,8 +96,8 @@ def _w(k2, m0: float, c: float = 1.0):
 
 def _finite(x):
     """x itself; ValueError if any entry overflowed to a non-finite energy."""
-    # math.isfinite for one momentum (np.float64 is a float): the scalar
-    # energy helpers run thousands of times per verify report
+    # math.isfinite for one momentum (np.float64 is a float), which is
+    # cheaper than numpy's reduction on a scalar
     if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
         raise ValueError("energy is not finite: the inputs overflow double precision")
     return x
@@ -94,14 +115,28 @@ def _alpha_dot(v) -> np.ndarray:
     return x * ALPHA[0] + y * ALPHA[1] + z * ALPHA[2]
 
 
-def _h0(k: np.ndarray, params: GeneralizedParams) -> np.ndarray:
+def _times(x, m) -> np.ndarray:
+    """A scalar or a (...) stack of scalars times one matrix or a stack."""
+    return np.asarray(x)[..., None, None] * m
+
+
+# The private cores below take `params` as one GeneralizedParams, or as an
+# invariance._ParamStack whose fields are stacks matching the momenta.
+
+
+def _h0(k: np.ndarray, params) -> np.ndarray:
     """H0 = alpha.(k + p_tilde) + m0*beta at a 3-vector k or a (..., 3) stack."""
-    return _alpha_dot(k + params.p_tilde) + params.m0 * BETA
+    return _alpha_dot(k + params.p_tilde) + _times(params.m0, BETA)
+
+
+def _hamiltonian(k: np.ndarray, params) -> np.ndarray:
+    """H = H0 - eps_tilde*I at a 3-vector k or a (..., 3) stack."""
+    return _h0(k, params) - _times(params.eps_tilde, I4)
 
 
 def hamiltonian_matrix(k, params: GeneralizedParams) -> np.ndarray:
     """Hermitian 4x4 Hamiltonian at momentum k (scalar k means k along z)."""
-    return _h0(_as_k3(k), params) - params.eps_tilde * I4
+    return _hamiltonian(_as_k3(k), params)
 
 
 def dispersion(k, params: GeneralizedParams, branch: int = +1) -> float | np.ndarray:
@@ -132,9 +167,13 @@ class PlaneWaveSolution:
 
 
 def _sigma_dot(v) -> np.ndarray:
-    return np.array(
-        [[v[2], v[0] - 1j * v[1]], [v[0] + 1j * v[1], -v[2]]], dtype=np.complex128
-    )
+    """sigma . v: 2x2 for a 3-vector, (..., 2, 2) for a (..., 3) stack."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    rows = [np.stack([z, x - 1j * y], axis=-1), np.stack([x + 1j * y, -z], axis=-1)]
+    return np.stack(rows, axis=-2).astype(np.complex128)
+
+
+_BRANCHES = (+1, +1, -1, -1)
 
 
 def plane_wave_solve(k, params: GeneralizedParams) -> list[PlaneWaveSolution]:
@@ -146,41 +185,39 @@ def plane_wave_solve(k, params: GeneralizedParams) -> list[PlaneWaveSolution]:
     [plus, plus, minus, minus].
     """
     k = _as_k3(k)
+    energies, spinors = _plane_waves(k, params)
+    return [
+        PlaneWaveSolution(k, float(e), branch, s)
+        for e, branch, s in zip(energies, _BRANCHES, spinors)
+    ]
+
+
+def _plane_waves(k: np.ndarray, params) -> tuple[np.ndarray, np.ndarray]:
+    """plane_wave_solve's energies (..., 4) and spinors (..., 4, 4), one
+    row per solution, at a 3-vector k or a (..., 3) stack."""
     kk = k + params.p_tilde
-    m0 = params.m0
-    w = float(_w(kk @ kk, m0))
+    m0, eps = np.asarray(params.m0), np.asarray(params.eps_tilde)
+    w = _w(_dot(kk, kk), params.m0)
     sk = _sigma_dot(kk)
-
-    def bispinor(upper, lower):
-        v = np.concatenate([upper, lower])
-        return v / np.linalg.norm(v)
-
+    # Massless at zero kinetic momentum: fully degenerate, so the rows
+    # take the canonical basis (and a unit denominator, unused).
+    rest = w + m0 < 1e-300
+    den = np.where(rest, 1.0, w + m0)[..., None]
     e2 = np.eye(2, dtype=np.complex128)
-    sols = []
-    if w + m0 < 1e-300:
-        # Massless at zero kinetic momentum: fully degenerate, use the
-        # canonical basis.
-        for i, branch in zip(range(4), (+1, +1, -1, -1)):
-            v = np.zeros(4, dtype=np.complex128)
-            v[i] = 1.0
-            sols.append(
-                PlaneWaveSolution(k, -params.eps_tilde, branch, v)
-            )
-        return sols
-
-    for col in range(2):
-        upper = e2[:, col]
-        lower = (sk @ upper) / (w + m0)
-        sols.append(
-            PlaneWaveSolution(k, w - params.eps_tilde, +1, bispinor(upper, lower))
-        )
-    for col in range(2):
-        lower = e2[:, col]
-        upper = -(sk @ lower) / (w + m0)
-        sols.append(
-            PlaneWaveSolution(k, -w - params.eps_tilde, -1, bispinor(upper, lower))
-        )
-    return sols
+    units = [np.broadcast_to(e2[:, col], sk.shape[:-1]) for col in range(2)]
+    sk_units = [sk @ e2[:, col] for col in range(2)]
+    v = np.stack(
+        [np.concatenate([unit, sku / den], axis=-1) for unit, sku in zip(units, sk_units)]
+        + [np.concatenate([-sku / den, unit], axis=-1) for unit, sku in zip(units, sk_units)],
+        axis=-2,
+    )
+    # np.linalg.norm's own sum for one vector, so stacked rows match it
+    norm = np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))
+    v = v / norm[..., None]
+    v[rest] = I4
+    energies = np.stack([w - eps, w - eps, -w - eps, -w - eps], axis=-1)
+    energies[rest] = -np.broadcast_to(eps, rest.shape)[rest][:, None]
+    return energies, v
 
 
 def kg_rhs_matrix(k, params: GeneralizedParams) -> np.ndarray:
@@ -191,45 +228,58 @@ def kg_rhs_matrix(k, params: GeneralizedParams) -> np.ndarray:
         M = (k^2 + m0^2 + p^2 + eps^2 + 2 p.k) * I
             - 2*m0*eps*beta - 2*eps*alpha.k - 2*eps*alpha.p
     """
-    k = _as_k3(k)
+    return _kg_rhs(_as_k3(k), params)
+
+
+def _kg_rhs(k: np.ndarray, params) -> np.ndarray:
     p = params.p_tilde
     eps = params.eps_tilde
     m0 = params.m0
-    scalar = k @ k + m0 ** 2 + p @ p + eps ** 2 + 2.0 * (p @ k)
+    scalar = _dot(k, k) + _pow2(m0) + _dot(p, p) + _pow2(eps) + 2.0 * _dot(p, k)
     return (
-        scalar * I4
-        - 2.0 * m0 * eps * BETA
-        - 2.0 * eps * _alpha_dot(k)
-        - 2.0 * eps * _alpha_dot(p)
+        _times(scalar, I4)
+        - _times(2.0 * m0 * eps, BETA)
+        - _times(2.0 * eps, _alpha_dot(k))
+        - _times(2.0 * eps, _alpha_dot(p))
     )
 
 
 def dirac_square_equals_kg(k, params: GeneralizedParams) -> float:
     """Operator identity check: the squared Hamiltonian against the
     second-order matrix.  Zero up to roundoff for every (k, params)."""
-    h = hamiltonian_matrix(k, params)
-    return max_abs(h @ h - kg_rhs_matrix(k, params))
+    return float(_dirac_square_residuals(_as_k3(k), params))
 
 
-def _shift(
+def _dirac_square_residuals(k: np.ndarray, params) -> np.ndarray:
+    h = _hamiltonian(k, params)
+    return np.max(np.abs(h @ h - _kg_rhs(k, params)), axis=(-2, -1))
+
+
+def _shift(k, energy, spinor, params, source, sign: int, residual_tol: float):
+    """Plane waves moved by sign * (p_tilde, eps_tilde), spinors unchanged,
+    after checking that each is an eigenstate of the Hamiltonian of
+    `source`.  Rows: k (..., 3), energy (...), spinor (..., 4).  Returns
+    the moved k and energy and each row's eigenstate defect."""
+    h = _hamiltonian(k, source)
+    eigen = (h @ spinor[..., None])[..., 0] - energy[..., None] * spinor
+    defect = np.max(np.abs(eigen), axis=-1)
+    if np.any(defect > residual_tol):
+        raise ValueError(
+            f"input is not an eigenstate of its Hamiltonian (residual {np.max(defect):.3e})"
+        )
+    return k + sign * params.p_tilde, energy + sign * params.eps_tilde, defect
+
+
+def _shifted(
     solution: PlaneWaveSolution, params: GeneralizedParams, sign: int, residual_tol: float
 ) -> PlaneWaveSolution:
-    """The solution moved by sign * (p_tilde, eps_tilde), spinor unchanged,
-    after checking that it is an eigenstate of the Hamiltonian it comes
-    from: the generalized one for sign = +1, the standard one for -1."""
+    """_shift for one solution of the generalized Hamiltonian (sign = +1)
+    or of the standard one (sign = -1)."""
     source = params if sign > 0 else GeneralizedParams.standard(params.m0)
-    h = hamiltonian_matrix(solution.k, source)
-    defect = max_abs(h @ solution.spinor - solution.energy * solution.spinor)
-    if defect > residual_tol:
-        raise ValueError(
-            f"input is not an eigenstate of its Hamiltonian (residual {defect:.3e})"
-        )
-    return PlaneWaveSolution(
-        k=solution.k + sign * params.p_tilde,
-        energy=solution.energy + sign * params.eps_tilde,
-        branch=solution.branch,
-        spinor=solution.spinor,
+    k, energy, _ = _shift(
+        solution.k, np.asarray(solution.energy), solution.spinor, params, source, sign, residual_tol
     )
+    return PlaneWaveSolution(k, float(energy), solution.branch, solution.spinor)
 
 
 def gauge_map_to_standard(
@@ -241,7 +291,7 @@ def gauge_map_to_standard(
     the identical spinor; it satisfies the mass-only Hamiltonian exactly.
     Raises if the input does not solve its own eigenproblem.
     """
-    return _shift(solution, params, +1, residual_tol)
+    return _shifted(solution, params, +1, residual_tol)
 
 
 def gauge_map_from_standard(
@@ -250,4 +300,4 @@ def gauge_map_from_standard(
     """Inverse shift: take a standard-equation solution back to the
     generalized one at momentum k - p_tilde and energy e - eps_tilde.
     Raises if the input does not solve the standard eigenproblem."""
-    return _shift(solution, params, -1, residual_tol)
+    return _shifted(solution, params, -1, residual_tol)

@@ -1,7 +1,9 @@
 """Spinor and index representations of rotations and boosts.
 
 PoincareTransform.make(kind, axis, parameter) is the one builder: it checks
-its arguments and pairs the two representations, each written once.
+its arguments and pairs the two representations, each written once.  The
+private formulas (_spinor, _vector, _covariance_residuals) also take (T,)
+stacks of transforms, row for row bit-identical to one transform.
 
 Rotations about axis a act in the plane of the other two axes through the
 half-angle single-product form cos(t/2)*I - gamma(k)gamma(l)*sin(t/2) with
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import GAMMA, I4, max_abs
+from .clifford import GAMMA, I4
 
 __all__ = [
     "ROTATION_PLANES",
@@ -36,10 +38,11 @@ __all__ = [
 # axis -> (k, l): rotation about the axis mixes the (k, l) plane.
 ROTATION_PLANES = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
-# Generator products, per axis: gamma(k)gamma(l) for the rotation plane and
-# i*gl(a)gl(0) for the boost.
-_ROTATION_GEN = {a: GAMMA[k] @ GAMMA[l] for a, (k, l) in ROTATION_PLANES.items()}
-_BOOST_GEN = {a: 1j * (-GAMMA[a] @ GAMMA[0]) for a in ROTATION_PLANES}
+# Generator products for axes 1, 2, 3: gamma(k)gamma(l) for the rotation
+# plane and i*gl(a)gl(0) for the boost; and the planes as an array.
+_ROTATION_GEN = np.stack([GAMMA[k] @ GAMMA[l] for k, l in ROTATION_PLANES.values()])
+_BOOST_GEN = np.stack([1j * (-GAMMA[a] @ GAMMA[0]) for a in ROTATION_PLANES])
+_PLANES = np.array(list(ROTATION_PLANES.values()))
 
 
 def _checked(kind: str, axis: int, parameter: float) -> float:
@@ -54,29 +57,52 @@ def _checked(kind: str, axis: int, parameter: float) -> float:
     return par
 
 
-def _spinor(kind: str, axis: int, par: float) -> np.ndarray:
-    """Half-angle spinor matrix of a checked rotation or boost."""
-    if kind == "rotation":
-        return np.cos(par / 2) * I4 - _ROTATION_GEN[axis] * np.sin(par / 2)
-    return np.cosh(par / 2) * I4 + _BOOST_GEN[axis] * np.sinh(par / 2)
+def _split(kind, axis, par):
+    """One checked transform (shape ()) or a stack of them as rows: the
+    shape, the rotation rows, the boost rows, and the axes and parameters
+    of all rows."""
+    kind, axis, par = np.broadcast_arrays(kind, axis, np.asarray(par, dtype=float))
+    rot = kind.ravel() == "rotation"
+    return kind.shape, np.flatnonzero(rot), np.flatnonzero(~rot), axis.ravel(), par.ravel()
 
 
-def _vector(kind: str, axis: int, par: float) -> np.ndarray:
+def _spinor(kind, axis, par) -> np.ndarray:
+    """Half-angle spinor matrix of a checked rotation or boost: 4x4 for one
+    transform, (T, 4, 4) for (T,) arrays of kinds, axes and parameters."""
+    shape, r, b, axis, par = _split(kind, axis, par)
+    out = np.empty((len(par), 4, 4), dtype=np.complex128)
+    half = par[r, None, None] / 2
+    out[r] = np.cos(half) * I4 - _ROTATION_GEN[axis[r] - 1] * np.sin(half)
+    half = par[b, None, None] / 2
+    out[b] = np.cosh(half) * I4 + _BOOST_GEN[axis[b] - 1] * np.sinh(half)
+    return out.reshape(shape + (4, 4))
+
+
+def _vector(kind, axis, par) -> np.ndarray:
     """Index matrix: a real SO(2) block on the rotation plane, or the
-    complex block mixing the time row with the boosted row."""
-    L = np.eye(4, dtype=np.complex128)
-    if kind == "rotation":
-        k, l = ROTATION_PLANES[axis]
-        L[k, k] = np.cos(par)
-        L[k, l] = np.sin(par)
-        L[l, k] = -np.sin(par)
-        L[l, l] = np.cos(par)
-    else:
-        L[0, 0] = np.cosh(par)
-        L[0, axis] = -1j * np.sinh(par)
-        L[axis, 0] = 1j * np.sinh(par)
-        L[axis, axis] = np.cosh(par)
-    return L
+    complex block mixing the time row with the boosted row; stacks as
+    _spinor does."""
+    shape, r, b, axis, par = _split(kind, axis, par)
+    out = np.zeros((len(par), 4, 4), dtype=np.complex128)
+    out[:, range(4), range(4)] = 1.0
+    (k, l), th = _PLANES[axis[r] - 1].T, par[r]
+    out[r, k, k] = np.cos(th)
+    out[r, k, l] = np.sin(th)
+    out[r, l, k] = -np.sin(th)
+    out[r, l, l] = np.cos(th)
+    a, eta = axis[b], par[b]
+    out[b, 0, 0] = np.cosh(eta)
+    out[b, 0, a] = -1j * np.sinh(eta)
+    out[b, a, 0] = 1j * np.sinh(eta)
+    out[b, a, a] = np.cosh(eta)
+    return out.reshape(shape + (4, 4))
+
+
+def _reps(kind, axis, par) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spinor matrices, their inverses and index matrices of checked
+    transforms, each stacked as _spinor stacks."""
+    par = np.asarray(par, dtype=float)
+    return _spinor(kind, axis, par), _spinor(kind, axis, -par), _vector(kind, axis, par)
 
 
 @dataclass(frozen=True)
@@ -121,22 +147,34 @@ def covariance_residual(bset, transform: PoincareTransform) -> float:
     reproduces conjugation by the spinor representation.  A NaN entry in
     the tuple gives a NaN residual, which fails every tolerance gate.
     """
-    bset = [np.asarray(b, dtype=np.complex128) for b in bset]
+    bset = np.asarray(bset, dtype=np.complex128)
     if len(bset) != 4:
         raise ValueError(f"expected a 4-tuple of matrices, got {len(bset)}")
     S = transform.spinor_rep
-    Sinv = transform.spinor_inverse()
-    if max_abs(S @ Sinv - I4) > 1e-8:
+    return float(_covariance_residuals(bset, S, transform.spinor_inverse(), transform.vector_rep))
+
+
+def _covariance_residuals(bset, S, Sinv, L) -> np.ndarray:
+    """covariance_residual for (T, 4, 4) stacks of spinor matrices, their
+    inverses and index matrices: one residual per transform.  bset is a
+    (4, 4, 4) tuple shared by every transform or a stack broadcasting
+    against them."""
+    return np.max(np.abs(_covariance_defects(bset, S, Sinv, L)), axis=(-3, -2, -1))
+
+
+def _covariance_defects(bset, S, Sinv, L) -> np.ndarray:
+    """The (..., 4, 4, 4) defects sum_mu L[beta, mu] B^mu - S B^beta S^-1."""
+    if np.any(np.max(np.abs(S @ Sinv - I4), axis=(-2, -1)) > 1e-8):
         # Unreachable for finite parameters; kept as a guard against
         # a corrupted transform object.
         raise RuntimeError("spinor representation is not invertible")
-    L = transform.vector_rep
+    B = np.moveaxis(bset, -3, 0)  # B[mu] is the (..., 4, 4) stack of B^mu
     defects = [
-        L[beta, 0] * bset[0]
-        + L[beta, 1] * bset[1]
-        + L[beta, 2] * bset[2]
-        + L[beta, 3] * bset[3]
-        - S @ bset[beta] @ Sinv
+        L[..., beta, 0, None, None] * B[0]
+        + L[..., beta, 1, None, None] * B[1]
+        + L[..., beta, 2, None, None] * B[2]
+        + L[..., beta, 3, None, None] * B[3]
+        - S @ B[beta] @ Sinv
         for beta in range(4)
     ]
-    return max_abs(np.array(defects))
+    return np.stack(defects, axis=-3)

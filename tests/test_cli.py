@@ -170,6 +170,16 @@ class TestVerifyCommand:
         assert out == ""
         assert "trials" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_tol_exits_2_without_output(self, capsys, tol):
+        # inf would pass every gated check vacuously; nan, -1 and 0 would
+        # print a whole report of FAIL lines.
+        code, out, err = run_main(capsys, ["verify", "--trials", "5", f"--tol={tol}"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: tol must be positive and finite")
+
 
 class TestDispersionCommand:
     def test_golden_row(self, capsys):

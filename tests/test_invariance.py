@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diraclab.invariance import (
     CheckResult,
     GeneralizedParams,
     PhaseFunction,
+    _bc_residuals,
+    _param_stack,
+    _zeta,
     bc_condition_residual,
     bc_matrix,
     verify_phi0_uniqueness,
@@ -14,7 +20,7 @@ from diraclab.invariance import (
     zeta_for,
     zeta_rotation,
 )
-from diraclab.poincare import PoincareTransform
+from diraclab.poincare import PoincareTransform, _reps
 
 
 class TestGeneralizedParams:
@@ -186,3 +192,49 @@ class TestPhi0Uniqueness:
     def test_checkresult_fail_line(self):
         r = CheckResult("demo", 0.5, False)
         assert r.line() == "CHECK demo max_residual=5.000000e-01 FAIL"
+
+
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("rotation", "boost")),
+            st.integers(1, 3),
+            st.floats(-2.0, 2.0),
+            arrays(float, 4, elements=st.floats(-1.0, 1.0)),
+            st.floats(0.0, 1.0),
+        ),
+        min_size=1,
+        max_size=10,
+    )
+)
+def test_stacked_zeta_and_bc_rows_equal_one_transform(draws):
+    kinds, axes, pars, cs, avals = (list(col) for col in zip(*draws))
+    c, a = 1j * np.array(cs), 1j * np.array(avals)
+    S, Sinv, _ = _reps(kinds, axes, pars)
+    z = _zeta(c, kinds, axes, pars)
+    residuals = _bc_residuals(a, c, S, Sinv, z)
+    for i, (kind, axis, par, _, _) in enumerate(draws):
+        t = PoincareTransform.make(kind, axis, par)
+        phase = zeta_for(c[i], t)
+        np.testing.assert_array_equal(bits(z[i]), bits(phase.zeta))
+        assert residuals[i] == bc_condition_residual(a[i], c[i], t, phase)
+
+
+def test_param_stack_keeps_the_generalized_params_checks():
+    m0, eps, p = np.array([1.0, 0.5]), np.array([0.2, -0.3]), np.array([[0.1, 0, 0], [0, 0.2, 0]])
+    stack = _param_stack(m0, eps, p)
+    for i in range(2):
+        one = GeneralizedParams.from_physical(m0[i], eps[i], p[i])
+        assert (stack.m0[i], stack.eps_tilde[i]) == (one.m0, one.eps_tilde)
+        np.testing.assert_array_equal(stack.p_tilde[i], one.p_tilde)
+    with pytest.raises(ValueError, match="finite"):
+        _param_stack(np.array([1.0, np.nan]), eps, p)
+    with pytest.raises(ValueError, match="finite"):
+        _param_stack(m0, eps, np.array([[0.1, 0, 0], [0, np.inf, 0]]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        _param_stack(np.array([1.0, -0.5]), eps, p)

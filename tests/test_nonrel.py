@@ -11,6 +11,8 @@ from diraclab.clifford import pauli
 from diraclab.invariance import GeneralizedParams
 from diraclab.nonrel import (
     NonRelParams,
+    _levy_leblond_energy,
+    _nonrel_stack,
     dirac_energy,
     kinetic_minus_rest,
     levy_leblond_solve,
@@ -362,3 +364,25 @@ class TestBatchedEnergies:
         ks[:, 2] = [0.1, 0.2, kz, 0.3, 0.4]
         with pytest.raises(ValueError, match="m0 \\* c_light"):
             nonrel_error(ks, FREE)
+
+
+def test_stacked_params_rows_equal_one_parameter_set():
+    rng = np.random.default_rng(41)
+    m0, eps, c, k = (rng.uniform(0.2, 4.0, 9), rng.uniform(-1, 1, 9),
+                     rng.uniform(-1, 1, (9, 3)), rng.uniform(-1, 1, (9, 3)))
+    stack = _nonrel_stack(m0, eps, c)
+    ll, pauli_stack = _levy_leblond_energy(k, stack), pauli_energy(k, stack)
+    for i in range(9):
+        one = NonRelParams(m0=m0[i], eps_tilde=eps[i], c_tilde=c[i])
+        assert ll[i] == levy_leblond_solve(k[i], one).energy
+        assert pauli_stack[i] == pauli_energy(k[i], one)
+    with pytest.raises(ValueError, match="positive"):
+        _nonrel_stack(np.where(np.arange(9) == 4, 0.0, m0), eps, c)
+    with pytest.raises(ValueError, match="finite"):
+        _nonrel_stack(m0, np.where(np.arange(9) == 4, np.nan, eps), c)
+
+
+def test_params_reject_stacked_scalars():
+    # One NonRelParams holds one set of parameters; stacks are private.
+    with pytest.raises(ValueError, match="scalars"):
+        NonRelParams(m0=np.array([1.0, 2.0]))

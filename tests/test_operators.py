@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from diraclab.clifford import max_abs, pauli
-from diraclab.invariance import GeneralizedParams
+from diraclab.invariance import GeneralizedParams, _param_stack
 from diraclab.operators import (
     ALPHA,
     BETA,
+    _dirac_square_residuals,
     _h0,
+    _hamiltonian,
+    _plane_waves,
+    _shift,
     dirac_square_equals_kg,
     dispersion,
     gauge_map_from_standard,
@@ -345,3 +349,39 @@ class TestSpectralCoreProperties:
             )
             with pytest.raises(ValueError, match="eigenstate"):
                 gauge_map_from_standard(bad, params)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(generalized_params(), momenta(), st.booleans()), min_size=1, max_size=8
+        )
+    )
+    @example(rows=[(GeneralizedParams.from_physical(0.0, 0.3, (0.1, -0.2, 0.4)), np.zeros(3), True)])
+    def test_stacked_plane_waves_rows_equal_one_momentum(self, rows):
+        """Per-row parameters and momenta, with k = -p_tilde where the flag
+        is set: at m0 = 0 that row takes the massless zero-momentum branch."""
+        params = [p for p, _, _ in rows]
+        ks = np.array([-p.p_tilde if at_rest else k for p, k, at_rest in rows])
+        stack = _param_stack(
+            [p.m0 for p in params], [p.eps_tilde for p in params], [p.p_tilde for p in params]
+        )
+        energies, spinors = _plane_waves(ks, stack)
+        hams, squares = _hamiltonian(ks, stack), _dirac_square_residuals(ks, stack)
+        for i, p in enumerate(params):
+            sols = plane_wave_solve(ks[i], p)
+            np.testing.assert_array_equal(bits(energies[i]), bits([s.energy for s in sols]))
+            np.testing.assert_array_equal(bits(spinors[i]), bits([s.spinor for s in sols]))
+            np.testing.assert_array_equal(bits(hams[i]), bits(hamiltonian_matrix(ks[i], p)))
+            assert squares[i] == dirac_square_equals_kg(ks[i], p)
+            if p.m0 == 0.0 and not np.any(ks[i] + p.p_tilde):
+                np.testing.assert_array_equal(spinors[i], np.eye(4))
+                np.testing.assert_array_equal(energies[i], -p.eps_tilde)
+
+    def test_stacked_shift_rejects_one_bad_row(self):
+        stack = _param_stack([1.0, 2.0], [0.3, -0.1], [[0.0, 0.0, 0.2], [0.1, 0.0, 0.0]])
+        ks = np.array([[0.3, 0.1, -0.2], [0.0, 0.5, 0.0]])
+        energies, spinors = _plane_waves(ks, stack)
+        energy, spinor = energies[:, 0], spinors[:, 0]
+        _shift(ks, energy, spinor, stack, stack, +1, 1e-8)
+        with pytest.raises(ValueError, match="eigenstate"):
+            _shift(ks, energy + [0.0, 0.3], spinor, stack, stack, +1, 1e-8)

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab.clifford import GAMMA, I4, max_abs
-from diraclab.poincare import PoincareTransform, covariance_residual
+from diraclab.poincare import (
+    PoincareTransform,
+    _covariance_residuals,
+    _reps,
+    _spinor,
+    _vector,
+    covariance_residual,
+)
 
 
 def spinor(kind, axis, par):
@@ -182,3 +189,35 @@ def test_composed_transforms_are_covariant(t1, t2):
     L = t2.vector_rep @ t1.vector_rep
     lhs = np.einsum("bm,mij->bij", L, np.array(GAMMA))
     assert max_abs(lhs - S @ np.array(GAMMA) @ Sinv) <= 1e-10
+
+
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("rotation", "boost")),
+            st.integers(1, 3),
+            st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-3.0, 3.0)),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_stacked_reps_rows_equal_one_transform(draws):
+    """The stacked formulas give every row of a (T,) stack, signed zeros
+    included, exactly as PoincareTransform.make gives one transform."""
+    kinds, axes, pars = (list(col) for col in zip(*draws))
+    S, Sinv, L = _reps(kinds, axes, pars)
+    np.testing.assert_array_equal(bits(_spinor(kinds, axes, pars)), bits(S))
+    np.testing.assert_array_equal(bits(_vector(kinds, axes, pars)), bits(L))
+    residuals = _covariance_residuals(np.array(GAMMA), S, Sinv, L)
+    for i, (kind, axis, par) in enumerate(draws):
+        t = PoincareTransform.make(kind, axis, par)
+        np.testing.assert_array_equal(bits(S[i]), bits(t.spinor_rep))
+        np.testing.assert_array_equal(bits(Sinv[i]), bits(t.spinor_inverse()))
+        np.testing.assert_array_equal(bits(L[i]), bits(t.vector_rep))
+        assert residuals[i] == covariance_residual(GAMMA, t)
