@@ -65,7 +65,6 @@ from .evolution import (
     TrajectoryResult,
     WavePacket,
     evolve,
-    group_velocity_estimate,
     init_gaussian,
     observables,
     trajectory,

@@ -33,7 +33,8 @@ __all__ = ["main", "build_parser", "parse_matrix_file", "write_matrix_file"]
 def parse_matrix_file(path: str) -> np.ndarray:
     """Read a 4x4 complex matrix: 4 lines of 8 floats (re im pairs).
 
-    Raises ValueError with a line/column diagnostic on malformed input.
+    Raises ValueError with a line/column diagnostic on malformed input,
+    a non-finite value (nan, inf) included.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
@@ -55,6 +56,10 @@ def parse_matrix_file(path: str) -> np.ndarray:
                     f"{path}: line {lineno}, field {col + 1}: "
                     f"could not parse {token!r} as a number"
                 ) from None
+            if not np.isfinite(out[row, col]):
+                raise ValueError(
+                    f"{path}: line {lineno}, field {col + 1}: {token!r} is not finite"
+                )
     return out.view(np.complex128)  # (re, im) pairs, bit for bit, signed zeros too
 
 

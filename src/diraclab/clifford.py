@@ -102,8 +102,8 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def vector_contract(coeffs, mats=GAMMA) -> np.ndarray:
-    """Signed vector contraction v0*M0 - v1*M1 - v2*M2 - v3*M3.
+def vector_contract(coeffs) -> np.ndarray:
+    """Signed vector contraction v0*G0 - v1*G1 - v2*G2 - v3*G3 over the generators.
 
     This is the sign pattern used for every vector-indexed coefficient
     tuple in the package (the constant matrix of the first-order equation
@@ -114,7 +114,7 @@ def vector_contract(coeffs, mats=GAMMA) -> np.ndarray:
     if c.shape[-1:] != (4,):
         raise ValueError(f"expected 4 coefficients, got shape {c.shape}")
     c0, c1, c2, c3 = np.moveaxis(c, -1, 0)[..., None, None]
-    return c0 * mats[0] - c1 * mats[1] - c2 * mats[2] - c3 * mats[3]
+    return c0 * GAMMA[0] - c1 * GAMMA[1] - c2 * GAMMA[2] - c3 * GAMMA[3]
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -171,7 +171,8 @@ class BasisCoefficients:
     """Coefficients of a 4x4 matrix over the sixteen-element basis.
 
     Reconstruction is a*I + sum_p b[p]*sigma_pair(p) + vector_contract(c)
-    + vector_contract(d, chiral-vector products) + e5*chiral element.
+    + the same signed contraction of d over the chiral-vector products
+    + e5*chiral element.
     """
 
     a: complex
@@ -201,21 +202,17 @@ class BasisCoefficients:
     def reconstruct(self) -> np.ndarray:
         return _compose(self.as_vector())
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """Hermiticity read off the coefficients.
+    def is_hermitian(self) -> bool:
+        """Hermiticity read off the coefficients, to 1e-12.
 
         The fifteen non-chiral columns are Hermitian matrices, so their
         coefficients must be real; the chiral column is anti-Hermitian,
-        so its coefficient must be purely imaginary.
+        so its coefficient must be purely imaginary.  A non-finite
+        coefficient reads False.
         """
-        worst = max(
-            abs(self.a.imag),
-            float(np.max(np.abs(self.b.imag))) if self.b.size else 0.0,
-            float(np.max(np.abs(self.c.imag))),
-            float(np.max(np.abs(self.d.imag))),
-            abs(self.e5.real),
-        )
-        return worst <= tol
+        v = self.as_vector()
+        worst = np.max(np.abs(np.append(v[:-1].imag, v[-1].real)))
+        return bool(worst <= 1e-12 and np.isfinite(v).all())
 
 
 def basis_decompose(m: np.ndarray) -> BasisCoefficients:

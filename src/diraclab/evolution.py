@@ -43,7 +43,6 @@ __all__ = [
     "evolve",
     "TrajectoryResult",
     "trajectory",
-    "group_velocity_estimate",
     "write_trajectory_csv",
 ]
 
@@ -86,10 +85,6 @@ class WavePacket:
     def k(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
-    @property
-    def nyquist(self) -> float:
-        return np.pi * self.n / self.length
-
 
 @dataclass(frozen=True)
 class Observables:
@@ -124,15 +119,15 @@ def init_gaussian(
     k0: float,
     width: float,
     branch: int = +1,
-    params: GeneralizedParams | None = None,
+    *,
+    params: GeneralizedParams,
 ) -> WavePacket:
-    """Gaussian envelope times the first plane-wave spinor of the branch.
+    """Gaussian envelope times the first plane-wave spinor of the branch
+    of `params` at k0, the parameters the packet is then evolved with.
 
     `width` is the standard deviation of the amplitude envelope, so the
     position density has spread width/sqrt(2).  Unit norm.
     """
-    if params is None:
-        params = GeneralizedParams.standard(1.0)
     if branch not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
     _check_grid(n, length)
@@ -267,44 +262,6 @@ def trajectory(
         raise ValueError("trajectory is not finite: the inputs overflow double precision")
     final = WavePacket(packet.n, packet.length, values.T, float(times[-1]))
     return TrajectoryResult(times, *table.T, packet=final)
-
-
-def group_velocity_estimate(
-    params: GeneralizedParams,
-    k0: float,
-    t_total: float,
-    *,
-    n: int = 1024,
-    length: float = 200.0,
-    width: float = 10.0,
-    x0: float | None = None,
-    samples: int = 12,
-    branch: int = +1,
-    min_displacement: float | None = None,
-) -> float:
-    """Packet velocity from a linear fit of the mean position over time.
-
-    Compare against the dispersion derivative
-    (k0 + shift) / sqrt(m0^2 + (k0 + shift)^2).  When min_displacement is
-    given, a fitted displacement below it raises, flagging a run whose
-    drift cannot be resolved on the grid.
-    """
-    if t_total <= 0.0:
-        raise ValueError(f"t_total must be positive, got {t_total}")
-    if samples < 10:
-        raise ValueError(f"need at least 10 samples for the fit, got {samples}")
-    if x0 is None:
-        x0 = 0.3 * length
-    packet = init_gaussian(n, length, x0, k0, width, branch=branch, params=params)
-    dt = t_total / samples
-    result = trajectory(packet, params, dt, steps=samples, sample_every=1)
-    slope = float(np.polyfit(result.times, result.mean_x, 1)[0])
-    if min_displacement is not None and abs(slope) * t_total < min_displacement:
-        raise RuntimeError(
-            f"displacement {abs(slope) * t_total:.4g} below the resolution "
-            f"threshold {min_displacement:.4g}"
-        )
-    return slope
 
 
 def write_trajectory_csv(stream, result: TrajectoryResult) -> None:

@@ -1,12 +1,14 @@
 """Non-relativistic limits of the generalized first-order equation.
 
-Two limit forms are implemented for constant shifts and a constant scalar
-potential: the two-component kinetic-energy form (pauli_energy) and the
-linked first-order pair (levy_leblond_solve), which agree identically at
-zero potential.  nonrel_error quantifies how fast the relativistic branch
-approaches the limit; the absolute gap is evaluated in a conjugate form
-that avoids catastrophic cancellation at small momenta, where the true
-gap scales as |k + shift|^4 / (8 m0^3 c^2).
+Two limit forms are implemented for constant shifts: the two-component
+kinetic-energy form (pauli_energy) and the linked first-order pair
+(levy_leblond_solve), which agree identically.  There is no potential
+field: a constant scalar potential A0 enters every energy only as the
+shift eps_tilde -> eps_tilde - q*A0, so it is modelled by eps_tilde.
+nonrel_error quantifies how fast the relativistic branch approaches the
+limit; the absolute gap is evaluated in a conjugate form that avoids
+catastrophic cancellation at small momenta, where the true gap scales as
+|k + shift|^4 / (8 m0^3 c^2).
 
 The speed of light is an explicit parameter here; natural-unit callers
 pass 1.
@@ -18,6 +20,7 @@ return an array of shape (...).  levy_leblond_solve takes one momentum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -40,18 +43,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NonRelParams:
-    """Masses, constant shifts and the constant scalar potential."""
+    """Mass, constant shifts and the speed of light.
+
+    A constant scalar potential A0 on a charge q is the energy shift
+    eps_tilde -> eps_tilde - q*A0; there is no separate potential field.
+    """
 
     m0: float
     eps_tilde: float = 0.0
     c_tilde: np.ndarray = field(default_factory=lambda: np.zeros(3))
     c_light: float = 1.0
-    scalar_potential: float = 0.0
-    charge: float = 1.0
 
     def __post_init__(self):
-        scalars = (self.m0, self.eps_tilde, self.c_light, self.scalar_potential, self.charge)
-        if any(np.ndim(x) for x in scalars):
+        if any(np.ndim(x) for x in (self.m0, self.eps_tilde, self.c_light)):
             raise ValueError(f"the parameters other than c_tilde must be scalars, got {self}")
         ct = _as_k3(self.c_tilde).copy()
         ct.flags.writeable = False
@@ -68,8 +72,6 @@ class _NonRelStack(NamedTuple):
     eps_tilde: np.ndarray
     c_tilde: np.ndarray
     c_light: float = 1.0
-    scalar_potential: float = 0.0
-    charge: float = 1.0
 
 
 def _nonrel_stack(m0, eps_tilde, c_tilde) -> _NonRelStack:
@@ -89,30 +91,19 @@ def _check(params) -> None:
         raise ValueError(f"m0 must be positive, got {params.m0}")
     if np.any(np.asarray(params.c_light) <= 0.0):
         raise ValueError(f"c_light must be positive, got {params.c_light}")
-    fields = (params.m0, params.eps_tilde, params.c_light, params.scalar_potential,
-              params.charge, params.c_tilde)
+    fields = (params.m0, params.eps_tilde, params.c_light, params.c_tilde)
     if not all(np.isfinite(x).all() for x in fields):
         raise ValueError(f"parameters must be finite, got {params}")
 
 
-def pauli_energy(k, params: NonRelParams, vector_potential=None) -> float | np.ndarray:
-    """Two-component limit energy |k + shift|^2 / 2m0 + e*A0 - eps_tilde.
+def pauli_energy(k, params: NonRelParams) -> float | np.ndarray:
+    """Two-component limit energy |k + shift|^2 / 2m0 - eps_tilde.
 
-    Only the zero-vector-potential case is supported: with A_j = 0 and a
+    Only the zero-vector-potential case is modelled: with A_j = 0 and a
     constant momentum shift both the magnetic term and the curl term
     vanish, and the spectrum is spin degenerate.
     """
-    if vector_potential is not None:
-        a = np.asarray(vector_potential, dtype=float)
-        if np.any(a != 0.0):
-            raise ValueError(
-                "nonzero vector potentials are out of scope; only the constant "
-                "scalar potential is supported"
-            )
-    k2 = _k2(k, params.c_tilde)
-    return _value(
-        k2 / (2.0 * params.m0) + params.charge * params.scalar_potential - params.eps_tilde
-    )
+    return _value(_k2(k, params.c_tilde) / (2.0 * params.m0) - params.eps_tilde)
 
 
 class LevyLeblondSolution(NamedTuple):
@@ -129,18 +120,33 @@ def levy_leblond_solve(k, params: NonRelParams, phi_seed=None) -> LevyLeblondSol
 
     jointly: e = |k + shift|^2 / 2m0 - eps_tilde with
     chi = sigma.(k + shift) phi / 2m0, returned with unit total norm.
+    A non-finite k, a zero or non-finite phi_seed and a momentum whose
+    energy or spinor overflows double precision raise ValueError.
     """
-    sk = _sigma_dot(_as_k3(k) + params.c_tilde)
+    k3 = _as_k3(k)
+    if not np.isfinite(k3).all():
+        raise ValueError(f"k must be finite, got {k}")
     if phi_seed is None:
         phi = np.array([1.0, 0.0], dtype=np.complex128)
     else:
         phi = np.asarray(phi_seed, dtype=np.complex128)
         if phi.shape != (2,):
             raise ValueError(f"phi_seed must have 2 components, got {phi.shape}")
+        if not (np.isfinite(phi).all() and phi.any()):
+            raise ValueError(f"phi_seed must be finite and nonzero, got {phi_seed}")
+        # scaled to a largest real or imaginary part of 1 first, so that
+        # the norm neither over- nor underflows
+        parts = phi.view(float)
+        phi = (parts / np.max(np.abs(parts))).view(np.complex128)
         phi = phi / np.linalg.norm(phi)
-    chi = (sk @ phi) / (2.0 * params.m0)
-    norm = np.sqrt(np.vdot(phi, phi).real + np.vdot(chi, chi).real)
-    return LevyLeblondSolution(float(_levy_leblond_energy(k, params)), phi / norm, chi / norm)
+    energy = _value(_levy_leblond_energy(k3, params))
+    # an overflowing chi or norm gives inf or NaN, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        chi = (_sigma_dot(k3 + params.c_tilde) @ phi) / (2.0 * params.m0)
+        norm = np.sqrt(np.vdot(phi, phi).real + np.vdot(chi, chi).real)
+    if not math.isfinite(norm):
+        raise ValueError("the spinor norm is not finite: the inputs overflow double precision")
+    return LevyLeblondSolution(energy, phi / norm, chi / norm)
 
 
 def _levy_leblond_energy(k, params):
@@ -150,12 +156,12 @@ def _levy_leblond_energy(k, params):
 
 
 def dirac_energy(k, params: NonRelParams, branch: int = +1) -> float | np.ndarray:
-    """Relativistic branch energy in physical units, constant potential
-    included: +/- sqrt(m0^2 c^4 + c^2 |k+shift|^2) + e*A0 - eps_tilde."""
+    """Relativistic branch energy in physical units:
+    +/- sqrt(m0^2 c^4 + c^2 |k+shift|^2) - eps_tilde."""
     if branch not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
     w = _w(_k2(k, params.c_tilde), params.m0, params.c_light)
-    return _value(branch * w + params.charge * params.scalar_potential - params.eps_tilde)
+    return _value(branch * w - params.eps_tilde)
 
 
 def kinetic_minus_rest(k, params: NonRelParams) -> float | np.ndarray:
@@ -170,8 +176,8 @@ def kinetic_minus_rest(k, params: NonRelParams) -> float | np.ndarray:
 def nonrel_abs_error(k, params: NonRelParams) -> float | np.ndarray:
     """|relativistic kinetic energy - limit kinetic energy|, stable form.
 
-    The shifts and the potential cancel identically between the two
-    energies, leaving K^4 c^2 / (2 m0 (W + m0 c^2)^2) with
+    The shifts cancel identically between the two energies, leaving
+    K^4 c^2 / (2 m0 (W + m0 c^2)^2) with
     W = sqrt(m0^2 c^4 + c^2 K^2); at small K this is K^4 / (8 m0^3 c^2).
     """
     c = params.c_light
@@ -187,7 +193,7 @@ class NonRelError(NamedTuple):
     relative: bool
 
 
-def nonrel_error(k, params: NonRelParams, floor: float = 1e-300) -> NonRelError:
+def nonrel_error(k, params: NonRelParams) -> NonRelError:
     """Relative gap between the relativistic branch (rest energy removed)
     and the limit energy; falls back to the absolute gap, flagged, when
     the limit energy vanishes.  On a stack of momenta both fields are
@@ -196,6 +202,6 @@ def nonrel_error(k, params: NonRelParams, floor: float = 1e-300) -> NonRelError:
         raise ValueError("kinetic momentum must stay below m0 * c_light")
     abs_err = nonrel_abs_error(k, params)
     denom = np.abs(pauli_energy(k, params))
-    relative = ~(denom < floor)
+    relative = ~(denom < 1e-300)
     value = _value(abs_err / np.where(relative, denom, 1.0))
     return NonRelError(value, bool(relative) if np.ndim(relative) == 0 else relative)

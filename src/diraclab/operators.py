@@ -255,15 +255,20 @@ def _dirac_square_residuals(k: np.ndarray, params) -> np.ndarray:
     return np.max(np.abs(h @ h - _kg_rhs(k, params)), axis=(-2, -1))
 
 
-def _shift(k, energy, spinor, params, source, sign: int, residual_tol: float):
+# Largest eigenstate defect max|H psi - e psi| a gauge map accepts.
+_EIGEN_TOL = 1e-8
+
+
+def _shift(k, energy, spinor, params, source, sign: int):
     """Plane waves moved by sign * (p_tilde, eps_tilde), spinors unchanged,
     after checking that each is an eigenstate of the Hamiltonian of
-    `source`.  Rows: k (..., 3), energy (...), spinor (..., 4).  Returns
-    the moved k and energy and each row's eigenstate defect."""
+    `source` to within _EIGEN_TOL.  Rows: k (..., 3), energy (...),
+    spinor (..., 4).  Returns the moved k and energy and each row's
+    eigenstate defect."""
     h = _hamiltonian(k, source)
     eigen = (h @ spinor[..., None])[..., 0] - energy[..., None] * spinor
     defect = np.max(np.abs(eigen), axis=-1)
-    if np.any(defect > residual_tol):
+    if np.any(defect > _EIGEN_TOL):
         raise ValueError(
             f"input is not an eigenstate of its Hamiltonian (residual {np.max(defect):.3e})"
         )
@@ -271,19 +276,19 @@ def _shift(k, energy, spinor, params, source, sign: int, residual_tol: float):
 
 
 def _shifted(
-    solution: PlaneWaveSolution, params: GeneralizedParams, sign: int, residual_tol: float
+    solution: PlaneWaveSolution, params: GeneralizedParams, sign: int
 ) -> PlaneWaveSolution:
     """_shift for one solution of the generalized Hamiltonian (sign = +1)
     or of the standard one (sign = -1)."""
     source = params if sign > 0 else GeneralizedParams.standard(params.m0)
     k, energy, _ = _shift(
-        solution.k, np.asarray(solution.energy), solution.spinor, params, source, sign, residual_tol
+        solution.k, np.asarray(solution.energy), solution.spinor, params, source, sign
     )
     return PlaneWaveSolution(k, float(energy), solution.branch, solution.spinor)
 
 
 def gauge_map_to_standard(
-    solution: PlaneWaveSolution, params: GeneralizedParams, residual_tol: float = 1e-8
+    solution: PlaneWaveSolution, params: GeneralizedParams
 ) -> PlaneWaveSolution:
     """Shift a generalized solution to the standard-equation solution.
 
@@ -291,13 +296,13 @@ def gauge_map_to_standard(
     the identical spinor; it satisfies the mass-only Hamiltonian exactly.
     Raises if the input does not solve its own eigenproblem.
     """
-    return _shifted(solution, params, +1, residual_tol)
+    return _shifted(solution, params, +1)
 
 
 def gauge_map_from_standard(
-    solution: PlaneWaveSolution, params: GeneralizedParams, residual_tol: float = 1e-8
+    solution: PlaneWaveSolution, params: GeneralizedParams
 ) -> PlaneWaveSolution:
     """Inverse shift: take a standard-equation solution back to the
     generalized one at momentum k - p_tilde and energy e - eps_tilde.
     Raises if the input does not solve the standard eigenproblem."""
-    return _shifted(solution, params, -1, residual_tol)
+    return _shifted(solution, params, -1)

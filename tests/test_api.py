@@ -32,7 +32,7 @@ PUBLIC = {
     "nonrel_error",
     # evolution
     "WavePacket", "Observables", "TrajectoryResult", "init_gaussian",
-    "observables", "evolve", "trajectory", "group_velocity_estimate",
+    "observables", "evolve", "trajectory",
     "SpectralPropagator", "write_trajectory_csv",
     # verification
     "run_verification", "format_report",

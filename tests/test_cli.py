@@ -444,6 +444,22 @@ class TestDecomposeCommand:
         code, _, err = run_main(capsys, ["decompose", "--input", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_field_exits_2_without_output(self, capsys, tmp_path, token):
+        # these printed 16 nan coefficients and exited 0
+        path = tmp_path / "bad.mat"
+        good = "0 0 0 0 0 0 0 0"
+        path.write_text("\n".join([good, good, f"0 0 0 {token} 0 0 0 0", good]) + "\n")
+        with pytest.raises(ValueError, match="line 3, field 4.*not finite"):
+            parse_matrix_file(str(path))
+        out_path = tmp_path / "coeffs.txt"
+        for argv in ([], ["-o", str(out_path)]):
+            code, out, err = run_main(capsys, ["decompose", "--input", str(path), *argv])
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1 and "line 3, field 4" in err
+        assert not out_path.exists()
+
 
 class TestUsageErrors:
     def test_unknown_flag(self):

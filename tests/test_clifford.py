@@ -8,6 +8,7 @@ from diraclab.clifford import (
     GAMMA,
     GAMMA5,
     I4,
+    BasisCoefficients,
     anticommutator,
     basis_decompose,
     basis_labels,
@@ -141,7 +142,7 @@ class TestHermiticityDetector:
             if rng.random() < 0.5:
                 m = m + m.conj().T
             direct = is_hermitian(m, 1e-12)
-            from_coeffs = basis_decompose(m).is_hermitian(1e-12)
+            from_coeffs = basis_decompose(m).is_hermitian()
             assert direct == from_coeffs
 
     def test_imaginary_chiral_coefficient_is_hermitian(self):
@@ -155,6 +156,17 @@ class TestHermiticityDetector:
         m = I4 + 0.3 * GAMMA5
         assert not is_hermitian(m)
         assert not basis_decompose(m).is_hermitian()
+
+    def test_non_finite_coefficient_is_not(self):
+        # v[3] = nan*1j read True when the parts were reduced one by one
+        # with max(), which keeps an earlier finite value over a NaN
+        values = (np.nan * 1j, complex(0.0, np.nan), complex(np.nan, 0.0), complex(np.inf, 0.0))
+        for index in range(16):
+            for value in values:
+                v = np.zeros(16, dtype=complex)
+                v[0] = 1.0
+                v[index] = value
+                assert not BasisCoefficients.from_vector(v).is_hermitian(), (index, value)
 
 
 def test_basis_condition_number_is_small():

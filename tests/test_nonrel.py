@@ -30,7 +30,6 @@ def random_nonrel(rng):
         m0=float(rng.uniform(0.2, 4.0)),
         eps_tilde=float(rng.uniform(-1.0, 1.0)),
         c_tilde=rng.uniform(-1.0, 1.0, 3),
-        scalar_potential=float(rng.uniform(-0.5, 0.5)),
     )
 
 
@@ -43,9 +42,7 @@ class TestParams:
         with pytest.raises(ValueError):
             NonRelParams(m0=1.0, c_tilde=np.zeros(2))
 
-    @pytest.mark.parametrize(
-        "field", ["m0", "eps_tilde", "c_tilde", "c_light", "scalar_potential", "charge"]
-    )
+    @pytest.mark.parametrize("field", ["m0", "eps_tilde", "c_tilde", "c_light"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, field, value):
         kwargs = {"m0": 1.0, field: (0.0, value, 0.0) if field == "c_tilde" else value}
@@ -85,18 +82,6 @@ class TestPauliEnergy:
     def test_shifted_example(self):
         p = NonRelParams(m0=1.0, eps_tilde=0.1, c_tilde=(0, 0, 0.2))
         assert pauli_energy(np.zeros(3), p) == pytest.approx(-0.08)
-
-    def test_rejects_vector_potential(self):
-        with pytest.raises(ValueError):
-            pauli_energy(np.zeros(3), FREE, vector_potential=[0.1, 0, 0])
-        # explicitly zero is fine
-        assert pauli_energy(np.zeros(3), FREE, vector_potential=np.zeros(3)) == 0.0
-
-    def test_constant_scalar_potential_shifts(self):
-        p = NonRelParams(m0=2.0, scalar_potential=0.3, charge=-1.0)
-        base = NonRelParams(m0=2.0)
-        k = np.array([0.1, -0.2, 0.3])
-        assert pauli_energy(k, p) == pytest.approx(pauli_energy(k, base) - 0.3)
 
 
 class TestLevyLeblond:
@@ -162,6 +147,35 @@ class TestLevyLeblond:
         assert abs(sol.phi[0]) <= 1e-15
         with pytest.raises(ValueError):
             levy_leblond_solve(np.zeros(3), FREE, phi_seed=[1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "seed", [[0.0, 0.0], [np.nan, 1.0], [1.0, np.inf], [1.0, complex(0.0, -np.inf)]]
+    )
+    def test_rejects_zero_or_non_finite_seed(self, seed):
+        # these divided by a zero or non-finite norm, with RuntimeWarnings
+        with pytest.raises(ValueError, match="phi_seed"):
+            levy_leblond_solve([0, 0, 0.2], FREE, phi_seed=seed)
+
+    @pytest.mark.parametrize(
+        "k", [np.nan, np.inf, -np.inf, [0.0, np.nan, 0.0], [np.inf, 0.0, 0.0]]
+    )
+    def test_rejects_non_finite_momentum(self, k):
+        with pytest.raises(ValueError, match="finite"):
+            levy_leblond_solve(k, FREE)
+
+    def test_rejects_overflow(self):
+        # energy (k^2 / 2m0) and spinor norm (|k| / 2m0) past double precision
+        with pytest.raises(ValueError, match="overflow"):
+            levy_leblond_solve(1e200, FREE)
+        with pytest.raises(ValueError, match="overflow"):
+            levy_leblond_solve(1e145, NonRelParams(m0=1e-10))
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e300])
+    def test_seed_scale_is_irrelevant(self, scale):
+        sol = levy_leblond_solve([0, 0, 0.2], FREE, phi_seed=[0.0, 1.0])
+        scaled = levy_leblond_solve([0, 0, 0.2], FREE, phi_seed=[0.0, scale])
+        np.testing.assert_array_equal(scaled.phi, sol.phi)
+        np.testing.assert_array_equal(scaled.chi, sol.chi)
 
 
 class TestLimitError:
@@ -231,19 +245,19 @@ class TestLimitError:
         assert nonrel_abs_error([0, 0, kz], p) == pytest.approx(expected, rel=1e-3)
 
     def test_dirac_energy_branches(self):
-        p = NonRelParams(m0=1.0, eps_tilde=0.2, scalar_potential=0.1)
+        p = NonRelParams(m0=1.0, eps_tilde=0.2)
         kz = 0.4
         w = np.sqrt(1 + kz ** 2)
-        assert dirac_energy([0, 0, kz], p, +1) == pytest.approx(w + 0.1 - 0.2)
-        assert dirac_energy([0, 0, kz], p, -1) == pytest.approx(-w + 0.1 - 0.2)
+        assert dirac_energy([0, 0, kz], p, +1) == pytest.approx(w - 0.2)
+        assert dirac_energy([0, 0, kz], p, -1) == pytest.approx(-w - 0.2)
         with pytest.raises(ValueError):
             dirac_energy(np.zeros(3), p, 0)
 
     def test_kinetic_consistency(self):
-        p = NonRelParams(m0=1.0, eps_tilde=0.2, scalar_potential=0.1)
+        p = NonRelParams(m0=1.0, eps_tilde=0.2)
         kz = 0.4
         lhs = kinetic_minus_rest([0, 0, kz], p)
-        rhs = dirac_energy([0, 0, kz], p, +1) - 1.0 - 0.1 + 0.2
+        rhs = dirac_energy([0, 0, kz], p, +1) - 1.0 + 0.2
         assert lhs == pytest.approx(rhs, abs=1e-14)
 
     def test_standard_reduction(self):
@@ -271,8 +285,6 @@ def nonrel_params(draw):
         eps_tilde=draw(_unit),
         c_tilde=draw(arrays(float, 3, elements=_unit)),
         c_light=draw(st.sampled_from([0.5, 3.0, 137.0])),
-        scalar_potential=draw(st.floats(-0.5, 0.5)),
-        charge=draw(st.floats(-2.0, 2.0)),
     )
 
 

@@ -382,6 +382,6 @@ class TestSpectralCoreProperties:
         ks = np.array([[0.3, 0.1, -0.2], [0.0, 0.5, 0.0]])
         energies, spinors = _plane_waves(ks, stack)
         energy, spinor = energies[:, 0], spinors[:, 0]
-        _shift(ks, energy, spinor, stack, stack, +1, 1e-8)
+        _shift(ks, energy, spinor, stack, stack, +1)
         with pytest.raises(ValueError, match="eigenstate"):
-            _shift(ks, energy + [0.0, 0.3], spinor, stack, stack, +1, 1e-8)
+            _shift(ks, energy + [0.0, 0.3], spinor, stack, stack, +1)
