@@ -242,8 +242,8 @@ def _compose(coeffs: np.ndarray) -> np.ndarray:
     return flat.reshape(coeffs.shape[:-1] + (4, 4))
 
 
-def random_matrix(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Dense complex 4x4 sample with entries uniform in a centered box."""
-    re = rng.uniform(-scale, scale, (4, 4))
-    im = rng.uniform(-scale, scale, (4, 4))
+def random_matrix(rng: np.random.Generator) -> np.ndarray:
+    """Dense complex 4x4 sample with real and imaginary parts uniform in [-1, 1)."""
+    re = rng.uniform(-1.0, 1.0, (4, 4))
+    im = rng.uniform(-1.0, 1.0, (4, 4))
     return re + 1j * im

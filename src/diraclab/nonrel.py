@@ -103,7 +103,10 @@ def pauli_energy(k, params: NonRelParams) -> float | np.ndarray:
     constant momentum shift both the magnetic term and the curl term
     vanish, and the spectrum is spin degenerate.
     """
-    return _value(_k2(k, params.c_tilde) / (2.0 * params.m0) - params.eps_tilde)
+    # an overflow gives inf quietly, and _value rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = _k2(k, params.c_tilde) / (2.0 * params.m0) - params.eps_tilde
+    return _value(energy)
 
 
 class LevyLeblondSolution(NamedTuple):
@@ -112,38 +115,27 @@ class LevyLeblondSolution(NamedTuple):
     chi: np.ndarray
 
 
-def levy_leblond_solve(k, params: NonRelParams, phi_seed=None) -> LevyLeblondSolution:
+def levy_leblond_solve(k, params: NonRelParams) -> LevyLeblondSolution:
     """Solve the linked first-order pair
 
         (e + eps_tilde) phi = sigma.(k + shift) chi
         2 m0 chi = sigma.(k + shift) phi
 
-    jointly: e = |k + shift|^2 / 2m0 - eps_tilde with
-    chi = sigma.(k + shift) phi / 2m0, returned with unit total norm.
-    A non-finite k, a zero or non-finite phi_seed and a momentum whose
-    energy or spinor overflows double precision raise ValueError.
+    jointly: e = |k + shift|^2 / 2m0 - eps_tilde with phi along (1, 0)
+    and chi = sigma.(k + shift) phi / 2m0, returned with unit total norm.
+    A non-finite k and a momentum whose energy or spinor overflows double
+    precision raise ValueError.
     """
     k3 = _as_k3(k)
     if not np.isfinite(k3).all():
         raise ValueError(f"k must be finite, got {k}")
-    if phi_seed is None:
-        phi = np.array([1.0, 0.0], dtype=np.complex128)
-    else:
-        phi = np.asarray(phi_seed, dtype=np.complex128)
-        if phi.shape != (2,):
-            raise ValueError(f"phi_seed must have 2 components, got {phi.shape}")
-        if not (np.isfinite(phi).all() and phi.any()):
-            raise ValueError(f"phi_seed must be finite and nonzero, got {phi_seed}")
-        # scaled to a largest real or imaginary part of 1 first, so that
-        # the norm neither over- nor underflows
-        parts = phi.view(float)
-        phi = (parts / np.max(np.abs(parts))).view(np.complex128)
-        phi = phi / np.linalg.norm(phi)
-    energy = _value(_levy_leblond_energy(k3, params))
-    # an overflowing chi or norm gives inf or NaN, rejected below
+    phi = np.array([1.0, 0.0], dtype=np.complex128)
+    # an overflowing energy, chi or norm gives inf or NaN, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
+        energy = _levy_leblond_energy(k3, params)
         chi = (_sigma_dot(k3 + params.c_tilde) @ phi) / (2.0 * params.m0)
         norm = np.sqrt(np.vdot(phi, phi).real + np.vdot(chi, chi).real)
+    energy = _value(energy)
     if not math.isfinite(norm):
         raise ValueError("the spinor norm is not finite: the inputs overflow double precision")
     return LevyLeblondSolution(energy, phi / norm, chi / norm)
@@ -183,7 +175,10 @@ def nonrel_abs_error(k, params: NonRelParams) -> float | np.ndarray:
     c = params.c_light
     k2 = _k2(k, params.c_tilde)
     w = _w(k2, params.m0, c)
-    return _value(k2 ** 2 * c ** 2 / (2.0 * params.m0 * (w + params.m0 * c ** 2) ** 2))
+    # an overflow gives inf quietly, and _value rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = k2 ** 2 * c ** 2 / (2.0 * params.m0 * (w + params.m0 * c ** 2) ** 2)
+    return _value(err)
 
 
 class NonRelError(NamedTuple):

@@ -44,8 +44,11 @@ from .poincare import _covariance_residuals, _reps
 __all__ = ["run_verification", "format_report", "report_header"]
 
 _KINDS = ("rotation", "boost")
-# A random sign is _SIGNS[rng.integers(2)]: the stream of rng.choice((-1.0, 1.0)),
-# at a fraction of its per-call cost.
+# A random sign is _SIGNS[rng.integers(2)]: rng.choice((-1.0, 1.0)) draws the
+# same stream through rng.integers, at several times the per-call cost.  That
+# equality is numpy's implementation, not its documented contract; the golden
+# reports in tests/test_verify.py pin the stream, so a numpy that breaks it
+# fails there.
 _SIGNS = np.array([-1.0, 1.0])
 
 # Bounds of the uniform draws, one pair per drawn number, in draw order.
@@ -102,7 +105,8 @@ def _per_trial(a: np.ndarray) -> np.ndarray:
 
 
 def _basis_roundtrip(rng, n):
-    # clifford.random_matrix(rng, 2.0) per trial: 16 real parts, then 16 imaginary.
+    # Per trial, as clifford.random_matrix draws: 16 real parts, then 16 imaginary,
+    # here uniform in [-2, 2).
     u = rng.uniform(-2.0, 2.0, (n, 2, 4, 4))
     m = u[:, 0] + 1j * u[:, 1]
     return _per_trial(np.abs(_compose(_decompose(m)) - m))

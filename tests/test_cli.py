@@ -108,7 +108,7 @@ class TestMatrixFiles:
         rng = np.random.default_rng(81)
         path = tmp_path / "m.mat"
         for _ in range(20):
-            m = random_matrix(rng, 3.0)
+            m = 3.0 * random_matrix(rng)
             write_matrix_file(str(path), m)
             np.testing.assert_array_equal(parse_matrix_file(str(path)), m)
 

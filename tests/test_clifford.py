@@ -113,7 +113,7 @@ class TestBasisDecompose:
         rng = np.random.default_rng(11)
         worst = 0.0
         for _ in range(1000):
-            m = random_matrix(rng, 2.0)
+            m = 2.0 * random_matrix(rng)
             worst = max(worst, max_abs(basis_decompose(m).reconstruct() - m))
         assert worst <= 1e-12
 

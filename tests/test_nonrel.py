@@ -54,6 +54,7 @@ class TestParams:
         # OverflowError here, and numpy arrays returned inf
         stack = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1e200]])
         big_c = NonRelParams(m0=1.0, c_light=1e200)
+        tiny_m0 = NonRelParams(m0=1e-10)
         calls = [
             lambda: dispersion(0.0, GeneralizedParams.from_physical(1e200)),
             lambda: dirac_energy(0.5, NonRelParams(m0=1e200)),
@@ -62,6 +63,10 @@ class TestParams:
             lambda: nonrel_error(0.5, big_c),
             lambda: dirac_energy(stack, FREE),
             lambda: pauli_energy(stack, FREE),
+            # |k|^2 finite, the division by a tiny 2 m0 or the square not
+            lambda: pauli_energy(1e150, tiny_m0),
+            lambda: nonrel_abs_error(1e150, tiny_m0),
+            lambda: levy_leblond_solve(1e150, tiny_m0),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="finite"):
@@ -143,18 +148,10 @@ class TestLevyLeblond:
             assert abs(levy_leblond_solve(k, p).energy - pauli_energy(k, p)) <= 1e-13
 
     def test_phi_seed(self):
-        sol = levy_leblond_solve([0, 0, 0.2], FREE, phi_seed=[0.0, 1.0])
-        assert abs(sol.phi[0]) <= 1e-15
-        with pytest.raises(ValueError):
-            levy_leblond_solve(np.zeros(3), FREE, phi_seed=[1.0, 0.0, 0.0])
-
-    @pytest.mark.parametrize(
-        "seed", [[0.0, 0.0], [np.nan, 1.0], [1.0, np.inf], [1.0, complex(0.0, -np.inf)]]
-    )
-    def test_rejects_zero_or_non_finite_seed(self, seed):
-        # these divided by a zero or non-finite norm, with RuntimeWarnings
-        with pytest.raises(ValueError, match="phi_seed"):
-            levy_leblond_solve([0, 0, 0.2], FREE, phi_seed=seed)
+        # phi is fixed along (1, 0); at k along z, sigma_z phi = phi
+        sol = levy_leblond_solve([0, 0, 0.2], FREE)
+        assert sol.phi[1] == 0.0 and sol.phi[0].real > 0.0
+        np.testing.assert_allclose(sol.chi, 0.1 * sol.phi, rtol=1e-15)
 
     @pytest.mark.parametrize(
         "k", [np.nan, np.inf, -np.inf, [0.0, np.nan, 0.0], [np.inf, 0.0, 0.0]]
@@ -169,13 +166,9 @@ class TestLevyLeblond:
             levy_leblond_solve(1e200, FREE)
         with pytest.raises(ValueError, match="overflow"):
             levy_leblond_solve(1e145, NonRelParams(m0=1e-10))
-
-    @pytest.mark.parametrize("scale", [1e-320, 1e300])
-    def test_seed_scale_is_irrelevant(self, scale):
-        sol = levy_leblond_solve([0, 0, 0.2], FREE, phi_seed=[0.0, 1.0])
-        scaled = levy_leblond_solve([0, 0, 0.2], FREE, phi_seed=[0.0, scale])
-        np.testing.assert_array_equal(scaled.phi, sol.phi)
-        np.testing.assert_array_equal(scaled.chi, sol.chi)
+        # |k|^2 finite, |k|^2 / 2m0 not: the energy division overflows
+        with pytest.raises(ValueError, match="overflow"):
+            levy_leblond_solve(1e150, NonRelParams(m0=1e-10))
 
 
 class TestLimitError:
