@@ -20,7 +20,6 @@ return an array of shape (...).  levy_leblond_solve takes one momentum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -129,22 +128,31 @@ def levy_leblond_solve(k, params: NonRelParams) -> LevyLeblondSolution:
     k3 = _as_k3(k)
     if not np.isfinite(k3).all():
         raise ValueError(f"k must be finite, got {k}")
-    phi = np.array([1.0, 0.0], dtype=np.complex128)
-    # an overflowing energy, chi or norm gives inf or NaN, rejected below
-    with np.errstate(over="ignore", invalid="ignore"):
-        energy = _levy_leblond_energy(k3, params)
-        chi = (_sigma_dot(k3 + params.c_tilde) @ phi) / (2.0 * params.m0)
-        norm = np.sqrt(np.vdot(phi, phi).real + np.vdot(chi, chi).real)
-    energy = _value(energy)
-    if not math.isfinite(norm):
-        raise ValueError("the spinor norm is not finite: the inputs overflow double precision")
-    return LevyLeblondSolution(energy, phi / norm, chi / norm)
+    return LevyLeblondSolution(*_levy_leblond_spinors(k3, params))
 
 
 def _levy_leblond_energy(k, params):
     """levy_leblond_solve's energy |k + shift|^2 / 2m0 - eps_tilde, for
     one momentum or a (..., 3) stack."""
     return _k2(k, params.c_tilde) / (2.0 * params.m0) - params.eps_tilde
+
+
+def _levy_leblond_spinors(k, params):
+    """levy_leblond_solve's energy, phi and chi for one momentum or a
+    (T, 3) stack with a _NonRelStack: energies (T,), spinors (T, 2)."""
+    phi = np.zeros(np.shape(k)[:-1] + (2,), dtype=np.complex128)
+    phi[..., 0] = 1.0
+    two_m0 = 2.0 * np.asarray(params.m0)[..., None]
+    # an overflowing energy, chi or norm gives inf or NaN, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = _levy_leblond_energy(k, params)
+        kk = k + params.c_tilde
+        chi = (_sigma_dot(kk) @ phi[..., None])[..., 0] / two_m0
+        norm = np.sqrt(1.0 + np.sum(np.abs(chi) ** 2, axis=-1))[..., None]
+    energy = _value(energy)
+    if not np.isfinite(norm).all():
+        raise ValueError("the spinor norm is not finite: the inputs overflow double precision")
+    return energy, phi / norm, chi / norm
 
 
 def dirac_energy(k, params: NonRelParams, branch: int = +1) -> float | np.ndarray:

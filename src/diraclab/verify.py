@@ -31,12 +31,13 @@ from .invariance import (
     _zeta,
     verify_phi0_uniqueness,
 )
-from .nonrel import _levy_leblond_energy, _nonrel_stack, pauli_energy
+from .nonrel import _levy_leblond_spinors, _nonrel_stack
 from .operators import (
     _dirac_square_residuals,
     _hamiltonian,
     _plane_waves,
     _shift,
+    _sigma_dot,
     dispersion,
 )
 from .poincare import _covariance_residuals, _reps
@@ -202,7 +203,12 @@ def _levy_leblond(rng, n):
     u = _uniform(rng, n, ((0.2, 4.0), (-1.0, 1.0)) + ((-1.0, 1.0),) * 6)
     params = _nonrel_stack(u[:, 0], u[:, 1], u[:, 2:5])
     k = np.ascontiguousarray(u[:, 5:])
-    return np.abs(_levy_leblond_energy(k, params) - pauli_energy(k, params))
+    energy, phi, chi = _levy_leblond_spinors(k, params)
+    # The first linked equation, (e + eps_tilde) phi = sigma.K chi with
+    # chi = sigma.K phi / 2m0: it holds when (sigma.K)^2 = K^2 agrees with
+    # the energy formula e = K^2 / 2m0 - eps_tilde, the Pauli energy.
+    sigma_k_chi = (_sigma_dot(k + params.c_tilde) @ chi[..., None])[..., 0]
+    return _per_trial(np.abs((energy + params.eps_tilde)[:, None] * phi - sigma_k_chi))
 
 
 def run_verification(trials: int = 200, seed: int = 42, tol: float | None = None) -> list[CheckResult]:

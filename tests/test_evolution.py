@@ -1,9 +1,13 @@
 """Spectral evolution: construction, unitarity, phases, group velocity."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from diraclab import evolution
 from diraclab.evolution import (
     SpectralPropagator,
     WavePacket,
@@ -183,6 +187,16 @@ class TestClosedFormPropagator:
                 u = expm(-1j * hamiltonian_matrix([0.0, 0.0, k[m]], params) * t)
                 np.testing.assert_allclose(out[m], u @ psi_k[m], rtol=0, atol=1e-12)
 
+    def test_coefficients_stay_unitary_at_long_times(self):
+        # cos^2 + (w sin_over_w)^2 = 1 to roundoff when sin and cos take the
+        # same argument w*t, also where w*t is in the hundreds
+        params = GeneralizedParams.from_physical(1.23, 0.31, (0.0, 0.0, 0.12))
+        prop = SpectralPropagator(4096, 800.0, params)
+        for t in (0.5, 77.25, 499.5, -500.0):
+            cos, sin_over_w = prop._coefficients(t)
+            defect = np.abs(cos) ** 2 + np.abs(prop._w * sin_over_w) ** 2 - 1.0
+            assert np.max(np.abs(defect)) <= 2e-15
+
     def test_composition(self):
         params = GeneralizedParams.from_physical(0.8, 0.3, (0.1, 0.2, -0.5))
         prop = SpectralPropagator(self.N, self.LENGTH, params)
@@ -307,3 +321,78 @@ def test_trajectory_matches_per_sample_loop_and_evolve(params, k0, dt, steps, sa
     direct = evolve(packet, params, dt, steps)
     np.testing.assert_array_equal(result.packet.values, direct.values)
     assert result.packet.time == direct.time == times[-1]
+
+
+def assert_rows_match_evolve(result, packet, params, dt, steps, sample_every, rows):
+    for j in rows:
+        expected = observables(evolve(packet, params, dt, min(j * sample_every, steps)))
+        got = [result.norms[j], result.mean_x[j], result.spreads[j], result.mean_k[j]]
+        np.testing.assert_allclose(
+            got, [expected.norm, expected.mean_x, expected.spread, expected.mean_k],
+            rtol=1e-13, atol=0, err_msg=f"row {j}",
+        )
+
+
+def test_phase_table_rows_match_evolve_across_blocks():
+    # More than three blocks of samples, several steps per sample and a
+    # partial last step: rows on both sides of each block boundary, where
+    # the block factor is refreshed, and the last row match evolve.
+    params = GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6))
+    packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, params=params)
+    block, sample_every = evolution._BLOCK, 3
+    steps = sample_every * (3 * block + 2) + 2
+    dt = 0.37
+    result = trajectory(packet, params, dt, steps, sample_every)
+    last = result.times.size - 1
+    assert last == 3 * block + 3
+    rows = [1, block - 1, block, block + 1, 2 * block, 3 * block, last - 1, last]
+    assert_rows_match_evolve(result, packet, params, dt, steps, sample_every, rows)
+    np.testing.assert_array_equal(result.packet.values, evolve(packet, params, dt, steps).values)
+
+
+def test_massless_zero_mode_on_the_phase_table():
+    # m0 = 0 and p_tilde = -k[m]: grid mode m has w = 0 exactly, where the
+    # table path reads sin(wt)/w as 0 (H0 = 0 there) and evolve as t.
+    n, length, m = 256, 64.0, 5
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+    params = GeneralizedParams.from_physical(0.0, 0.7, (0.0, 0.0, -k[m]))
+    prop = SpectralPropagator(n, length, params)
+    assert prop._w[m] == 0.0
+    cos, sin_over_w = prop._coefficients(2.5)
+    assert sin_over_w[m] == 2.5 * cos[m]  # the limit t of sin(wt)/w, times the phase
+    packet = init_gaussian(n, length, 32.0, 0.3, width=4.0, params=params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = trajectory(packet, params, 0.45, 60, sample_every=2)
+    table = np.column_stack([result.norms, result.mean_x, result.spreads, result.mean_k])
+    assert np.isfinite(table).all()
+    assert_rows_match_evolve(result, packet, params, 0.45, 60, 2, range(result.times.size))
+
+
+def dense_packet():
+    # the evolve_dense benchmark's grid and packet
+    params = GeneralizedParams.from_physical(1.23, 0.31, (0.0, 0.0, 0.12))
+    return init_gaussian(4096, 800.0, 100.0, 0.55, width=10.0, params=params), params
+
+
+def test_norm_is_conserved_over_a_long_dense_trajectory():
+    packet, params = dense_packet()
+    result = trajectory(packet, params, 0.5, 1000)
+    assert np.max(np.abs(result.norms - 1.0)) <= 4e-15
+
+
+def test_trajectory_memory_peak_does_not_grow_with_steps():
+    # Samples reuse their buffers: the traced peak stays under a fixed
+    # bound and the same for 20 and 400 steps.
+    packet, params = dense_packet()
+    trajectory(packet, params, 0.5, 2)  # numpy's one-time FFT setup
+    peaks = []
+    for steps in (20, 400):
+        tracemalloc.start()
+        try:
+            trajectory(packet, params, 0.5, steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 3.5 * 2**20
+    assert abs(peaks[1] - peaks[0]) <= 64 * 2**10

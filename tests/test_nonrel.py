@@ -12,6 +12,7 @@ from diraclab.invariance import GeneralizedParams
 from diraclab.nonrel import (
     NonRelParams,
     _levy_leblond_energy,
+    _levy_leblond_spinors,
     _nonrel_stack,
     dirac_energy,
     kinetic_minus_rest,
@@ -377,9 +378,12 @@ def test_stacked_params_rows_equal_one_parameter_set():
                      rng.uniform(-1, 1, (9, 3)), rng.uniform(-1, 1, (9, 3)))
     stack = _nonrel_stack(m0, eps, c)
     ll, pauli_stack = _levy_leblond_energy(k, stack), pauli_energy(k, stack)
+    energy, phi, chi = _levy_leblond_spinors(k, stack)
     for i in range(9):
         one = NonRelParams(m0=m0[i], eps_tilde=eps[i], c_tilde=c[i])
-        assert ll[i] == levy_leblond_solve(k[i], one).energy
+        sol = levy_leblond_solve(k[i], one)
+        assert ll[i] == energy[i] == sol.energy
+        assert phi[i].tobytes() == sol.phi.tobytes() and chi[i].tobytes() == sol.chi.tobytes()
         assert pauli_stack[i] == pauli_energy(k[i], one)
     with pytest.raises(ValueError, match="positive"):
         _nonrel_stack(np.where(np.arange(9) == 4, 0.0, m0), eps, c)

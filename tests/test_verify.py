@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 import diraclab.invariance as invariance
+import diraclab.nonrel as nonrel
 import diraclab.verify as verify
 from diraclab.invariance import _reduce
 from diraclab.verify import format_report, report_header, run_verification
 
 # `verify --trials 500` at seeds 1, 7 and 42, as the per-trial loops printed
 # them before the checks ran on stacks.  A changed digit here is a changed
-# residual: name it, do not regenerate the report.
+# residual: name it, do not regenerate the report.  levy_leblond_vs_pauli
+# reads the linked-pair defect of the solved spinors; it read exactly 0
+# while it compared two copies of one energy formula.
 GOLDEN = {
     1: """\
 # diraclab verify trials=500 seed=1
@@ -31,7 +34,7 @@ CHECK hamiltonian_hermiticity max_residual=0.000000e+00 PASS
 CHECK dispersion_vs_eigensolver max_residual=7.993606e-15 PASS
 CHECK dirac_square_kg max_residual=1.421085e-14 PASS
 CHECK gauge_map_roundtrip max_residual=8.950904e-16 PASS
-CHECK levy_leblond_vs_pauli max_residual=0.000000e+00 PASS
+CHECK levy_leblond_vs_pauli max_residual=4.580230e-16 PASS
 """,
     7: """\
 # diraclab verify trials=500 seed=7
@@ -51,7 +54,7 @@ CHECK hamiltonian_hermiticity max_residual=0.000000e+00 PASS
 CHECK dispersion_vs_eigensolver max_residual=6.217249e-15 PASS
 CHECK dirac_square_kg max_residual=1.421085e-14 PASS
 CHECK gauge_map_roundtrip max_residual=1.776574e-15 PASS
-CHECK levy_leblond_vs_pauli max_residual=0.000000e+00 PASS
+CHECK levy_leblond_vs_pauli max_residual=4.490358e-16 PASS
 """,
     42: """\
 # diraclab verify trials=500 seed=42
@@ -71,7 +74,7 @@ CHECK hamiltonian_hermiticity max_residual=0.000000e+00 PASS
 CHECK dispersion_vs_eigensolver max_residual=6.217249e-15 PASS
 CHECK dirac_square_kg max_residual=1.421085e-14 PASS
 CHECK gauge_map_roundtrip max_residual=1.777224e-15 PASS
-CHECK levy_leblond_vs_pauli max_residual=0.000000e+00 PASS
+CHECK levy_leblond_vs_pauli max_residual=4.494792e-16 PASS
 """,
 }
 
@@ -158,3 +161,24 @@ def test_blocks_draw_and_check_like_one_stack(monkeypatch):
     r = invariance._blockwise(lambda rng, n: sizes.append(n) or np.zeros(n), None, 40)
     assert sizes == [7] * 5 + [5] and r.shape == (40,)
     assert run_verification(40, 3) == whole
+
+
+def test_levy_leblond_check_sees_a_wrong_energy_or_spinor(monkeypatch):
+    # The linked-pair defect (e + eps_tilde) phi - sigma.K chi must read a
+    # 1e-9 error in the energy, or in chi relative to phi, past the gate.
+    energy, spinors = nonrel._levy_leblond_energy, verify._levy_leblond_spinors
+
+    def chi_off(k, p):
+        e, phi, chi = spinors(k, p)
+        return e, phi, chi * (1 + 1e-9)
+
+    for target, name, wrong in (
+        (nonrel, "_levy_leblond_energy", lambda k, p: energy(k, p) + 1e-9),
+        (verify, "_levy_leblond_spinors", chi_off),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(target, name, wrong)
+            result = run_verification(50, 3)[-1]
+        assert result.name == "levy_leblond_vs_pauli"
+        assert not result.passed and result.max_residual > 1e-11, name
+    assert run_verification(50, 3)[-1].passed
