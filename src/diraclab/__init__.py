@@ -61,7 +61,6 @@ from .nonrel import (
 )
 from .evolution import (
     Observables,
-    SpectralPropagator,
     TrajectoryResult,
     WavePacket,
     evolve,

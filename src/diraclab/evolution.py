@@ -11,13 +11,15 @@ w = sqrt(m0^2 + |k + p_tilde|^2), the propagator has the closed form
 at each requested time from the initial coefficients: no time-step error,
 and the roundoff does not grow with the number of samples.  H0 and w on
 the grid come from operators (_h0, _k2, _w), the one place that defines
-them.  evolve evaluates cos(w t) and sin(w t) / w.  trajectory drops the
-global phase exp(i eps_tilde t), which no |psi|^2 observable sees, and
-reads exp(i w t) for its samples from a phase table (one np.exp per B
-samples, no trig call per sample); its last sample is evolve's arithmetic,
-so the packet it returns equals evolve's bit for bit.  A trajectory sample
-costs one inverse FFT into a reused buffer; its mean_k comes from the
-spectral coefficients.  Grid conventions:
+them.  _Spectrum holds a packet's psi0 and -i H0 psi0 with w and 1/w, and
+its one state routine forms Re(z) psi0 + Im(z)/w (-i H0 psi0) from
+z = exp(i w t).  evolve, and trajectory's last sample, pass the global
+phase exp(i eps_tilde t) with z, so the packet trajectory returns equals
+evolve's bit for bit; trajectory's other samples drop that phase, which
+no |psi|^2 observable sees, and read z from a phase table (one np.exp per
+B samples, no trig call per sample).  A state costs one inverse FFT into a
+reused buffer; a sample's mean_k comes from its spectral coefficients.
+Grid conventions:
 
 * samples live at x_i = i * L / n for i = 0..n-1 with n a power of two;
 * grid momenta are 2*pi*fftfreq(n, L/n), i.e. FFT ordering covering
@@ -45,7 +47,6 @@ __all__ = [
     "Observables",
     "observables",
     "init_gaussian",
-    "SpectralPropagator",
     "evolve",
     "TrajectoryResult",
     "trajectory",
@@ -53,8 +54,13 @@ __all__ = [
 ]
 
 
+def _is_count(value, least: int) -> bool:
+    """value is an integer (a numpy integer too) of at least `least`."""
+    return isinstance(value, (int, np.integer)) and value >= least
+
+
 def _check_grid(n: int, length: float) -> None:
-    if n < 64 or (n & (n - 1)) != 0:
+    if not _is_count(n, 64) or (n & (n - 1)) != 0:
         raise ValueError(f"n must be a power of two >= 64, got {n}")
     if not (math.isfinite(length) and length > 0.0):
         raise ValueError(f"length must be positive and finite, got {length}")
@@ -183,52 +189,58 @@ def _check_span(time: float, dt: float, steps: int) -> None:
         raise ValueError(f"time {time} + dt*steps ({dt}*{steps}) overflows double precision")
 
 
-class SpectralPropagator:
-    """Closed-form mode-wise propagator for one (grid, params) pair."""
+def _unit_phase(w: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+    """exp(i w t) per mode, written into the complex array `out`."""
+    out.real = 0.0
+    np.multiply(w, t, out=out.imag)
+    return np.exp(out, out=out)
 
-    def __init__(self, n: int, length: float, params: GeneralizedParams):
-        self.n = n
-        self.length = length
-        self.params = params
-        k = np.zeros((n, 3))
-        k[:, 2] = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
-        self._h0 = _h0(k, params)
-        self._w = _w(_k2(k, params.p_tilde), params.m0)
-        # 1/w, and 0 on a w = 0 mode (massless at k + p = 0), where H0 = 0
-        self._inv_w = np.divide(1.0, self._w, out=np.zeros(n), where=self._w != 0.0)
 
-    def _minus_i_h0(self, psi_k: np.ndarray) -> np.ndarray:
-        """-i H0 applied mode by mode to (n, 4) coefficients."""
-        return -1j * (self._h0 @ psi_k[:, :, None])[:, :, 0]
+class _Spectrum:
+    """A packet's spectral coefficients psi0 and -i H0 psi0, spinor-major
+    (4, n), with w and 1/w per mode, and the work buffers of the states
+    built from them.  1/w is 0 on a w = 0 mode (massless at k + p = 0),
+    where H0 = 0 and so is the term it scales."""
 
-    def _coefficients(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-mode cos(wt) and sin(wt)/w, each times the phase exp(i eps t):
-        exp(-i H t) psi = cos * psi + sin_over_w * (-i H0 psi)."""
-        wt = self._w * t
-        phase = np.exp(1j * self.params.eps_tilde * t)
-        sin_over_w = np.sin(wt) * self._inv_w
-        sin_over_w[self._w == 0.0] = t  # the limit of sin(wt)/w at w = 0
-        return phase * np.cos(wt), phase * sin_over_w
+    def __init__(self, packet: WavePacket, params: GeneralizedParams):
+        k = np.zeros((packet.n, 3))
+        k[:, 2] = packet.k
+        self.w = _w(_k2(k, params.p_tilde), params.m0)
+        self.inv_w = np.divide(1.0, self.w, out=np.zeros(packet.n), where=self.w != 0.0)
+        self.eps_tilde = params.eps_tilde
+        psi0 = np.fft.fft(packet.values, axis=0)
+        minus_i_h0_psi0 = -1j * (_h0(k, params) @ psi0[:, :, None])[:, :, 0]
+        self.psi0 = np.ascontiguousarray(psi0.T)
+        self.minus_i_h0_psi0 = np.ascontiguousarray(minus_i_h0_psi0.T)
+        self._psi_k, self._values = np.empty_like(self.psi0), np.empty_like(self.psi0)
 
-    def advance(self, psi_k: np.ndarray, t: float) -> np.ndarray:
-        """One-shot exact advance of (n, 4) spectral coefficients by time t."""
-        cos, sin_over_w = self._coefficients(t)
-        return cos[:, None] * psi_k + sin_over_w[:, None] * self._minus_i_h0(psi_k)
+    def state(self, re, im_over_w) -> tuple[np.ndarray, np.ndarray]:
+        """re * psi0 + im_over_w * (-i H0 psi0), per mode, and its inverse
+        FFT: the state's (values, spectral coefficients), in reused buffers."""
+        np.multiply(re, self.psi0, out=self._psi_k)
+        np.multiply(im_over_w, self.minus_i_h0_psi0, out=self._values)
+        np.fft.ifft(np.add(self._psi_k, self._values, out=self._psi_k), out=self._values)
+        return self._values, self._psi_k
+
+    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The state exp(-i H t) psi0, global phase exp(i eps t) included."""
+        z = _unit_phase(self.w, t, np.empty(self.w.size, dtype=np.complex128))
+        phase = np.exp(1j * self.eps_tilde * t)
+        return self.state(phase * z.real, phase * (z.imag * self.inv_w))
 
 
 def evolve(
     packet: WavePacket, params: GeneralizedParams, dt: float, steps: int = 1
 ) -> WavePacket:
     """Advance a packet by dt*steps with the exact mode-wise propagator."""
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+    if not _is_count(steps, 0):
+        raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
     _check_span(packet.time, dt, steps)
-    propagator = SpectralPropagator(packet.n, packet.length, params)
-    psi_k = np.fft.fft(packet.values, axis=0)
+    spectrum = _Spectrum(packet, params)
     # a span whose phase w*t overflows gives NaN values, which WavePacket rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.fft.ifft(propagator.advance(psi_k, dt * steps), axis=0)
-    return WavePacket(packet.n, packet.length, values, packet.time + dt * steps)
+        values, _ = spectrum.at(dt * steps)
+    return WavePacket(packet.n, packet.length, values.T, packet.time + dt * steps)
 
 
 @dataclass(frozen=True)
@@ -246,13 +258,6 @@ class TrajectoryResult:
 
 # Samples per block of trajectory's phase table.
 _BLOCK = 8
-
-
-def _unit_phase(w: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
-    """exp(i w t) per mode, written into the complex array `out`."""
-    out.real = 0.0
-    np.multiply(w, t, out=out.imag)
-    return np.exp(out, out=out)
 
 
 def _phase_table(w: np.ndarray, tau: float, samples: int):
@@ -285,53 +290,41 @@ def trajectory(
 
     Sample j is the closed-form propagator applied to the initial spectral
     coefficients psi0 at t_j = j * tau, tau = dt * sample_every, so samples
-    carry no roundoff from earlier ones.  The global phase exp(i eps t)
-    drops out of every observable, so a sample needs only z_j = exp(i w t_j):
+    carry no roundoff from earlier ones.  Every sample is _Spectrum's one
+    state formula with z_j = exp(i w t_j):
 
         psi_j = Re(z_j) * psi0 + Im(z_j) / w * (-i H0 psi0)
 
-    with Im(z_j) / w read as 0 on a w = 0 mode, where H0 = 0.  z_j comes
-    from a phase table (_phase_table), with no trig call per sample and an
-    error of a few roundings whatever the sample count; a sample's
-    observables agree with those of evolve over the same span to 1e-13
-    relative, and its norm stays within a few ulp of the initial one.  Each
-    sample costs one inverse FFT into a reused buffer, and mean_k is read
-    from its spectral coefficients.  The initial state is the first sample.
-    The last sample, after `steps` steps, is evolve's arithmetic, so the
-    returned packet equals evolve(packet, params, dt, steps) bit for bit.
+    The global phase exp(i eps t) drops out of every observable, so the
+    samples leave it out and read z_j from a phase table (_phase_table),
+    with no trig call per sample and an error of a few roundings whatever
+    the sample count; a sample's observables agree with those of evolve
+    over the same span to 1e-13 relative, and its norm stays within a few
+    ulp of the initial one.  Each sample costs one inverse FFT into a
+    reused buffer, and mean_k is read from its spectral coefficients.  The
+    initial state is the first sample.  The last sample, after `steps`
+    steps, passes the global phase and z as evolve does, so the returned
+    packet equals evolve(packet, params, dt, steps) bit for bit.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    if not _is_count(steps, 1):
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    if not _is_count(sample_every, 1):
+        raise ValueError(f"sample_every must be an integer >= 1, got {sample_every!r}")
     _check_span(packet.time, dt, steps)
-    prop = SpectralPropagator(packet.n, packet.length, params)
-    psi0_k = np.fft.fft(packet.values, axis=0)
-    minus_i_h0_psi0 = np.ascontiguousarray(prop._minus_i_h0(psi0_k).T)
-    psi0_k = np.ascontiguousarray(psi0_k.T)
+    spectrum = _Spectrum(packet, params)
     moments = _Moments(packet)
-    # work buffers: a sample's coefficients, and its values, which first
-    # hold the second term of the coefficients' sum
-    psi_k, values = np.empty_like(psi0_k), np.empty_like(psi0_k)
 
     done = np.minimum(np.arange(0, steps + sample_every, sample_every), steps)
     times = packet.time + dt * done
     last = done.size - 1
     table = np.empty((done.size, 4))
-    table[0] = moments(packet.values.T, psi0_k)
+    table[0] = moments(packet.values.T, spectrum.psi0)
     # a time whose phase w*t overflows gives NaN samples, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, z in enumerate(_phase_table(prop._w, dt * sample_every, last), start=1):
-            np.multiply(z.imag, prop._inv_w, out=z.imag)  # sin(w t_j) / w
-            np.multiply(z.real, psi0_k, out=psi_k)
-            np.multiply(z.imag, minus_i_h0_psi0, out=values)
-            np.fft.ifft(np.add(psi_k, values, out=psi_k), out=values)
-            table[j] = moments(values, psi_k)
-        # the last sample as evolve computes it, operand order included
-        cos, sin_over_w = prop._coefficients(dt * steps)
-        np.multiply(cos, psi0_k, out=psi_k)
-        np.multiply(sin_over_w, minus_i_h0_psi0, out=values)
-        np.fft.ifft(np.add(psi_k, values, out=psi_k), out=values)
+        for j, z in enumerate(_phase_table(spectrum.w, dt * sample_every, last), start=1):
+            im_over_w = np.multiply(z.imag, spectrum.inv_w, out=z.imag)
+            table[j] = moments(*spectrum.state(z.real, im_over_w))
+        values, psi_k = spectrum.at(dt * steps)
         table[last] = moments(values, psi_k)
     if not np.isfinite(table).all():
         raise ValueError("trajectory is not finite: the inputs overflow double precision")

@@ -131,25 +131,19 @@ def levy_leblond_solve(k, params: NonRelParams) -> LevyLeblondSolution:
     return LevyLeblondSolution(*_levy_leblond_spinors(k3, params))
 
 
-def _levy_leblond_energy(k, params):
-    """levy_leblond_solve's energy |k + shift|^2 / 2m0 - eps_tilde, for
-    one momentum or a (..., 3) stack."""
-    return _k2(k, params.c_tilde) / (2.0 * params.m0) - params.eps_tilde
-
-
 def _levy_leblond_spinors(k, params):
     """levy_leblond_solve's energy, phi and chi for one momentum or a
-    (T, 3) stack with a _NonRelStack: energies (T,), spinors (T, 2)."""
+    (T, 3) stack with a _NonRelStack: energies (T,), spinors (T, 2).  The
+    energy is the Pauli energy, which rejects an overflow."""
+    energy = pauli_energy(k, params)
     phi = np.zeros(np.shape(k)[:-1] + (2,), dtype=np.complex128)
     phi[..., 0] = 1.0
     two_m0 = 2.0 * np.asarray(params.m0)[..., None]
-    # an overflowing energy, chi or norm gives inf or NaN, rejected below
+    # an overflowing chi or norm gives inf or NaN, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = _levy_leblond_energy(k, params)
         kk = k + params.c_tilde
         chi = (_sigma_dot(kk) @ phi[..., None])[..., 0] / two_m0
         norm = np.sqrt(1.0 + np.sum(np.abs(chi) ** 2, axis=-1))[..., None]
-    energy = _value(energy)
     if not np.isfinite(norm).all():
         raise ValueError("the spinor norm is not finite: the inputs overflow double precision")
     return energy, phi / norm, chi / norm

@@ -1,8 +1,13 @@
 """Package-level import surface and the value types' array contract."""
 
+import contextlib
 import importlib
+import io
 import pkgutil
+import re
 import types
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +38,7 @@ PUBLIC = {
     # evolution
     "WavePacket", "Observables", "TrajectoryResult", "init_gaussian",
     "observables", "evolve", "trajectory",
-    "SpectralPropagator", "write_trajectory_csv",
+    "write_trajectory_csv",
     # verification
     "run_verification", "format_report",
 }
@@ -57,6 +62,21 @@ def test_every_module_all_entry_resolves():
         module = importlib.import_module(f"diraclab.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, f"diraclab.{info.name}.__all__ lists undefined names: {missing}"
+
+
+def test_readme_quickstart_runs():
+    # The README's one python block uses the public names it shows; run it
+    # with every warning an error.  Its first two lines print the same
+    # energy, from the eigensolver and from the closed form.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    stdout = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout):
+        warnings.simplefilter("error")
+        exec(compile(block, "README.md", "exec"), {})
+    lines = stdout.getvalue().splitlines()
+    assert lines[0] == lines[1]
+    assert float(lines[0]) == pytest.approx(0.530776, abs=1e-6)  # as the README says
 
 
 @pytest.mark.parametrize(

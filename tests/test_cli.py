@@ -92,6 +92,16 @@ def assert_csv_close(out, reference, exact_columns):
             )
 
 
+def assert_mass_rejected(capsys, argv, path):
+    """argv exits 2 with an m0 error and writes nothing, to stdout or to -o."""
+    for extra in ([], ["-o", str(path)]):
+        code, out, err = run_main(capsys, [*argv, *extra])
+        assert code == 2
+        assert out == ""
+        assert "m0 must be positive" in err
+    assert not path.exists()
+
+
 class TestMatrixFiles:
     def test_identity_file(self, tmp_path):
         path = tmp_path / "identity.mat"
@@ -276,6 +286,12 @@ class TestDispersionCommand:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("m0", ["0", "-1"])
+    def test_non_positive_mass_exits_2_without_output(self, capsys, tmp_path, m0):
+        # the Pauli columns divide by 2 m0, so the domain is m0 > 0
+        argv = ["dispersion", f"--m0={m0}", "--k-min", "0", "--k-max", "1", "--steps", "3"]
+        assert_mass_rejected(capsys, argv, tmp_path / "disp.csv")
+
 
 class TestEvolveCommand:
     def test_trajectory_csv(self, capsys):
@@ -332,14 +348,23 @@ class TestEvolveCommand:
             ("--n", "-64", "n must be"),
             ("--length", "0", "length must be"),
             ("--length", "-100", "length must be"),
+            # the mass domain is m0 >= 0; --m0 0 is the massless packet
+            ("--m0", "-1", "nonnegative"),
         ],
     )
-    def test_out_of_range_input_exits_2_without_output(self, capsys, flag, value, message):
+    def test_out_of_range_input_exits_2_without_output(
+        self, capsys, tmp_path, flag, value, message
+    ):
         argv = {**self.ARGV, flag: value}
-        code, out, err = run_main(capsys, ["evolve", *(x for kv in argv.items() for x in kv)])
-        assert code == 2
-        assert out == ""
-        assert message in err
+        path = tmp_path / "trajectory.csv"
+        for extra in ([], ["-o", str(path)]):
+            code, out, err = run_main(
+                capsys, ["evolve", *(x for kv in argv.items() for x in kv), *extra]
+            )
+            assert code == 2
+            assert out == ""
+            assert message in err
+        assert not path.exists()
 
     def test_massless_packet_moves_at_light_speed(self, capsys):
         code, out, err = run_main(
@@ -407,6 +432,12 @@ class TestLimitCommand:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("m0", ["0", "-1"])
+    def test_non_positive_mass_exits_2_without_output(self, capsys, tmp_path, m0):
+        # the pauli_kinetic column divides by 2 m0, so the domain is m0 > 0
+        argv = ["limit", f"--m0={m0}", "--k-max", "0.1", "--points", "3"]
+        assert_mass_rejected(capsys, argv, tmp_path / "limit.csv")
 
     def test_relativistic_momentum_writes_nothing(self, capsys, tmp_path):
         argv = ["limit", "--m0", "1", "--k-max", "5", "--points", "4"]

@@ -9,7 +9,6 @@ from scipy.linalg import expm
 
 from diraclab import evolution
 from diraclab.evolution import (
-    SpectralPropagator,
     WavePacket,
     evolve,
     init_gaussian,
@@ -32,6 +31,10 @@ def test_packet_validation():
         WavePacket(n=128, length=-1.0, values=vals)
     with pytest.raises(ValueError):
         WavePacket(n=128, length=10.0, values=np.zeros((128, 3), dtype=complex))
+    # n must be an integer, a numpy integer included
+    with pytest.raises(ValueError, match="n must be"):
+        WavePacket(n=64.0, length=10.0, values=np.zeros((64, 4), dtype=complex))
+    assert WavePacket(n=np.int64(64), length=10.0, values=np.zeros((64, 4))).n == 64
 
 
 def test_init_resolution_guards():
@@ -40,6 +43,8 @@ def test_init_resolution_guards():
     with pytest.raises(ValueError):
         # momentum support hits the Nyquist bin
         init_gaussian(128, 100.0, 50.0, 3.9, width=10.0, params=STD)
+    with pytest.raises(ValueError, match="n must be"):
+        init_gaussian(128.0, 100.0, 50.0, 0.5, width=10.0, params=STD)
 
 
 def test_init_observables():
@@ -112,6 +117,16 @@ def test_trajectory_sampling_layout():
     np.testing.assert_allclose(result.times, [0.0, 0.3, 0.6, 0.9, 1.0])
     with pytest.raises(ValueError):
         trajectory(packet, STD, dt=0.1, steps=0)
+    # step counts are integers: a fractional count would sample off the dt grid
+    with pytest.raises(ValueError, match="steps"):
+        trajectory(packet, STD, dt=0.1, steps=2.5)
+    with pytest.raises(ValueError, match="sample_every"):
+        trajectory(packet, STD, dt=0.1, steps=3, sample_every=1.5)
+    with pytest.raises(ValueError, match="steps"):
+        evolve(packet, STD, 0.1, steps=2.5)
+    counted = trajectory(packet, STD, 0.1, np.int64(10), sample_every=np.int32(3))
+    np.testing.assert_array_equal(counted.times, result.times)
+    assert evolve(packet, STD, 0.1, np.int64(10)).time == result.packet.time
 
 
 def fitted_velocity(params, k0, t_total, n, length, width):
@@ -164,9 +179,10 @@ def test_gauge_map_density_equivalence():
 class TestClosedFormPropagator:
     N, LENGTH = 64, 16.0 * np.pi  # grid momenta are multiples of 1/8
 
-    def random_spectrum(self, seed):
+    def random_packet(self, seed):
         rng = np.random.default_rng(seed)
-        return rng.normal(size=(self.N, 4)) + 1j * rng.normal(size=(self.N, 4))
+        psi_k = rng.normal(size=(self.N, 4)) + 1j * rng.normal(size=(self.N, 4))
+        return WavePacket(self.N, self.LENGTH, np.fft.ifft(psi_k, axis=0))
 
     @pytest.mark.parametrize(
         "params",
@@ -177,32 +193,38 @@ class TestClosedFormPropagator:
         ],
         ids=["generalized", "massless"],
     )
-    def test_advance_matches_dense_exponential(self, params):
-        prop = SpectralPropagator(self.N, self.LENGTH, params)
+    def test_evolve_matches_dense_exponential(self, params):
         k = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.LENGTH / self.N)
-        psi_k = self.random_spectrum(91)
+        packet = self.random_packet(91)
+        psi_k = np.fft.fft(packet.values, axis=0)
         for t in (0.0, 0.37, -2.9):
-            out = prop.advance(psi_k, t)
+            out = np.fft.fft(evolve(packet, params, t).values, axis=0)
             for m in range(self.N):
                 u = expm(-1j * hamiltonian_matrix([0.0, 0.0, k[m]], params) * t)
                 np.testing.assert_allclose(out[m], u @ psi_k[m], rtol=0, atol=1e-12)
 
     def test_coefficients_stay_unitary_at_long_times(self):
-        # cos^2 + (w sin_over_w)^2 = 1 to roundoff when sin and cos take the
-        # same argument w*t, also where w*t is in the hundreds
+        # Re(z)^2 + Im(z)^2 = 1 to roundoff for z = exp(i w t), the phase
+        # evolve and trajectory take their coefficients from, also where
+        # w*t is in the hundreds
         params = GeneralizedParams.from_physical(1.23, 0.31, (0.0, 0.0, 0.12))
-        prop = SpectralPropagator(4096, 800.0, params)
+        packet = init_gaussian(4096, 800.0, 100.0, 0.55, width=10.0, params=params)
+        w = evolution._Spectrum(packet, params).w
+        z = np.empty(w.size, dtype=complex)
         for t in (0.5, 77.25, 499.5, -500.0):
-            cos, sin_over_w = prop._coefficients(t)
-            defect = np.abs(cos) ** 2 + np.abs(prop._w * sin_over_w) ** 2 - 1.0
+            evolution._unit_phase(w, t, z)
+            defect = np.abs(z.real) ** 2 + np.abs(z.imag) ** 2 - 1.0
             assert np.max(np.abs(defect)) <= 2e-15
 
     def test_composition(self):
         params = GeneralizedParams.from_physical(0.8, 0.3, (0.1, 0.2, -0.5))
-        prop = SpectralPropagator(self.N, self.LENGTH, params)
-        psi_k = self.random_spectrum(92)
-        two_steps = prop.advance(prop.advance(psi_k, 1.9), 3.4)
-        np.testing.assert_allclose(two_steps, prop.advance(psi_k, 5.3), rtol=0, atol=1e-12)
+        packet = self.random_packet(92)
+        two_steps = evolve(evolve(packet, params, 1.9), params, 3.4)
+        np.testing.assert_allclose(
+            np.fft.fft(two_steps.values, axis=0),
+            np.fft.fft(evolve(packet, params, 5.3).values, axis=0),
+            rtol=0, atol=1e-12,
+        )
 
 
 def test_rejects_non_finite_inputs():
@@ -259,8 +281,12 @@ def test_packet_rejects_non_finite_values_and_time(bad):
 
 def test_propagator_rejects_overflowing_energy():
     # the grid energies come from operators._w, which raises on overflow
+    packet = init_gaussian(128, 100.0, 50.0, 0.5, width=8.0, params=STD)
+    heavy = GeneralizedParams.standard(1e200)
     with pytest.raises(ValueError, match="finite"):
-        SpectralPropagator(128, 100.0, GeneralizedParams.standard(1e200))
+        evolve(packet, heavy, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        trajectory(packet, heavy, 0.1, 4)
 
 
 # Reference: the per-sample loop trajectory ran before it kept the spectral
@@ -278,13 +304,10 @@ def reference_observables(packet):
 
 
 def reference_trajectory(packet, params, dt, steps, sample_every):
-    prop = SpectralPropagator(packet.n, packet.length, params)
-    psi0_k = np.fft.fft(packet.values, axis=0)
     times, rows, done, current = [packet.time], [reference_observables(packet)], 0, packet
     while done < steps:
         done += min(sample_every, steps - done)
-        values = np.fft.ifft(prop.advance(psi0_k, dt * done), axis=0)
-        current = WavePacket(packet.n, packet.length, values, packet.time + dt * done)
+        current = evolve(packet, params, dt, done)
         times.append(current.time)
         rows.append(reference_observables(current))
     return np.array(times), np.array(rows), current
@@ -351,16 +374,14 @@ def test_phase_table_rows_match_evolve_across_blocks():
 
 
 def test_massless_zero_mode_on_the_phase_table():
-    # m0 = 0 and p_tilde = -k[m]: grid mode m has w = 0 exactly, where the
-    # table path reads sin(wt)/w as 0 (H0 = 0 there) and evolve as t.
+    # m0 = 0 and p_tilde = -k[m]: grid mode m has w = 0 exactly, where
+    # sin(wt)/w is read as 0: the term it scales, -i H0 psi0, is 0 there.
     n, length, m = 256, 64.0, 5
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
     params = GeneralizedParams.from_physical(0.0, 0.7, (0.0, 0.0, -k[m]))
-    prop = SpectralPropagator(n, length, params)
-    assert prop._w[m] == 0.0
-    cos, sin_over_w = prop._coefficients(2.5)
-    assert sin_over_w[m] == 2.5 * cos[m]  # the limit t of sin(wt)/w, times the phase
     packet = init_gaussian(n, length, 32.0, 0.3, width=4.0, params=params)
+    spectrum = evolution._Spectrum(packet, params)
+    assert spectrum.w[m] == 0.0 and not spectrum.minus_i_h0_psi0[:, m].any()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = trajectory(packet, params, 0.45, 60, sample_every=2)

@@ -11,7 +11,6 @@ from diraclab.clifford import pauli
 from diraclab.invariance import GeneralizedParams
 from diraclab.nonrel import (
     NonRelParams,
-    _levy_leblond_energy,
     _levy_leblond_spinors,
     _nonrel_stack,
     dirac_energy,
@@ -377,12 +376,12 @@ def test_stacked_params_rows_equal_one_parameter_set():
     m0, eps, c, k = (rng.uniform(0.2, 4.0, 9), rng.uniform(-1, 1, 9),
                      rng.uniform(-1, 1, (9, 3)), rng.uniform(-1, 1, (9, 3)))
     stack = _nonrel_stack(m0, eps, c)
-    ll, pauli_stack = _levy_leblond_energy(k, stack), pauli_energy(k, stack)
+    pauli_stack = pauli_energy(k, stack)
     energy, phi, chi = _levy_leblond_spinors(k, stack)
     for i in range(9):
         one = NonRelParams(m0=m0[i], eps_tilde=eps[i], c_tilde=c[i])
         sol = levy_leblond_solve(k[i], one)
-        assert ll[i] == energy[i] == sol.energy
+        assert pauli_stack[i] == energy[i] == sol.energy
         assert phi[i].tobytes() == sol.phi.tobytes() and chi[i].tobytes() == sol.chi.tobytes()
         assert pauli_stack[i] == pauli_energy(k[i], one)
     with pytest.raises(ValueError, match="positive"):

@@ -166,14 +166,14 @@ def test_blocks_draw_and_check_like_one_stack(monkeypatch):
 def test_levy_leblond_check_sees_a_wrong_energy_or_spinor(monkeypatch):
     # The linked-pair defect (e + eps_tilde) phi - sigma.K chi must read a
     # 1e-9 error in the energy, or in chi relative to phi, past the gate.
-    energy, spinors = nonrel._levy_leblond_energy, verify._levy_leblond_spinors
+    energy, spinors = nonrel.pauli_energy, verify._levy_leblond_spinors
 
     def chi_off(k, p):
         e, phi, chi = spinors(k, p)
         return e, phi, chi * (1 + 1e-9)
 
     for target, name, wrong in (
-        (nonrel, "_levy_leblond_energy", lambda k, p: energy(k, p) + 1e-9),
+        (nonrel, "pauli_energy", lambda k, p: energy(k, p) + 1e-9),
         (verify, "_levy_leblond_spinors", chi_off),
     ):
         with monkeypatch.context() as m:
