@@ -19,6 +19,16 @@ evolve's bit for bit; trajectory's other samples drop that phase, which
 no |psi|^2 observable sees, and read z from a phase table (one np.exp per
 B samples, no trig call per sample).  A state costs one inverse FFT into a
 reused buffer; a sample's mean_k comes from its spectral coefficients.
+
+Only the spinor components a packet occupies are evolved.  A component
+that is zero in both psi0 and -i H0 psi0 is zero at every t, so _Spectrum
+keeps the r occupied rows and the state formula, the inverse FFT and the
+reduction run on r rows.  With p_tilde along z, H0 couples components
+{0, 2} and {1, 3} only, and init_gaussian's spinor lies in {0, 2}: such a
+packet runs on 2 rows.  A transverse p_tilde, or a packet that fills both
+pairs, runs on all 4.  Dropped rows would only add +0.0 to each density,
+so the results do not depend on r, bit for bit.
+
 Grid conventions:
 
 * samples live at x_i = i * L / n for i = 0..n-1 with n a power of two;
@@ -28,8 +38,9 @@ Grid conventions:
 
 Packets must keep their momentum support away from the Nyquist bin; the
 constructor enforces |k0| + 3/width below pi*n/L.  Observables are
-reduced by one routine (_Moments): a sum of re^2 + im^2 over the four
-components, then dot products with x and k.
+reduced by one routine (_Moments): a sum of re^2 + im^2 over the
+components, then dot products with x and k.  A packet of zero norm has no
+moments and is rejected.
 """
 
 from __future__ import annotations
@@ -108,8 +119,9 @@ class Observables:
 
 class _Moments:
     """The observable reduction: norm, mean_x, spread and mean_k of one state
-    from its spinor-major (4, n) samples in position and in momentum space.
-    Each call reuses the same work buffers."""
+    from its spinor-major (r, n) samples in position and in momentum space,
+    r <= 4 rows (the components left out are zero).  Each call reuses the
+    same work buffers."""
 
     def __init__(self, packet: WavePacket):
         self.x, self.k, self.dx = packet.x, packet.k, packet.dx
@@ -118,14 +130,17 @@ class _Moments:
         self._centered = np.empty(packet.n)
 
     def _density_of(self, values: np.ndarray) -> np.ndarray:
-        """sum of re^2 + im^2 over the four components, per grid point."""
-        np.square(values.real, out=self._squares[:4])
-        np.square(values.imag, out=self._squares[4:])
-        return np.sum(self._squares, axis=0, out=self._density)
+        """sum of re^2 + im^2 over the r rows of values, per grid point."""
+        r = values.shape[0]
+        np.square(values.real, out=self._squares[:r])
+        np.square(values.imag, out=self._squares[r : 2 * r])
+        return np.sum(self._squares[: 2 * r], axis=0, out=self._density)
 
     def __call__(self, values_x, values_k) -> tuple[float, float, float, float]:
         density = self._density_of(values_x)
         total = float(np.sum(density))
+        if total == 0.0:
+            raise ValueError("the packet has zero norm: its moments are undefined")
         mean_x = float(self.x @ density) / total
         centered = np.subtract(self.x, mean_x, out=self._centered)
         var = float(np.square(centered, out=centered) @ density) / total
@@ -198,9 +213,11 @@ def _unit_phase(w: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
 
 class _Spectrum:
     """A packet's spectral coefficients psi0 and -i H0 psi0, spinor-major
-    (4, n), with w and 1/w per mode, and the work buffers of the states
-    built from them.  1/w is 0 on a w = 0 mode (massless at k + p = 0),
-    where H0 = 0 and so is the term it scales."""
+    (r, n) over the occupied components `rows`, with w and 1/w per mode,
+    and the work buffers of the states built from them.  A component is
+    occupied if the packet or -i H0 psi0 is nonzero in it; the others stay
+    exactly 0 at every t.  1/w is 0 on a w = 0 mode (massless at
+    k + p = 0), where H0 = 0 and so is the term it scales."""
 
     def __init__(self, packet: WavePacket, params: GeneralizedParams):
         k = np.zeros((packet.n, 3))
@@ -210,8 +227,10 @@ class _Spectrum:
         self.eps_tilde = params.eps_tilde
         psi0 = np.fft.fft(packet.values, axis=0)
         minus_i_h0_psi0 = -1j * (_h0(k, params) @ psi0[:, :, None])[:, :, 0]
-        self.psi0 = np.ascontiguousarray(psi0.T)
-        self.minus_i_h0_psi0 = np.ascontiguousarray(minus_i_h0_psi0.T)
+        occupied = packet.values.any(axis=0) | minus_i_h0_psi0.any(axis=0)
+        self.rows = np.flatnonzero(occupied)
+        self.psi0 = np.ascontiguousarray(psi0.T[self.rows])
+        self.minus_i_h0_psi0 = np.ascontiguousarray(minus_i_h0_psi0.T[self.rows])
         self._psi_k, self._values = np.empty_like(self.psi0), np.empty_like(self.psi0)
 
     def state(self, re, im_over_w) -> tuple[np.ndarray, np.ndarray]:
@@ -228,6 +247,12 @@ class _Spectrum:
         phase = np.exp(1j * self.eps_tilde * t)
         return self.state(phase * z.real, phase * (z.imag * self.inv_w))
 
+    def spinors(self, values: np.ndarray) -> np.ndarray:
+        """The (n, 4) samples of a state from its occupied rows, 0 elsewhere."""
+        full = np.zeros((values.shape[1], 4), dtype=np.complex128)
+        full[:, self.rows] = values.T
+        return full
+
 
 def evolve(
     packet: WavePacket, params: GeneralizedParams, dt: float, steps: int = 1
@@ -240,7 +265,8 @@ def evolve(
     # a span whose phase w*t overflows gives NaN values, which WavePacket rejects
     with np.errstate(over="ignore", invalid="ignore"):
         values, _ = spectrum.at(dt * steps)
-    return WavePacket(packet.n, packet.length, values.T, packet.time + dt * steps)
+    end = packet.time + dt * steps
+    return WavePacket(packet.n, packet.length, spectrum.spinors(values), end)
 
 
 @dataclass(frozen=True)
@@ -300,11 +326,12 @@ def trajectory(
     with no trig call per sample and an error of a few roundings whatever
     the sample count; a sample's observables agree with those of evolve
     over the same span to 1e-13 relative, and its norm stays within a few
-    ulp of the initial one.  Each sample costs one inverse FFT into a
-    reused buffer, and mean_k is read from its spectral coefficients.  The
-    initial state is the first sample.  The last sample, after `steps`
-    steps, passes the global phase and z as evolve does, so the returned
-    packet equals evolve(packet, params, dt, steps) bit for bit.
+    ulp of the initial one.  Each sample costs one inverse FFT of the
+    occupied components into a reused buffer, and mean_k is read from its
+    spectral coefficients.  The initial state is the first sample.  The
+    last sample, after `steps` steps, passes the global phase and z as
+    evolve does, so the returned packet equals evolve(packet, params, dt,
+    steps) bit for bit.
     """
     if not _is_count(steps, 1):
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
@@ -318,7 +345,7 @@ def trajectory(
     times = packet.time + dt * done
     last = done.size - 1
     table = np.empty((done.size, 4))
-    table[0] = moments(packet.values.T, spectrum.psi0)
+    table[0] = moments(packet.values.T[spectrum.rows], spectrum.psi0)
     # a time whose phase w*t overflows gives NaN samples, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         for j, z in enumerate(_phase_table(spectrum.w, dt * sample_every, last), start=1):
@@ -328,7 +355,7 @@ def trajectory(
         table[last] = moments(values, psi_k)
     if not np.isfinite(table).all():
         raise ValueError("trajectory is not finite: the inputs overflow double precision")
-    final = WavePacket(packet.n, packet.length, values.T, float(times[-1]))
+    final = WavePacket(packet.n, packet.length, spectrum.spinors(values), float(times[-1]))
     return TrajectoryResult(times, *table.T, packet=final)
 
 

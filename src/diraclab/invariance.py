@@ -109,11 +109,18 @@ class GeneralizedParams:
 
     @classmethod
     def from_physical(cls, m0: float, eps_tilde: float = 0.0, p_tilde=(0.0, 0.0, 0.0)) -> "GeneralizedParams":
+        """Build a and c from the rest mass, energy shift and momentum shift,
+        which must be finite, with m0 >= 0; a scalar p_tilde lies along z."""
         p = np.asarray(p_tilde, dtype=float)
         if p.shape == ():
             p = np.array([0.0, 0.0, float(p)])
         if p.shape != (3,):
             raise ValueError(f"p_tilde must have 3 components, got shape {p.shape}")
+        for name, value in (("m0", m0), ("eps_tilde", eps_tilde), ("p_tilde", p)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
+        if m0 < 0.0:
+            raise ValueError(f"m0 must be nonnegative, got {m0}")
         c = np.array(
             [-1j * eps_tilde, 1j * p[0], 1j * p[1], 1j * p[2]], dtype=np.complex128
         )

@@ -349,7 +349,8 @@ class TestEvolveCommand:
             ("--length", "0", "length must be"),
             ("--length", "-100", "length must be"),
             # the mass domain is m0 >= 0; --m0 0 is the massless packet
-            ("--m0", "-1", "nonnegative"),
+            pytest.param("--m0", "-1", "m0 must be nonnegative", id="--m0--1-nonnegative"),
+            ("--m0", "nan", "m0 must be finite"),
         ],
     )
     def test_out_of_range_input_exits_2_without_output(

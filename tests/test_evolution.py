@@ -179,29 +179,42 @@ def test_gauge_map_density_equivalence():
 class TestClosedFormPropagator:
     N, LENGTH = 64, 16.0 * np.pi  # grid momenta are multiples of 1/8
 
-    def random_packet(self, seed):
+    def random_packet(self, seed, components=(0, 1, 2, 3)):
+        """Random spectral coefficients in `components`, exactly 0 in the rest."""
         rng = np.random.default_rng(seed)
-        psi_k = rng.normal(size=(self.N, 4)) + 1j * rng.normal(size=(self.N, 4))
+        psi_k = np.zeros((self.N, 4), dtype=complex)
+        shape = (self.N, len(components))
+        psi_k[:, components] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         return WavePacket(self.N, self.LENGTH, np.fft.ifft(psi_k, axis=0))
 
     @pytest.mark.parametrize(
-        "params",
+        "params, components, reached",
         [
-            GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6)),
+            (GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6)),
+             (0, 1, 2, 3), (0, 1, 2, 3)),
             # massless, with the grid mode k = 0.25 at k + p = 0
-            GeneralizedParams.from_physical(0.0, 0.7, (0.0, 0.0, -0.25)),
+            (GeneralizedParams.from_physical(0.0, 0.7, (0.0, 0.0, -0.25)),
+             (0, 1, 2, 3), (0, 1, 2, 3)),
+            # along z, H0 takes component 0 to 2 and never to 1 or 3
+            (GeneralizedParams.from_physical(1.3, -0.4, (0.0, 0.0, 0.6)), (0,), (0, 2)),
+            # a transverse p_tilde couples {0, 2} to {1, 3}
+            (GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6)),
+             (0, 2), (0, 1, 2, 3)),
         ],
-        ids=["generalized", "massless"],
+        ids=["generalized", "massless", "z-directed-component-0", "transverse-components-0-2"],
     )
-    def test_evolve_matches_dense_exponential(self, params):
+    def test_evolve_matches_dense_exponential(self, params, components, reached):
         k = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.LENGTH / self.N)
-        packet = self.random_packet(91)
+        packet = self.random_packet(91, components)
         psi_k = np.fft.fft(packet.values, axis=0)
         for t in (0.0, 0.37, -2.9):
-            out = np.fft.fft(evolve(packet, params, t).values, axis=0)
+            values = evolve(packet, params, t).values
+            out = np.fft.fft(values, axis=0)
             for m in range(self.N):
                 u = expm(-1j * hamiltonian_matrix([0.0, 0.0, k[m]], params) * t)
                 np.testing.assert_allclose(out[m], u @ psi_k[m], rtol=0, atol=1e-12)
+            if t != 0.0:
+                np.testing.assert_array_equal(values.any(axis=0), np.isin(range(4), reached))
 
     def test_coefficients_stay_unitary_at_long_times(self):
         # Re(z)^2 + Im(z)^2 = 1 to roundoff for z = exp(i w t), the phase
@@ -314,15 +327,20 @@ def reference_trajectory(packet, params, dt, steps, sample_every):
 
 
 @pytest.mark.parametrize(
-    "params, k0, dt, steps, sample_every, t0",
+    "params, k0, dt, steps, sample_every, t0, branch",
     [
-        (GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6)), 0.5, -0.37, 23, 5, 2.5),
-        (GeneralizedParams.from_physical(0.0, 0.7, (0.1, 0.0, -0.25)), 0.4, 0.45, 17, 4, -1.25),
+        (GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6)), 0.5, -0.37, 23, 5, 2.5, +1),
+        (GeneralizedParams.from_physical(0.0, 0.7, (0.1, 0.0, -0.25)), 0.4, 0.45, 17, 4, -1.25, +1),
+        # p_tilde along z: the packet occupies components 0 and 2 only
+        (GeneralizedParams.from_physical(1.23, 0.31, (0.0, 0.0, 0.12)), 0.55, 0.5, 19, 3, 0.75, +1),
+        (GeneralizedParams.from_physical(0.9, -0.2, (0.0, 0.0, -0.3)), 0.45, -0.6, 14, 5, 0.0, -1),
     ],
-    ids=["generalized", "massless"],
+    ids=["generalized", "massless", "z-directed-branch+1", "z-directed-branch-1"],
 )
-def test_trajectory_matches_per_sample_loop_and_evolve(params, k0, dt, steps, sample_every, t0):
-    start = init_gaussian(256, 100.0, 50.0, k0, width=8.0, params=params)
+def test_trajectory_matches_per_sample_loop_and_evolve(
+    params, k0, dt, steps, sample_every, t0, branch
+):
+    start = init_gaussian(256, 100.0, 50.0, k0, width=8.0, branch=branch, params=params)
     packet = WavePacket(start.n, start.length, start.values, time=t0)
     result = trajectory(packet, params, dt, steps, sample_every)
 
@@ -394,6 +412,29 @@ def dense_packet():
     # the evolve_dense benchmark's grid and packet
     params = GeneralizedParams.from_physical(1.23, 0.31, (0.0, 0.0, 0.12))
     return init_gaussian(4096, 800.0, 100.0, 0.55, width=10.0, params=params), params
+
+
+def test_spectrum_keeps_only_the_occupied_components():
+    # The evolve_dense packet lives in components 0 and 2, so each sample
+    # combines and inverse-FFTs 2 rows; a transverse p_tilde reaches all 4.
+    packet, params = dense_packet()
+    spectrum = evolution._Spectrum(packet, params)
+    assert spectrum.rows.tolist() == [0, 2]
+    assert spectrum.psi0.shape == spectrum.minus_i_h0_psi0.shape == (2, packet.n)
+    assert not packet.values[:, [1, 3]].any()
+    transverse = GeneralizedParams.from_physical(1.23, 0.31, (0.05, 0.0, 0.12))
+    assert evolution._Spectrum(packet, transverse).rows.tolist() == [0, 1, 2, 3]
+
+
+def test_zero_packet_has_no_moments():
+    zero = WavePacket(128, 100.0, np.zeros((128, 4)))
+    with pytest.raises(ValueError, match="zero norm"):
+        observables(zero)
+    with pytest.raises(ValueError, match="zero norm"):
+        trajectory(zero, STD, 0.1, 4)
+    # with no occupied component, evolve returns the zero packet
+    out = evolve(zero, STD, 0.1, 3)
+    assert out.values.shape == (128, 4) and not out.values.any()
 
 
 def test_norm_is_conserved_over_a_long_dense_trajectory():

@@ -48,6 +48,19 @@ class TestGeneralizedParams:
         with pytest.raises(ValueError, match="finite"):
             GeneralizedParams.from_physical(m0, eps, p)
 
+    @pytest.mark.parametrize(
+        "m0, eps, p, message",
+        [
+            (-1.0, 0.0, 0.0, "m0 must be nonnegative, got -1.0"),
+            (np.nan, 0.0, 0.0, "m0 must be finite"),
+            (1.0, np.inf, 0.0, "eps_tilde must be finite"),
+            (1.0, 0.0, (np.nan, 0.0, 0.0), "p_tilde must be finite"),
+        ],
+    )
+    def test_errors_name_the_physical_parameter(self, m0, eps, p, message):
+        with pytest.raises(ValueError, match=message):
+            GeneralizedParams.from_physical(m0, eps, p)
+
     def test_scalar_p_tilde_means_z(self):
         p = GeneralizedParams.from_physical(1.0, 0.0, 0.4)
         np.testing.assert_allclose(p.p_tilde, [0, 0, 0.4])
