@@ -3,31 +3,36 @@
 The equation has constant coefficients, so each grid momentum evolves
 independently under its own 4x4 Hamiltonian H = H0 - eps_tilde with
 H0 = alpha.(k + p_tilde) + m0*beta.  Since H0^2 = w^2 with
-w = sqrt(m0^2 + |k + p_tilde|^2), the propagator has the closed form
+w = sqrt(m0^2 + |k + p_tilde|^2), H0 has the two energies +w and -w, with
+the branch projectors P+- = (1 +- H0/w)/2, and the propagator has the
+closed form
 
-    exp(-i H t) = exp(i eps_tilde t) * [cos(w t) - i sin(w t) H0 / w]
+    exp(-i H t) = exp(i eps_tilde t) * [exp(-i w t) P+ + exp(i w t) P-]
 
 (Thaller, The Dirac Equation, 1992, ch. 1), evaluated in momentum space
 at each requested time from the initial coefficients: no time-step error,
 and the roundoff does not grow with the number of samples.  H0 and w on
 the grid come from operators (_h0, _k2, _w), the one place that defines
-them.  _Spectrum holds a packet's psi0 and -i H0 psi0 with w and 1/w, and
-its one state routine forms Re(z) psi0 + Im(z)/w (-i H0 psi0) from
-z = exp(i w t).  evolve, and trajectory's last sample, pass the global
-phase exp(i eps_tilde t) with z, so the packet trajectory returns equals
-evolve's bit for bit; trajectory's other samples drop that phase, which
-no |psi|^2 observable sees, and read z from a phase table (one np.exp per
-B samples, no trig call per sample).  A state costs one inverse FFT into a
-reused buffer; a sample's mean_k comes from its spectral coefficients.
+them.  _Spectrum holds a packet's P+ psi0 and P- psi0, each scaled by 1/n,
+the normalisation of the inverse FFT, which n (a power of two) makes
+exact.  Its one state routine forms a P+ psi0 + b P- psi0 per mode and
+takes the unnormalised inverse FFT into a reused buffer.  evolve, and
+trajectory's last sample, pass a = exp(i eps_tilde t) conj(z) and
+b = exp(i eps_tilde t) z with z = exp(i w t), so the packet trajectory
+returns equals evolve's bit for bit; trajectory's other samples pass
+(conj(z), z), dropping the global phase, which no |psi|^2 observable
+sees, and read z from a two-level phase table (one np.exp per 64
+samples, no trig call per sample).  A sample's mean_k comes from its
+spectral coefficients.
 
 Only the spinor components a packet occupies are evolved.  A component
-that is zero in both psi0 and -i H0 psi0 is zero at every t, so _Spectrum
-keeps the r occupied rows and the state formula, the inverse FFT and the
-reduction run on r rows.  With p_tilde along z, H0 couples components
-{0, 2} and {1, 3} only, and init_gaussian's spinor lies in {0, 2}: such a
-packet runs on 2 rows.  A transverse p_tilde, or a packet that fills both
-pairs, runs on all 4.  Dropped rows would only add +0.0 to each density,
-so the results do not depend on r, bit for bit.
+that is zero in both psi0 and H0 psi0 is zero in P+ psi0 and P- psi0, so
+at every t; _Spectrum keeps the r occupied rows and the state formula,
+the inverse FFT and the reduction run on r rows.  With p_tilde along z,
+H0 couples components {0, 2} and {1, 3} only, and init_gaussian's spinor
+lies in {0, 2}: such a packet runs on 2 rows.  A transverse p_tilde, or a
+packet that fills both pairs, runs on all 4.  Dropped rows would only add
++0.0 to each density, so the results do not depend on r, bit for bit.
 
 Grid conventions:
 
@@ -51,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariance import GeneralizedParams
-from .operators import _h0, _k2, _w, plane_wave_solve
+from .operators import ALPHA, _h0, _k2, _w, plane_wave_solve
 
 __all__ = [
     "WavePacket",
@@ -190,9 +195,16 @@ def init_gaussian(
     sols = plane_wave_solve(k0, params)
     spinor = sols[0].spinor if branch == +1 else sols[2].spinor
     x = np.arange(n) * dx
-    envelope = np.exp(-((x - x0) ** 2) / (2.0 * width ** 2)) * np.exp(1j * k0 * x)
-    values = envelope[:, None] * spinor[None, :]
-    norm = math.sqrt(float(np.sum(np.abs(values) ** 2)) * dx)
+    # an x0 far off the grid overflows the exponent, and the envelope is 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelope = np.exp(-((x - x0) ** 2) / (2.0 * width ** 2)) * np.exp(1j * k0 * x)
+        values = envelope[:, None] * spinor[None, :]
+        norm = math.sqrt(float(np.sum(np.abs(values) ** 2)) * dx)
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise ValueError(
+            f"the envelope at x0 = {x0} with width {width} vanishes on the grid "
+            f"[0, {length}): it has no finite, nonzero norm"
+        )
     return WavePacket(n=n, length=length, values=values / norm, time=0.0)
 
 
@@ -212,40 +224,48 @@ def _unit_phase(w: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
 
 
 class _Spectrum:
-    """A packet's spectral coefficients psi0 and -i H0 psi0, spinor-major
-    (r, n) over the occupied components `rows`, with w and 1/w per mode,
-    and the work buffers of the states built from them.  A component is
-    occupied if the packet or -i H0 psi0 is nonzero in it; the others stay
-    exactly 0 at every t.  1/w is 0 on a w = 0 mode (massless at
-    k + p = 0), where H0 = 0 and so is the term it scales."""
+    """A packet's branch components P+ psi0 and P- psi0, P+- = (1 +- H0/w)/2,
+    each scaled by 1/n and spinor-major (r, n) over the occupied components
+    `rows`, with w per mode, the rows of psi0 itself (the initial state's
+    spectral coefficients) and the work buffers of the states built from
+    them.  A component is occupied if the packet or H0 psi0 is nonzero in
+    it; the others stay exactly 0 at every t.  On a w = 0 mode (massless
+    at k + p = 0) H0 = 0, so both projectors are 1/2 there."""
 
     def __init__(self, packet: WavePacket, params: GeneralizedParams):
         k = np.zeros((packet.n, 3))
         k[:, 2] = packet.k
         self.w = _w(_k2(k, params.p_tilde), params.m0)
-        self.inv_w = np.divide(1.0, self.w, out=np.zeros(packet.n), where=self.w != 0.0)
         self.eps_tilde = params.eps_tilde
         psi0 = np.fft.fft(packet.values, axis=0)
-        minus_i_h0_psi0 = -1j * (_h0(k, params) @ psi0[:, :, None])[:, :, 0]
-        occupied = packet.values.any(axis=0) | minus_i_h0_psi0.any(axis=0)
+        # on the z-directed grid H0 = (alpha.p + m0 beta) + k_z alpha_z:
+        # one fixed 4x4 and one scalar per mode, so no (n, 4, 4) stack
+        h0_psi0 = packet.k[:, None] * (psi0 @ ALPHA[2].T)
+        h0_psi0 += psi0 @ _h0(np.zeros(3), params).T
+        occupied = packet.values.any(axis=0) | h0_psi0.any(axis=0)
         self.rows = np.flatnonzero(occupied)
         self.psi0 = np.ascontiguousarray(psi0.T[self.rows])
-        self.minus_i_h0_psi0 = np.ascontiguousarray(minus_i_h0_psi0.T[self.rows])
+        inv_w = np.divide(1.0, self.w, out=np.zeros(packet.n), where=self.w != 0.0)
+        h0_psi0_over_w = h0_psi0.T[self.rows] * inv_w
+        scale = 0.5 / packet.n  # exact: n is a power of two
+        self.plus = (self.psi0 + h0_psi0_over_w) * scale
+        self.minus = (self.psi0 - h0_psi0_over_w) * scale
         self._psi_k, self._values = np.empty_like(self.psi0), np.empty_like(self.psi0)
 
-    def state(self, re, im_over_w) -> tuple[np.ndarray, np.ndarray]:
-        """re * psi0 + im_over_w * (-i H0 psi0), per mode, and its inverse
-        FFT: the state's (values, spectral coefficients), in reused buffers."""
-        np.multiply(re, self.psi0, out=self._psi_k)
-        np.multiply(im_over_w, self.minus_i_h0_psi0, out=self._values)
-        np.fft.ifft(np.add(self._psi_k, self._values, out=self._psi_k), out=self._values)
+    def state(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """a * P+ psi0 + b * P- psi0 per mode, and its inverse FFT: the
+        state's (values, spectral coefficients / n), in reused buffers."""
+        np.multiply(a, self.plus, out=self._psi_k)
+        np.multiply(b, self.minus, out=self._values)
+        np.add(self._psi_k, self._values, out=self._psi_k)
+        np.fft.ifft(self._psi_k, norm="forward", out=self._values)
         return self._values, self._psi_k
 
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """The state exp(-i H t) psi0, global phase exp(i eps t) included."""
         z = _unit_phase(self.w, t, np.empty(self.w.size, dtype=np.complex128))
         phase = np.exp(1j * self.eps_tilde * t)
-        return self.state(phase * z.real, phase * (z.imag * self.inv_w))
+        return self.state(phase * np.conjugate(z), phase * z)
 
     def spinors(self, values: np.ndarray) -> np.ndarray:
         """The (n, 4) samples of a state from its occupied rows, 0 elsewhere."""
@@ -282,27 +302,37 @@ class TrajectoryResult:
         return zip(self.times, self.norms, self.mean_x, self.spreads, self.mean_k)
 
 
-# Samples per block of trajectory's phase table.
+# Samples per block of trajectory's phase table, and blocks per outer block.
 _BLOCK = 8
 
 
 def _phase_table(w: np.ndarray, tau: float, samples: int):
     """Yield exp(i w j tau) for j = 1 .. samples - 1, in one reused array.
 
-    For j = q*B + r it is exp(i w tau q B) * exp(i w tau r): the rows
-    exp(i w tau r) are evaluated once, the block factor once per B samples,
-    each one np.exp of its own argument, so z_j carries a few roundings
-    however large j is (a recurrence z_j = z_{j-1} z_1 would add one per j).
+    With B = _BLOCK and j = (p B + s) B + r it is outer_p * mid_s * inner_r,
+    inner_r = exp(i w tau r), mid_s = exp(i w tau s B) and
+    outer_p = exp(i w tau p B^2).  The B inner rows are evaluated up front,
+    each mid row on its first use and the outer factor once per B^2 = 64
+    samples, each one np.exp of its own argument, so z_j carries a few
+    roundings however large j is (a recurrence z_j = z_{j-1} z_1 would add
+    one per j).  outer_p * mid_s is formed once per B samples, so a sample
+    costs one complex multiply.
     """
-    rows = np.empty((min(_BLOCK, samples), w.size), dtype=np.complex128)
-    for r, row in enumerate(rows):
+    inner = np.empty((min(_BLOCK, samples), w.size), dtype=np.complex128)
+    for r, row in enumerate(inner):
         _unit_phase(w, tau * r, row)
-    block, z = np.empty_like(rows[0]), np.empty_like(rows[0])
+    mid = np.empty((_BLOCK, w.size), dtype=np.complex128)
+    outer, block, z = (np.empty(w.size, dtype=np.complex128) for _ in range(3))
     for j in range(1, samples):
         q, r = divmod(j, _BLOCK)
         if r == 0 or j == 1:
-            _unit_phase(w, tau * (q * _BLOCK), block)
-        yield np.multiply(block, rows[r], out=z)
+            p, s = divmod(q, _BLOCK)
+            if p == 0:
+                _unit_phase(w, tau * (s * _BLOCK), mid[s])
+            if s == 0 or j == 1:
+                _unit_phase(w, tau * (p * _BLOCK * _BLOCK), outer)
+            np.multiply(outer, mid[s], out=block)
+        yield np.multiply(block, inner[r], out=z)
 
 
 def trajectory(
@@ -317,21 +347,22 @@ def trajectory(
     Sample j is the closed-form propagator applied to the initial spectral
     coefficients psi0 at t_j = j * tau, tau = dt * sample_every, so samples
     carry no roundoff from earlier ones.  Every sample is _Spectrum's one
-    state formula with z_j = exp(i w t_j):
+    state formula with z_j = exp(i w t_j), on the branch components P+- psi0
+    that _Spectrum holds with the inverse FFT's 1/n folded in:
 
-        psi_j = Re(z_j) * psi0 + Im(z_j) / w * (-i H0 psi0)
+        psi_j = conj(z_j) * P+ psi0 + z_j * P- psi0
 
     The global phase exp(i eps t) drops out of every observable, so the
-    samples leave it out and read z_j from a phase table (_phase_table),
-    with no trig call per sample and an error of a few roundings whatever
-    the sample count; a sample's observables agree with those of evolve
-    over the same span to 1e-13 relative, and its norm stays within a few
-    ulp of the initial one.  Each sample costs one inverse FFT of the
-    occupied components into a reused buffer, and mean_k is read from its
-    spectral coefficients.  The initial state is the first sample.  The
-    last sample, after `steps` steps, passes the global phase and z as
-    evolve does, so the returned packet equals evolve(packet, params, dt,
-    steps) bit for bit.
+    samples leave it out and read z_j from a two-level phase table
+    (_phase_table: one np.exp per 64 samples, no trig call per sample and
+    an error of a few roundings whatever the sample count); a sample's
+    observables agree with those of evolve over the same span to 1e-13
+    relative, and its norm stays within a few ulp of the initial one.  Each
+    sample costs one inverse FFT of the occupied components into a reused
+    buffer, and mean_k is read from its spectral coefficients.  The initial
+    state is the first sample.  The last sample, after `steps` steps, passes
+    the global phase and z as evolve does, so the returned packet equals
+    evolve(packet, params, dt, steps) bit for bit.
     """
     if not _is_count(steps, 1):
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
@@ -346,11 +377,11 @@ def trajectory(
     last = done.size - 1
     table = np.empty((done.size, 4))
     table[0] = moments(packet.values.T[spectrum.rows], spectrum.psi0)
+    z_bar = np.empty(spectrum.w.size, dtype=np.complex128)
     # a time whose phase w*t overflows gives NaN samples, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         for j, z in enumerate(_phase_table(spectrum.w, dt * sample_every, last), start=1):
-            im_over_w = np.multiply(z.imag, spectrum.inv_w, out=z.imag)
-            table[j] = moments(*spectrum.state(z.real, im_over_w))
+            table[j] = moments(*spectrum.state(np.conjugate(z, out=z_bar), z))
         values, psi_k = spectrum.at(dt * steps)
         table[last] = moments(values, psi_k)
     if not np.isfinite(table).all():

@@ -351,6 +351,10 @@ class TestEvolveCommand:
             # the mass domain is m0 >= 0; --m0 0 is the massless packet
             pytest.param("--m0", "-1", "m0 must be nonnegative", id="--m0--1-nonnegative"),
             ("--m0", "nan", "m0 must be finite"),
+            # an x0 so far off the grid that the envelope vanishes everywhere
+            ("--x0", "1e6", "vanishes"),
+            ("--x0", "-300", "vanishes"),
+            ("--x0", "1e200", "vanishes"),
         ],
     )
     def test_out_of_range_input_exits_2_without_output(

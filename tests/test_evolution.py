@@ -1,5 +1,6 @@
 """Spectral evolution: construction, unitarity, phases, group velocity."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -16,7 +17,7 @@ from diraclab.evolution import (
     trajectory,
 )
 from diraclab.invariance import GeneralizedParams
-from diraclab.operators import dispersion, hamiltonian_matrix, plane_wave_solve
+from diraclab.operators import ALPHA, BETA, dispersion, hamiltonian_matrix, plane_wave_solve
 
 STD = GeneralizedParams.standard(1.0)
 
@@ -216,6 +217,33 @@ class TestClosedFormPropagator:
             if t != 0.0:
                 np.testing.assert_array_equal(values.any(axis=0), np.isin(range(4), reached))
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6)),
+            # massless, with w = 0 at the grid mode k = 0.25
+            GeneralizedParams.from_physical(0.0, 0.7, (0.0, 0.0, -0.25)),
+        ],
+        ids=["generalized", "massless"],
+    )
+    def test_branch_components_are_eigenvectors_of_h0(self, params):
+        # _Spectrum's P+ psi0 and P- psi0 (scaled by 1/n) have the energies
+        # +w and -w of H0 = H + eps_tilde on every mode, and sum to psi0 / n
+        packet = self.random_packet(93)
+        spectrum = evolution._Spectrum(packet, params)
+        assert spectrum.rows.tolist() == [0, 1, 2, 3]
+        scale = np.max(np.abs(spectrum.psi0)) / self.N
+        for m, k in enumerate(packet.k):
+            h0 = hamiltonian_matrix([0.0, 0.0, k], params) + params.eps_tilde * np.eye(4)
+            w = spectrum.w[m]
+            for sign, part in ((+1, spectrum.plus[:, m]), (-1, spectrum.minus[:, m])):
+                np.testing.assert_allclose(
+                    h0 @ part, sign * w * part, rtol=0, atol=1e-14 * scale * max(w, 1.0)
+                )
+        np.testing.assert_allclose(
+            spectrum.plus + spectrum.minus, spectrum.psi0 / self.N, rtol=0, atol=1e-15 * scale
+        )
+
     def test_coefficients_stay_unitary_at_long_times(self):
         # Re(z)^2 + Im(z)^2 = 1 to roundoff for z = exp(i w t), the phase
         # evolve and trajectory take their coefficients from, also where
@@ -254,6 +282,11 @@ def test_rejects_non_finite_inputs():
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match=name):
                 init_gaussian(**{**good, name: bad}, params=STD)
+    # a finite x0 so far off the grid that the envelope vanishes (or its
+    # exponent overflows) on every grid point: no numpy warning, no division
+    for x0 in (1e6, -300.0, 1e200, -1e308):
+        with pytest.raises(ValueError, match="x0 = .* width 8.0 vanishes"):
+            init_gaussian(**{**good, "x0": x0}, params=STD)
 
 
 def test_init_gaussian_takes_params_by_keyword_only():
@@ -375,31 +408,36 @@ def assert_rows_match_evolve(result, packet, params, dt, steps, sample_every, ro
 
 
 def test_phase_table_rows_match_evolve_across_blocks():
-    # More than three blocks of samples, several steps per sample and a
-    # partial last step: rows on both sides of each block boundary, where
-    # the block factor is refreshed, and the last row match evolve.
+    # More than two outer blocks of samples, several steps per sample and a
+    # partial last step: rows on both sides of each inner boundary (the
+    # mid factor changes) and of each outer one (the outer factor is
+    # refreshed), and the last row, match evolve.
     params = GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6))
     packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, params=params)
     block, sample_every = evolution._BLOCK, 3
-    steps = sample_every * (3 * block + 2) + 2
+    outer = block * block
+    steps = sample_every * (2 * outer + 5) + 2
     dt = 0.37
     result = trajectory(packet, params, dt, steps, sample_every)
     last = result.times.size - 1
-    assert last == 3 * block + 3
-    rows = [1, block - 1, block, block + 1, 2 * block, 3 * block, last - 1, last]
+    assert last == 2 * outer + 6
+    rows = [1, block - 1, block, block + 1, outer - 1, outer, outer + 1,
+            2 * outer - 1, 2 * outer, last - 1, last]
     assert_rows_match_evolve(result, packet, params, dt, steps, sample_every, rows)
     np.testing.assert_array_equal(result.packet.values, evolve(packet, params, dt, steps).values)
 
 
 def test_massless_zero_mode_on_the_phase_table():
     # m0 = 0 and p_tilde = -k[m]: grid mode m has w = 0 exactly, where
-    # sin(wt)/w is read as 0: the term it scales, -i H0 psi0, is 0 there.
+    # H0 = 0 and 1/w is read as 0, so both projectors are 1/2 there.
     n, length, m = 256, 64.0, 5
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
     params = GeneralizedParams.from_physical(0.0, 0.7, (0.0, 0.0, -k[m]))
     packet = init_gaussian(n, length, 32.0, 0.3, width=4.0, params=params)
     spectrum = evolution._Spectrum(packet, params)
-    assert spectrum.w[m] == 0.0 and not spectrum.minus_i_h0_psi0[:, m].any()
+    assert spectrum.w[m] == 0.0 and spectrum.psi0[:, m].any()
+    np.testing.assert_array_equal(spectrum.plus[:, m], spectrum.psi0[:, m] / (2 * n))
+    np.testing.assert_array_equal(spectrum.minus[:, m], spectrum.psi0[:, m] / (2 * n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = trajectory(packet, params, 0.45, 60, sample_every=2)
@@ -420,7 +458,7 @@ def test_spectrum_keeps_only_the_occupied_components():
     packet, params = dense_packet()
     spectrum = evolution._Spectrum(packet, params)
     assert spectrum.rows.tolist() == [0, 2]
-    assert spectrum.psi0.shape == spectrum.minus_i_h0_psi0.shape == (2, packet.n)
+    assert spectrum.psi0.shape == spectrum.plus.shape == spectrum.minus.shape == (2, packet.n)
     assert not packet.values[:, [1, 3]].any()
     transverse = GeneralizedParams.from_physical(1.23, 0.31, (0.05, 0.0, 0.12))
     assert evolution._Spectrum(packet, transverse).rows.tolist() == [0, 1, 2, 3]
@@ -443,6 +481,20 @@ def test_norm_is_conserved_over_a_long_dense_trajectory():
     assert np.max(np.abs(result.norms - 1.0)) <= 4e-15
 
 
+def test_spectrum_setup_memory_peak():
+    # H0 psi0 is one fixed 4x4 product plus k_z times alpha_z psi0, with no
+    # (n, 4, 4) Hamiltonian stack (1 MiB alone at n = 4096).
+    packet, params = dense_packet()
+    evolution._Spectrum(packet, params)  # numpy's one-time FFT setup
+    tracemalloc.start()
+    try:
+        evolution._Spectrum(packet, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
 def test_trajectory_memory_peak_does_not_grow_with_steps():
     # Samples reuse their buffers: the traced peak stays under a fixed
     # bound and the same for 20 and 400 steps.
@@ -458,3 +510,76 @@ def test_trajectory_memory_peak_does_not_grow_with_steps():
             tracemalloc.stop()
     assert max(peaks) <= 3.5 * 2**20
     assert abs(peaks[1] - peaks[0]) <= 64 * 2**10
+
+
+# Independent oracles: each generalized parameter maps the grid evolution
+# exactly onto standard evolution (eps_tilde = 0, p_tilde = 0), so the
+# generalized trajectories are checked against trajectories that take the
+# closed form through different modes, phases and spinor rows.
+def columns(result):
+    return np.column_stack([result.norms, result.mean_x, result.spreads, result.mean_k])
+
+
+def assert_close_to(got, expected):
+    """got within 1e-13 of expected, relative to expected's largest entry."""
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("m0, branch", [(1.3, +1), (0.9, -1), (0.0, +1)])
+def test_eps_tilde_is_a_global_phase(m0, branch):
+    eps, p_tilde = 0.37, (0.2, -0.1, 0.6)
+    params = GeneralizedParams.from_physical(m0, eps, p_tilde)
+    plain = GeneralizedParams.from_physical(m0, 0.0, p_tilde)
+    packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, branch=branch, params=params)
+    for t in (0.37, -2.9, 41.5):
+        expected = np.exp(1j * eps * t) * evolve(packet, plain, t).values
+        assert_close_to(evolve(packet, params, t).values, expected)
+
+
+@pytest.mark.parametrize(
+    "m0, eps, m, branch", [(1.0, 0.37, 3, +1), (0.0, -0.2, -5, +1), (1.2, 0.1, 4, -1)]
+)
+def test_p_tilde_along_z_is_a_momentum_shift(m0, eps, m, branch):
+    # p_tilde = 2 pi m / L is a shift by m grid modes: psi evolves as the
+    # standard packet exp(i p_tilde z) psi, whose mean_k is higher by p_tilde.
+    # The packet stays far from the periodic boundary, so the few modes the
+    # shift wraps across the Nyquist bin carry no weight.
+    n, length, dt, steps = 1024, 400.0, 0.5, 120
+    p_tilde = 2.0 * np.pi * m / length
+    params = GeneralizedParams.from_physical(m0, eps, (0.0, 0.0, p_tilde))
+    packet = init_gaussian(n, length, 200.0, 0.4, width=10.0, branch=branch, params=params)
+    boost = np.exp(1j * p_tilde * packet.x)[:, None]
+    got = trajectory(packet, params, dt, steps, sample_every=7)
+    expected = trajectory(WavePacket(n, length, boost * packet.values),
+                          GeneralizedParams.standard(m0), dt, steps, sample_every=7)
+    shifted = columns(expected) - [0.0, 0.0, 0.0, p_tilde]
+    np.testing.assert_allclose(columns(got), shifted, rtol=1e-13, atol=0)
+    assert_close_to(got.packet.values, np.exp(1j * eps * dt * steps) / boost * expected.packet.values)
+
+
+@pytest.mark.parametrize(
+    "m0, p_perp, branch", [(1.0, (0.6, -0.3), +1), (0.0, (0.25, 0.4), +1), (1.3, (-0.2, 0.1), -1)]
+)
+def test_transverse_p_tilde_is_extra_mass(m0, p_perp, branch):
+    # U = cos(theta/2) + sin(theta/2) beta (n.alpha), tan(theta) = |p_perp|/m0,
+    # commutes with alpha_z and takes alpha.p_perp + m0 beta to m_eff beta:
+    # psi evolves as the standard packet U psi at m_eff = sqrt(m0^2 + |p_perp|^2)
+    eps, dt, steps = 0.31, 0.45, 90
+    params = GeneralizedParams.from_physical(m0, eps, (*p_perp, 0.0))
+    size = math.hypot(*p_perp)
+    theta = math.atan2(size, m0)
+    n_alpha = (p_perp[0] * ALPHA[0] + p_perp[1] * ALPHA[1]) / size
+    u = math.cos(theta / 2) * np.eye(4) + math.sin(theta / 2) * (BETA @ n_alpha)
+    heavy = GeneralizedParams.standard(math.hypot(m0, size))
+    h0 = hamiltonian_matrix(0.0, params) + eps * np.eye(4)
+    np.testing.assert_allclose(u @ h0 @ u.conj().T, hamiltonian_matrix(0.0, heavy), atol=1e-15)
+    np.testing.assert_allclose(u @ ALPHA[2], ALPHA[2] @ u, atol=1e-15)
+
+    packet = init_gaussian(512, 100.0, 40.0, 0.5, width=8.0, branch=branch, params=params)
+    assert evolution._Spectrum(packet, params).rows.tolist() == [0, 1, 2, 3]
+    got = trajectory(packet, params, dt, steps, sample_every=4)
+    expected = trajectory(WavePacket(512, 100.0, packet.values @ u.T), heavy, dt, steps,
+                          sample_every=4)
+    np.testing.assert_allclose(columns(got), columns(expected), rtol=1e-13, atol=0)
+    assert_close_to(got.packet.values @ u.T,
+                    np.exp(1j * eps * dt * steps) * expected.packet.values)
