@@ -15,15 +15,26 @@ and the roundoff does not grow with the number of samples.  H0 and w on
 the grid come from operators (_h0, _k2, _w), the one place that defines
 them.  _Spectrum holds a packet's P+ psi0 and P- psi0, each scaled by 1/n,
 the normalisation of the inverse FFT, which n (a power of two) makes
-exact.  Its one state routine forms a P+ psi0 + b P- psi0 per mode and
-takes the unnormalised inverse FFT into a reused buffer.  evolve, and
-trajectory's last sample, pass a = exp(i eps_tilde t) conj(z) and
-b = exp(i eps_tilde t) z with z = exp(i w t), so the packet trajectory
-returns equals evolve's bit for bit; trajectory's other samples pass
-(conj(z), z), dropping the global phase, which no |psi|^2 observable
-sees, and read z from a two-level phase table (one np.exp per 64
-samples, no trig call per sample).  A sample's mean_k comes from its
-spectral coefficients.
+exact.  Its one state routine forms the spectral coefficients
+conj(z) P+ psi0 + z P- psi0 per mode, z = exp(i w t), in place as
+conj(z) (P+ psi0 + z^2 P- psi0), for one state or for a block of m states
+at once, and the inverse FFT runs in place on them.  evolve, and
+trajectory's last sample, take z from one np.exp and multiply in the
+global phase exp(i eps_tilde t) (_Spectrum.at), so the packet trajectory
+returns equals evolve's bit for bit; trajectory's other samples drop the
+global phase, which no |psi|^2 observable sees, and take z from a chain
+of products refreshed by one np.exp every _REFRESH samples (no trig call
+per sample).  A sample's mean_k comes from its spectral coefficients.
+
+trajectory splits its other samples into fixed blocks of _BLOCK samples,
+aligned on the sample index, and gives each of at most _WORKERS workers
+(the calling thread and one helper thread, no more than the usable CPUs)
+a contiguous range of them.  A block's states go through a few
+whole-block numpy calls (the combination, one inverse FFT, the
+reductions), each of which releases the GIL long enough for the other
+worker to run.  What a sample computes does not depend on the worker
+that runs its block, so the results are the same, bit for bit, for any
+worker count.
 
 Only the spinor components a packet occupies are evolved.  A component
 that is zero in both psi0 and H0 psi0 is zero in P+ psi0 and P- psi0, so
@@ -32,7 +43,7 @@ the inverse FFT and the reduction run on r rows.  With p_tilde along z,
 H0 couples components {0, 2} and {1, 3} only, and init_gaussian's spinor
 lies in {0, 2}: such a packet runs on 2 rows.  A transverse p_tilde, or a
 packet that fills both pairs, runs on all 4.  Dropped rows would only add
-+0.0 to each density, so the results do not depend on r, bit for bit.
++0.0 to each sum, so the results do not depend on r, bit for bit.
 
 Grid conventions:
 
@@ -43,14 +54,16 @@ Grid conventions:
 
 Packets must keep their momentum support away from the Nyquist bin; the
 constructor enforces |k0| + 3/width below pi*n/L.  Observables are
-reduced by one routine (_Moments): a sum of re^2 + im^2 over the
-components, then dot products with x and k.  A packet of zero norm has no
-moments and is rejected.
+reduced by one routine (_Moments) for a block of states: the squares
+re^2 and im^2 of every component, summed and dotted with x and k.  A
+packet of zero norm has no moments and is rejected.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,40 +136,58 @@ class Observables:
 
 
 class _Moments:
-    """The observable reduction: norm, mean_x, spread and mean_k of one state
-    from its spinor-major (r, n) samples in position and in momentum space,
-    r <= 4 rows (the components left out are zero).  Each call reuses the
-    same work buffers."""
+    """The observable reduction of a block of m states from their
+    spinor-major (m, r, n) spectral coefficients and samples, r <= 4 rows
+    (the components left out are zero).  Viewed as floats (m, r, n, 2),
+    the squares re^2 and im^2 of the entries give each moment as one
+    product with k or x, summed over the rows and the pair.  `scratch`,
+    m x n complex numbers, holds the squares of one row or the centred
+    positions."""
 
     def __init__(self, packet: WavePacket):
         self.x, self.k, self.dx = packet.x, packet.k, packet.dx
-        self._squares = np.empty((8, packet.n))
-        self._density = np.empty(packet.n)
-        self._centered = np.empty(packet.n)
 
-    def _density_of(self, values: np.ndarray) -> np.ndarray:
-        """sum of re^2 + im^2 over the r rows of values, per grid point."""
-        r = values.shape[0]
-        np.square(values.real, out=self._squares[:r])
-        np.square(values.imag, out=self._squares[r : 2 * r])
-        return np.sum(self._squares[: 2 * r], axis=0, out=self._density)
+    def momentum(self, values_k, scratch, out) -> None:
+        """mean_k of each state into out[:, 3], from its spectral
+        coefficients, which are left as they are."""
+        parts = values_k.view(np.float64)
+        weight = np.vecdot(parts, parts).sum(axis=1)
+        squares = scratch.view(np.float64).reshape(*scratch.shape, 2)
+        moment = 0.0
+        for row in parts.reshape(*values_k.shape, 2).transpose(1, 0, 2, 3):
+            moment = moment + np.matmul(self.k, np.square(row, out=squares)).sum(axis=1)
+        out[:, 3] = moment / weight
 
-    def __call__(self, values_x, values_k) -> tuple[float, float, float, float]:
-        density = self._density_of(values_x)
-        total = float(np.sum(density))
-        if total == 0.0:
+    def position(self, values, scratch, out) -> None:
+        """norm, mean_x and spread of each state into out[:, :3], from its
+        samples, which are squared in place."""
+        squares = values.view(np.float64).reshape(*values.shape, 2)
+        np.square(squares, out=squares)
+        total = np.sum(squares, axis=(2, 3)).sum(axis=1)
+        if not total.all():
             raise ValueError("the packet has zero norm: its moments are undefined")
-        mean_x = float(self.x @ density) / total
-        centered = np.subtract(self.x, mean_x, out=self._centered)
-        var = float(np.square(centered, out=centered) @ density) / total
-        kweight = self._density_of(values_k)
-        mean_k = float(self.k @ kweight) / float(np.sum(kweight))
-        return total * self.dx, mean_x, math.sqrt(max(var, 0.0)), mean_k
+        mean_x = np.matmul(self.x, squares).sum(axis=(1, 2)) / total
+        centered = scratch.view(np.float64)[:, : self.x.size]
+        np.square(np.subtract(self.x, mean_x[:, None], out=centered), out=centered)
+        var = np.matmul(centered[:, None, None], squares).sum(axis=(1, 2, 3)) / total
+        out[:, 0] = total * self.dx
+        out[:, 1] = mean_x
+        out[:, 2] = np.sqrt(np.maximum(var, 0.0))
+
+    def of(self, values) -> np.ndarray:
+        """norm, mean_x, spread, mean_k of one state from its (r, n)
+        samples, which are left as they are."""
+        values = np.array(values, dtype=np.complex128, order="C")[None]
+        values_k = np.fft.fft(values, out=np.empty_like(values))
+        scratch = np.empty((1, self.x.size), dtype=np.complex128)
+        out = np.empty((1, 4))
+        self.position(values, scratch, out)
+        self.momentum(values_k, scratch, out)
+        return out[0]
 
 
 def observables(packet: WavePacket) -> Observables:
-    values = packet.values.T
-    return Observables(*_Moments(packet)(values, np.fft.fft(values)))
+    return Observables(*_Moments(packet).of(packet.values.T))
 
 
 def init_gaussian(
@@ -226,11 +257,10 @@ def _unit_phase(w: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
 class _Spectrum:
     """A packet's branch components P+ psi0 and P- psi0, P+- = (1 +- H0/w)/2,
     each scaled by 1/n and spinor-major (r, n) over the occupied components
-    `rows`, with w per mode, the rows of psi0 itself (the initial state's
-    spectral coefficients) and the work buffers of the states built from
-    them.  A component is occupied if the packet or H0 psi0 is nonzero in
-    it; the others stay exactly 0 at every t.  On a w = 0 mode (massless
-    at k + p = 0) H0 = 0, so both projectors are 1/2 there."""
+    `rows`, with w per mode.  A component is occupied if the packet or
+    H0 psi0 is nonzero in it; the others stay exactly 0 at every t.  On a
+    w = 0 mode (massless at k + p = 0) H0 = 0, so both projectors are 1/2
+    there."""
 
     def __init__(self, packet: WavePacket, params: GeneralizedParams):
         k = np.zeros((packet.n, 3))
@@ -244,28 +274,31 @@ class _Spectrum:
         h0_psi0 += psi0 @ _h0(np.zeros(3), params).T
         occupied = packet.values.any(axis=0) | h0_psi0.any(axis=0)
         self.rows = np.flatnonzero(occupied)
-        self.psi0 = np.ascontiguousarray(psi0.T[self.rows])
+        psi0 = np.ascontiguousarray(psi0.T[self.rows])
         inv_w = np.divide(1.0, self.w, out=np.zeros(packet.n), where=self.w != 0.0)
         h0_psi0_over_w = h0_psi0.T[self.rows] * inv_w
         scale = 0.5 / packet.n  # exact: n is a power of two
-        self.plus = (self.psi0 + h0_psi0_over_w) * scale
-        self.minus = (self.psi0 - h0_psi0_over_w) * scale
-        self._psi_k, self._values = np.empty_like(self.psi0), np.empty_like(self.psi0)
+        self.plus = (psi0 + h0_psi0_over_w) * scale
+        self.minus = (psi0 - h0_psi0_over_w) * scale
 
-    def state(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """a * P+ psi0 + b * P- psi0 per mode, and its inverse FFT: the
-        state's (values, spectral coefficients / n), in reused buffers."""
-        np.multiply(a, self.plus, out=self._psi_k)
-        np.multiply(b, self.minus, out=self._values)
-        np.add(self._psi_k, self._values, out=self._psi_k)
-        np.fft.ifft(self._psi_k, norm="forward", out=self._values)
-        return self._values, self._psi_k
+    def state(self, z, out) -> np.ndarray:
+        """conj(z) P+ psi0 + z P- psi0 per mode, the spectral coefficients
+        (over n) of the state at the phases z = exp(i w t) with the global
+        phase left out, formed in out as conj(z) (P+ psi0 + z^2 P- psi0)
+        (|z| = 1), which needs no other buffer.  z is (n,) and out (r, n),
+        or z is (m, 1, n) and out (m, r, n) for a block of m states; z is
+        conjugated in place."""
+        np.multiply(z, self.minus, out=out)
+        np.multiply(out, z, out=out)
+        np.add(out, self.plus, out=out)
+        return np.multiply(out, np.conjugate(z, out=z), out=out)
 
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The state exp(-i H t) psi0, global phase exp(i eps t) included."""
+    def at(self, t: float) -> np.ndarray:
+        """The spectral coefficients (over n) of exp(-i H t) psi0, global
+        phase exp(i eps t) included."""
         z = _unit_phase(self.w, t, np.empty(self.w.size, dtype=np.complex128))
-        phase = np.exp(1j * self.eps_tilde * t)
-        return self.state(phase * np.conjugate(z), phase * z)
+        values_k = self.state(z, np.empty_like(self.plus))
+        return np.multiply(values_k, np.exp(1j * self.eps_tilde * t), out=values_k)
 
     def spinors(self, values: np.ndarray) -> np.ndarray:
         """The (n, 4) samples of a state from its occupied rows, 0 elsewhere."""
@@ -284,7 +317,7 @@ def evolve(
     spectrum = _Spectrum(packet, params)
     # a span whose phase w*t overflows gives NaN values, which WavePacket rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        values, _ = spectrum.at(dt * steps)
+        values = np.fft.ifft(spectrum.at(dt * steps), norm="forward")
     end = packet.time + dt * steps
     return WavePacket(packet.n, packet.length, spectrum.spinors(values), end)
 
@@ -298,41 +331,113 @@ class TrajectoryResult:
     mean_k: np.ndarray
     packet: WavePacket
 
-    def rows(self):
-        return zip(self.times, self.norms, self.mean_x, self.spreads, self.mean_k)
+
+# Samples per block of trajectory's sampler: the states of a block go
+# through whole-block numpy calls, each long enough to pay for handing the
+# GIL to the other worker.  Each worker holds one block's buffers, (r + 1) n
+# complex numbers per sample of the block and n more.
+_BLOCK = 2
+# Sampling workers: the calling thread and at most _WORKERS - 1 helpers.
+_WORKERS = 2
+# Samples between two exact evaluations of trajectory's phase z_j.
+_REFRESH = 32
+# numpy's ufunc buffer size in elements inside the sampler.
+_BUFSIZE = 1024
 
 
-# Samples per block of trajectory's phase table, and blocks per outer block.
-_BLOCK = 8
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
-def _phase_table(w: np.ndarray, tau: float, samples: int):
-    """Yield exp(i w j tau) for j = 1 .. samples - 1, in one reused array.
+def _sample_blocks(spectrum, moments, tau, step, blocks, table, buffers) -> None:
+    """One worker: table[j] for the samples j of each block b in `blocks`,
+    j = b*_BLOCK + i for i < _BLOCK and 0 < j < last, in its own buffers.
 
-    With B = _BLOCK and j = (p B + s) B + r it is outer_p * mid_s * inner_r,
-    inner_r = exp(i w tau r), mid_s = exp(i w tau s B) and
-    outer_p = exp(i w tau p B^2).  The B inner rows are evaluated up front,
-    each mid row on its first use and the outer factor once per B^2 = 64
-    samples, each one np.exp of its own argument, so z_j carries a few
-    roundings however large j is (a recurrence z_j = z_{j-1} z_1 would add
-    one per j).  outer_p * mid_s is formed once per B samples, so a sample
-    costs one complex multiply.
-    """
-    inner = np.empty((min(_BLOCK, samples), w.size), dtype=np.complex128)
-    for r, row in enumerate(inner):
-        _unit_phase(w, tau * r, row)
-    mid = np.empty((_BLOCK, w.size), dtype=np.complex128)
-    outer, block, z = (np.empty(w.size, dtype=np.complex128) for _ in range(3))
-    for j in range(1, samples):
-        q, r = divmod(j, _BLOCK)
-        if r == 0 or j == 1:
-            p, s = divmod(q, _BLOCK)
-            if p == 0:
-                _unit_phase(w, tau * (s * _BLOCK), mid[s])
-            if s == 0 or j == 1:
-                _unit_phase(w, tau * (p * _BLOCK * _BLOCK), outer)
-            np.multiply(outer, mid[s], out=block)
-        yield np.multiply(block, inner[r], out=z)
+    z_j = exp(i w tau j) is one np.exp of its own argument where j is a
+    multiple of _REFRESH and z_{j-1} * step otherwise, step = exp(i w tau):
+    at most _REFRESH roundings however large j is, where a recurrence
+    from z_0 would add one per j.  Every z_j comes from the same chain
+    whichever worker computes it.  A block's m states take one in-place
+    state formula, the momentum reduction of their coefficients, one
+    m-row inverse FFT in place and the position reduction; z, spent once
+    the states are formed, is the reductions' scratch."""
+    z, values, carry = buffers
+    w, last = spectrum.w, len(table) - 1
+    # errstate is per thread; a phase w*t that overflows gives NaN samples,
+    # rejected by the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        # no call here needs ufunc buffers (there is no cast), yet numpy
+        # allocates them at this size for every broadcast or strided
+        # operand; the setting ends with the errstate block
+        np.setbufsize(_BUFSIZE)
+        # carry holds z_{j-1} for the next j: follow the chain from its refresh
+        first = blocks.start * _BLOCK
+        if first % _REFRESH:
+            _unit_phase(w, tau * (first - first % _REFRESH), carry)
+            for _ in range(first % _REFRESH - 1):
+                np.multiply(carry, step, out=carry)
+        for b in blocks:
+            base = b * _BLOCK
+            for i in range(_BLOCK):
+                if (base + i) % _REFRESH:
+                    np.multiply(z[i - 1] if i else carry, step, out=z[i])
+                else:
+                    _unit_phase(w, tau * (base + i), z[i])
+            np.copyto(carry, z[-1])
+            rows = slice(max(base, 1) - base, min(base + _BLOCK, last) - base)
+            m = rows.stop - rows.start
+            out = table[base + rows.start : base + rows.stop]
+            spectrum.state(z[rows, None], values[:m])
+            moments.momentum(values[:m], z[:m], out)
+            np.fft.ifft(values[:m], norm="forward", out=values[:m])
+            moments.position(values[:m], z[:m], out)
+
+
+def _sample(spectrum, moments, tau: float, table) -> None:
+    """table[j] for the samples j = 1 .. last - 1, last = len(table) - 1,
+    split between the workers.
+
+    Block b holds the samples b*_BLOCK .. (b+1)*_BLOCK - 1 that lie in that
+    range, whatever the worker count, and each worker takes a contiguous
+    range of blocks: the calling thread the first, each helper thread the
+    next.  Every worker's buffers are allocated before any worker starts.
+    A helper's exception is raised here, after every helper ended."""
+    last = len(table) - 1
+    if last < 2:
+        return
+    blocks = -(-last // _BLOCK)
+    workers = min(_WORKERS, _usable_cpus(), blocks)
+    r, n = spectrum.plus.shape
+    step = _unit_phase(spectrum.w, tau, np.empty(n, dtype=np.complex128))
+    bounds = [blocks * i // workers for i in range(workers + 1)]
+    work = []
+    for start, stop in zip(bounds, bounds[1:]):
+        buffers = (np.empty((_BLOCK, n), dtype=np.complex128),
+                   np.empty((_BLOCK, r, n), dtype=np.complex128),
+                   np.empty(n, dtype=np.complex128))
+        work.append((spectrum, moments, tau, step, range(start, stop), table, buffers))
+    errors = []
+
+    def helper(*args):
+        try:
+            _sample_blocks(*args)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=helper, args=args) for args in work[1:]]
+    try:
+        for thread in helpers:
+            thread.start()
+        _sample_blocks(*work[0])
+    finally:
+        for thread in helpers:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
 
 
 def trajectory(
@@ -353,16 +458,24 @@ def trajectory(
         psi_j = conj(z_j) * P+ psi0 + z_j * P- psi0
 
     The global phase exp(i eps t) drops out of every observable, so the
-    samples leave it out and read z_j from a two-level phase table
-    (_phase_table: one np.exp per 64 samples, no trig call per sample and
-    an error of a few roundings whatever the sample count); a sample's
-    observables agree with those of evolve over the same span to 1e-13
-    relative, and its norm stays within a few ulp of the initial one.  Each
-    sample costs one inverse FFT of the occupied components into a reused
-    buffer, and mean_k is read from its spectral coefficients.  The initial
-    state is the first sample.  The last sample, after `steps` steps, passes
-    the global phase and z as evolve does, so the returned packet equals
-    evolve(packet, params, dt, steps) bit for bit.
+    samples leave it out.  z_j is one np.exp every _REFRESH samples and
+    z_{j-1} exp(i w tau) in between: no trig call per sample, and an error
+    of a few roundings whatever the sample count.  A sample's observables
+    agree with those of evolve over the same span to 1e-13 relative, and
+    its norm stays within a few ulp of the initial one.
+
+    The samples between the first and the last run in fixed blocks of
+    _BLOCK, each a few whole-block numpy calls (the combination, one
+    inverse FFT of the occupied components, the reductions; mean_k is read
+    from the spectral coefficients).  The blocks are split between the
+    calling thread and at most one helper thread (_WORKERS, and no more
+    than the usable CPUs), which is joined before trajectory returns or
+    raises.  Each worker holds one block's buffers, so memory does not grow
+    with the sample count, and the results do not depend on the worker
+    count, bit for bit.  The initial state is the first sample.  The last
+    sample, after `steps` steps, goes through _Spectrum.at as evolve does,
+    so the returned packet equals evolve(packet, params, dt, steps) bit for
+    bit.
     """
     if not _is_count(steps, 1):
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
@@ -376,22 +489,25 @@ def trajectory(
     times = packet.time + dt * done
     last = done.size - 1
     table = np.empty((done.size, 4))
-    table[0] = moments(packet.values.T[spectrum.rows], spectrum.psi0)
-    z_bar = np.empty(spectrum.w.size, dtype=np.complex128)
+    table[0] = moments.of(packet.values.T[spectrum.rows])
     # a time whose phase w*t overflows gives NaN samples, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, z in enumerate(_phase_table(spectrum.w, dt * sample_every, last), start=1):
-            table[j] = moments(*spectrum.state(np.conjugate(z, out=z_bar), z))
-        values, psi_k = spectrum.at(dt * steps)
-        table[last] = moments(values, psi_k)
+        _sample(spectrum, moments, dt * sample_every, table)
+        values = spectrum.at(dt * steps)
+        scratch = np.empty((1, packet.n), dtype=np.complex128)
+        moments.momentum(values[None], scratch, table[last:])
+        np.fft.ifft(values, norm="forward", out=values)
+        spinors = spectrum.spinors(values)
+        moments.position(values[None], scratch, table[last:])
     if not np.isfinite(table).all():
         raise ValueError("trajectory is not finite: the inputs overflow double precision")
-    final = WavePacket(packet.n, packet.length, spectrum.spinors(values), float(times[-1]))
+    final = WavePacket(packet.n, packet.length, spinors, float(times[-1]))
     return TrajectoryResult(times, *table.T, packet=final)
 
 
 def write_trajectory_csv(stream, result: TrajectoryResult) -> None:
     """Write `t,norm,mean_x,spread,mean_k` rows at 17 significant digits."""
     stream.write("t,norm,mean_x,spread,mean_k\n")
-    for row in result.rows():
-        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    table = np.column_stack((result.times, result.norms, result.mean_x, result.spreads,
+                             result.mean_k))
+    stream.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist()))

@@ -1,11 +1,15 @@
 """Spectral evolution: construction, unitarity, phases, group velocity."""
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from diraclab import evolution
@@ -232,7 +236,8 @@ class TestClosedFormPropagator:
         packet = self.random_packet(93)
         spectrum = evolution._Spectrum(packet, params)
         assert spectrum.rows.tolist() == [0, 1, 2, 3]
-        scale = np.max(np.abs(spectrum.psi0)) / self.N
+        psi0 = np.fft.fft(packet.values, axis=0).T
+        scale = np.max(np.abs(psi0)) / self.N
         for m, k in enumerate(packet.k):
             h0 = hamiltonian_matrix([0.0, 0.0, k], params) + params.eps_tilde * np.eye(4)
             w = spectrum.w[m]
@@ -241,7 +246,7 @@ class TestClosedFormPropagator:
                     h0 @ part, sign * w * part, rtol=0, atol=1e-14 * scale * max(w, 1.0)
                 )
         np.testing.assert_allclose(
-            spectrum.plus + spectrum.minus, spectrum.psi0 / self.N, rtol=0, atol=1e-15 * scale
+            spectrum.plus + spectrum.minus, psi0 / self.N, rtol=0, atol=1e-15 * scale
         )
 
     def test_coefficients_stay_unitary_at_long_times(self):
@@ -408,21 +413,23 @@ def assert_rows_match_evolve(result, packet, params, dt, steps, sample_every, ro
 
 
 def test_phase_table_rows_match_evolve_across_blocks():
-    # More than two outer blocks of samples, several steps per sample and a
-    # partial last step: rows on both sides of each inner boundary (the
-    # mid factor changes) and of each outer one (the outer factor is
-    # refreshed), and the last row, match evolve.
+    # Several refreshes of the phase chain, several steps per sample and a
+    # partial last step: rows on both sides of each refresh (z_j is one
+    # np.exp there and a product with exp(i w tau) after it), of each block
+    # boundary and of the boundary between the two workers' ranges, and
+    # the last row, match evolve.
     params = GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6))
     packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, params=params)
-    block, sample_every = evolution._BLOCK, 3
-    outer = block * block
-    steps = sample_every * (2 * outer + 5) + 2
+    refresh, sample_every = evolution._REFRESH, 3
+    steps = sample_every * (2 * refresh + 5) + 2
     dt = 0.37
     result = trajectory(packet, params, dt, steps, sample_every)
     last = result.times.size - 1
-    assert last == 2 * outer + 6
-    rows = [1, block - 1, block, block + 1, outer - 1, outer, outer + 1,
-            2 * outer - 1, 2 * outer, last - 1, last]
+    assert last == 2 * refresh + 6
+    blocks = -(-last // evolution._BLOCK)
+    split = blocks // 2 * evolution._BLOCK
+    rows = [1, 2, 3, refresh - 1, refresh, refresh + 1, 2 * refresh - 1, 2 * refresh,
+            2 * refresh + 1, split - 1, split, last - 1, last]
     assert_rows_match_evolve(result, packet, params, dt, steps, sample_every, rows)
     np.testing.assert_array_equal(result.packet.values, evolve(packet, params, dt, steps).values)
 
@@ -435,9 +442,10 @@ def test_massless_zero_mode_on_the_phase_table():
     params = GeneralizedParams.from_physical(0.0, 0.7, (0.0, 0.0, -k[m]))
     packet = init_gaussian(n, length, 32.0, 0.3, width=4.0, params=params)
     spectrum = evolution._Spectrum(packet, params)
-    assert spectrum.w[m] == 0.0 and spectrum.psi0[:, m].any()
-    np.testing.assert_array_equal(spectrum.plus[:, m], spectrum.psi0[:, m] / (2 * n))
-    np.testing.assert_array_equal(spectrum.minus[:, m], spectrum.psi0[:, m] / (2 * n))
+    psi0 = np.fft.fft(packet.values, axis=0).T[spectrum.rows]
+    assert spectrum.w[m] == 0.0 and psi0[:, m].any()
+    np.testing.assert_array_equal(spectrum.plus[:, m], psi0[:, m] / (2 * n))
+    np.testing.assert_array_equal(spectrum.minus[:, m], psi0[:, m] / (2 * n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = trajectory(packet, params, 0.45, 60, sample_every=2)
@@ -458,7 +466,7 @@ def test_spectrum_keeps_only_the_occupied_components():
     packet, params = dense_packet()
     spectrum = evolution._Spectrum(packet, params)
     assert spectrum.rows.tolist() == [0, 2]
-    assert spectrum.psi0.shape == spectrum.plus.shape == spectrum.minus.shape == (2, packet.n)
+    assert spectrum.plus.shape == spectrum.minus.shape == (2, packet.n)
     assert not packet.values[:, [1, 3]].any()
     transverse = GeneralizedParams.from_physical(1.23, 0.31, (0.05, 0.0, 0.12))
     assert evolution._Spectrum(packet, transverse).rows.tolist() == [0, 1, 2, 3]
@@ -557,20 +565,25 @@ def test_p_tilde_along_z_is_a_momentum_shift(m0, eps, m, branch):
     assert_close_to(got.packet.values, np.exp(1j * eps * dt * steps) / boost * expected.packet.values)
 
 
-@pytest.mark.parametrize(
-    "m0, p_perp, branch", [(1.0, (0.6, -0.3), +1), (0.0, (0.25, 0.4), +1), (1.3, (-0.2, 0.1), -1)]
-)
-def test_transverse_p_tilde_is_extra_mass(m0, p_perp, branch):
-    # U = cos(theta/2) + sin(theta/2) beta (n.alpha), tan(theta) = |p_perp|/m0,
-    # commutes with alpha_z and takes alpha.p_perp + m0 beta to m_eff beta:
-    # psi evolves as the standard packet U psi at m_eff = sqrt(m0^2 + |p_perp|^2)
-    eps, dt, steps = 0.31, 0.45, 90
-    params = GeneralizedParams.from_physical(m0, eps, (*p_perp, 0.0))
+def mass_map(m0, p_perp):
+    """U = cos(theta/2) + sin(theta/2) beta (n.alpha), tan(theta) = |p_perp|/m0,
+    and the standard parameters of mass m_eff = sqrt(m0^2 + |p_perp|^2)."""
     size = math.hypot(*p_perp)
     theta = math.atan2(size, m0)
     n_alpha = (p_perp[0] * ALPHA[0] + p_perp[1] * ALPHA[1]) / size
     u = math.cos(theta / 2) * np.eye(4) + math.sin(theta / 2) * (BETA @ n_alpha)
-    heavy = GeneralizedParams.standard(math.hypot(m0, size))
+    return u, GeneralizedParams.standard(math.hypot(m0, size))
+
+
+@pytest.mark.parametrize(
+    "m0, p_perp, branch", [(1.0, (0.6, -0.3), +1), (0.0, (0.25, 0.4), +1), (1.3, (-0.2, 0.1), -1)]
+)
+def test_transverse_p_tilde_is_extra_mass(m0, p_perp, branch):
+    # U (mass_map) commutes with alpha_z and takes alpha.p_perp + m0 beta to
+    # m_eff beta: psi evolves as the standard packet U psi at mass m_eff
+    eps, dt, steps = 0.31, 0.45, 90
+    params = GeneralizedParams.from_physical(m0, eps, (*p_perp, 0.0))
+    u, heavy = mass_map(m0, p_perp)
     h0 = hamiltonian_matrix(0.0, params) + eps * np.eye(4)
     np.testing.assert_allclose(u @ h0 @ u.conj().T, hamiltonian_matrix(0.0, heavy), atol=1e-15)
     np.testing.assert_allclose(u @ ALPHA[2], ALPHA[2] @ u, atol=1e-15)
@@ -583,3 +596,124 @@ def test_transverse_p_tilde_is_extra_mass(m0, p_perp, branch):
     np.testing.assert_allclose(columns(got), columns(expected), rtol=1e-13, atol=0)
     assert_close_to(got.packet.values @ u.T,
                     np.exp(1j * eps * dt * steps) * expected.packet.values)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    m0=st.floats(0.0, 2.0),
+    eps=st.floats(-1.0, 1.0),
+    p_perp=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    branch=st.sampled_from([+1, -1]),
+)
+def test_generalized_evolution_is_mapped_standard_evolution(m0, eps, p_perp, branch):
+    # eps_tilde is the global phase exp(i eps t), and a transverse p_tilde
+    # is extra mass, over the parameter space; the trajectories run on all
+    # four spinor components.
+    assume(math.hypot(*p_perp) >= 1e-3)
+    dt, steps = 0.45, 90
+    params = GeneralizedParams.from_physical(m0, eps, (*p_perp, 0.0))
+    packet = init_gaussian(256, 100.0, 40.0, 0.5, width=8.0, branch=branch, params=params)
+    plain = GeneralizedParams.from_physical(m0, 0.0, (*p_perp, 0.0))
+    expected = np.exp(1j * eps * dt * steps) * evolve(packet, plain, dt, steps).values
+    assert_close_to(evolve(packet, params, dt, steps).values, expected)
+
+    u, heavy = mass_map(m0, p_perp)
+    assert evolution._Spectrum(packet, params).rows.tolist() == [0, 1, 2, 3]
+    got = trajectory(packet, params, dt, steps, sample_every=4)
+    mapped = trajectory(WavePacket(256, 100.0, packet.values @ u.T), heavy, dt, steps,
+                        sample_every=4)
+    np.testing.assert_allclose(columns(got), columns(mapped), rtol=1e-13, atol=0)
+    assert_close_to(got.packet.values @ u.T,
+                    np.exp(1j * eps * dt * steps) * mapped.packet.values)
+
+
+# The sampler: trajectory's samples between the first and the last run in
+# fixed blocks, split between the calling thread and one helper thread.
+def with_workers(monkeypatch, workers):
+    """Run trajectory's sampler on `workers` workers, whatever the host has."""
+    monkeypatch.setattr(evolution, "_WORKERS", workers)
+    monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize(
+    "p_tilde, rows",
+    [((0.0, 0.0, 0.12), [0, 2]), ((0.05, -0.1, 0.12), [0, 1, 2, 3])],
+    ids=["two-rows", "four-rows"],
+)
+@pytest.mark.parametrize(
+    "steps, sample_every",
+    # no sample between the first and the last, one, two; a partial last
+    # step and a partial final block; three refreshes of the phase chain
+    [(1, 1), (2, 1), (3, 1), (23, 5), (40, 3), (73, 1)],
+)
+def test_one_worker_and_two_give_the_same_bits(monkeypatch, p_tilde, rows, steps, sample_every):
+    params = GeneralizedParams.from_physical(1.23, 0.31, p_tilde)
+    packet = init_gaussian(512, 100.0, 40.0, 0.55, width=8.0, params=params)
+    assert evolution._Spectrum(packet, params).rows.tolist() == rows
+    results = []
+    for workers in (1, 2):
+        with_workers(monkeypatch, workers)
+        results.append(trajectory(packet, params, 0.45, steps, sample_every))
+    one, two = results
+    np.testing.assert_array_equal(one.times, two.times)
+    np.testing.assert_array_equal(columns(one), columns(two))
+    np.testing.assert_array_equal(one.packet.values, two.packet.values)
+    np.testing.assert_array_equal(two.packet.values, evolve(packet, params, 0.45, steps).values)
+
+
+def test_more_workers_than_cores_under_fast_switching(monkeypatch):
+    # Six workers share the spectrum, the phase step and the table, each
+    # writing only its own rows, while the interpreter hands the GIL over
+    # as often as it can: the bits match one worker's.
+    params = GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6))
+    packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, params=params)
+    with_workers(monkeypatch, 1)
+    one = trajectory(packet, params, 0.37, 90)
+    monkeypatch.setattr(evolution, "_WORKERS", 6)
+    monkeypatch.setattr(evolution, "_usable_cpus", lambda: 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = trajectory(packet, params, 0.37, 90)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(columns(many), columns(one))
+    np.testing.assert_array_equal(many.packet.values, one.packet.values)
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_a_worker_exception_reaches_the_caller(monkeypatch, failing):
+    # The helper runs the blocks after the caller's; whichever worker
+    # raises, trajectory raises that exception after the helper ended.
+    with_workers(monkeypatch, 2)
+    sample_blocks = evolution._sample_blocks
+    seen = []
+
+    def fail_in_one_range(*args):
+        blocks = args[4]
+        seen.append(threading.current_thread() is threading.main_thread())
+        if (blocks.start > 0) == (failing == "helper"):
+            raise RuntimeError(f"{failing} failed")
+        sample_blocks(*args)
+
+    monkeypatch.setattr(evolution, "_sample_blocks", fail_in_one_range)
+    packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, params=STD)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{failing} failed"):
+        trajectory(packet, STD, 0.1, 40)
+    assert sorted(seen) == [False, True]
+    assert threading.active_count() == before
+
+
+def test_overflow_raises_with_no_warning_from_either_worker(monkeypatch):
+    # The helper's first sample, j = 8, is a refresh of the phase chain
+    # whose argument w*t overflows.  Every worker ignores the overflow of
+    # its own phases (numpy's error state is per thread), and the caller
+    # rejects the NaN samples.
+    with_workers(monkeypatch, 2)
+    monkeypatch.setattr(evolution, "_REFRESH", 4)
+    packet = init_gaussian(128, 100.0, 50.0, 0.5, width=8.0, params=STD)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            trajectory(packet, STD, 1e307, 16)
