@@ -26,15 +26,17 @@ global phase, which no |psi|^2 observable sees, and take z from a chain
 of products refreshed by one np.exp every _REFRESH samples (no trig call
 per sample).  A sample's mean_k comes from its spectral coefficients.
 
-trajectory splits its other samples into fixed blocks of _BLOCK samples,
-aligned on the sample index, and gives each of at most _WORKERS workers
-(the calling thread and one helper thread, no more than the usable CPUs)
-a contiguous range of them.  A block's states go through a few
-whole-block numpy calls (the combination, one inverse FFT, the
+trajectory splits its other samples into fixed blocks of about
+_BLOCK_ROWS spinor rows, aligned on the sample index: 4 samples for a
+packet on 2 rows, 2 for one on 4.  It gives each of at most _WORKERS
+workers (the calling thread and one helper thread, no more than the
+usable CPUs) a contiguous range of blocks.  A block's states go through a
+few whole-block numpy calls (the combination, one inverse FFT, the
 reductions), each of which releases the GIL long enough for the other
-worker to run.  What a sample computes does not depend on the worker
-that runs its block, so the results are the same, bit for bit, for any
-worker count.
+worker to run.  Every operation on a sample is elementwise or per row, so
+what a sample computes depends neither on its block nor on the worker
+that runs it: the results are the same, bit for bit, for any block size
+and worker count.
 
 Only the spinor components a packet occupies are evolved.  A component
 that is zero in both psi0 and H0 psi0 is zero in P+ psi0 and P- psi0, so
@@ -296,9 +298,14 @@ class _Spectrum:
     def at(self, t: float) -> np.ndarray:
         """The spectral coefficients (over n) of exp(-i H t) psi0, global
         phase exp(i eps t) included."""
-        z = _unit_phase(self.w, t, np.empty(self.w.size, dtype=np.complex128))
-        values_k = self.state(z, np.empty_like(self.plus))
-        return np.multiply(values_k, np.exp(1j * self.eps_tilde * t), out=values_k)
+        # numpy allocates its ufunc buffers for every broadcast operand, at
+        # _BUFSIZE elements here; the setting ends with the errstate block,
+        # which keeps the caller's error state
+        with np.errstate():
+            np.setbufsize(_BUFSIZE)
+            z = _unit_phase(self.w, t, np.empty(self.w.size, dtype=np.complex128))
+            values_k = self.state(z, np.empty_like(self.plus))
+            return np.multiply(values_k, np.exp(1j * self.eps_tilde * t), out=values_k)
 
     def spinors(self, values: np.ndarray) -> np.ndarray:
         """The (n, 4) samples of a state from its occupied rows, 0 elsewhere."""
@@ -332,11 +339,13 @@ class TrajectoryResult:
     packet: WavePacket
 
 
-# Samples per block of trajectory's sampler: the states of a block go
-# through whole-block numpy calls, each long enough to pay for handing the
-# GIL to the other worker.  Each worker holds one block's buffers, (r + 1) n
-# complex numbers per sample of the block and n more.
-_BLOCK = 2
+# Spinor rows per block of trajectory's sampler: a packet on r rows runs
+# blocks of max(1, _BLOCK_ROWS // r) samples, 4 for two rows and 2 for
+# four.  The states of a block go through whole-block numpy calls, each
+# long enough to pay for handing the GIL to the other worker.  Each worker
+# holds one block's buffers, (r + 1) n complex numbers per sample of the
+# block and n more.
+_BLOCK_ROWS = 8
 # Sampling workers: the calling thread and at most _WORKERS - 1 helpers.
 _WORKERS = 2
 # Samples between two exact evaluations of trajectory's phase z_j.
@@ -354,7 +363,8 @@ def _usable_cpus() -> int:
 
 def _sample_blocks(spectrum, moments, tau, step, blocks, table, buffers) -> None:
     """One worker: table[j] for the samples j of each block b in `blocks`,
-    j = b*_BLOCK + i for i < _BLOCK and 0 < j < last, in its own buffers.
+    j = b*size + i for i < size and 0 < j < last, in its own buffers, whose
+    length is the block size.
 
     z_j = exp(i w tau j) is one np.exp of its own argument where j is a
     multiple of _REFRESH and z_{j-1} * step otherwise, step = exp(i w tau):
@@ -362,9 +372,10 @@ def _sample_blocks(spectrum, moments, tau, step, blocks, table, buffers) -> None
     from z_0 would add one per j.  Every z_j comes from the same chain
     whichever worker computes it.  A block's m states take one in-place
     state formula, the momentum reduction of their coefficients, one
-    m-row inverse FFT in place and the position reduction; z, spent once
-    the states are formed, is the reductions' scratch."""
+    inverse FFT of their m*r rows in place and the position reduction; z,
+    spent once the states are formed, is the reductions' scratch."""
     z, values, carry = buffers
+    size = len(z)
     w, last = spectrum.w, len(table) - 1
     # errstate is per thread; a phase w*t that overflows gives NaN samples,
     # rejected by the caller
@@ -374,20 +385,20 @@ def _sample_blocks(spectrum, moments, tau, step, blocks, table, buffers) -> None
         # operand; the setting ends with the errstate block
         np.setbufsize(_BUFSIZE)
         # carry holds z_{j-1} for the next j: follow the chain from its refresh
-        first = blocks.start * _BLOCK
+        first = blocks.start * size
         if first % _REFRESH:
             _unit_phase(w, tau * (first - first % _REFRESH), carry)
             for _ in range(first % _REFRESH - 1):
                 np.multiply(carry, step, out=carry)
         for b in blocks:
-            base = b * _BLOCK
-            for i in range(_BLOCK):
+            base = b * size
+            for i in range(size):
                 if (base + i) % _REFRESH:
                     np.multiply(z[i - 1] if i else carry, step, out=z[i])
                 else:
                     _unit_phase(w, tau * (base + i), z[i])
             np.copyto(carry, z[-1])
-            rows = slice(max(base, 1) - base, min(base + _BLOCK, last) - base)
+            rows = slice(max(base, 1) - base, min(base + size, last) - base)
             m = rows.stop - rows.start
             out = table[base + rows.start : base + rows.stop]
             spectrum.state(z[rows, None], values[:m])
@@ -400,23 +411,25 @@ def _sample(spectrum, moments, tau: float, table) -> None:
     """table[j] for the samples j = 1 .. last - 1, last = len(table) - 1,
     split between the workers.
 
-    Block b holds the samples b*_BLOCK .. (b+1)*_BLOCK - 1 that lie in that
-    range, whatever the worker count, and each worker takes a contiguous
-    range of blocks: the calling thread the first, each helper thread the
-    next.  Every worker's buffers are allocated before any worker starts.
-    A helper's exception is raised here, after every helper ended."""
+    A packet on r rows runs blocks of size = max(1, _BLOCK_ROWS // r)
+    samples: block b holds the samples b*size .. (b+1)*size - 1 in that range,
+    whatever the worker count, and each worker takes a contiguous range of
+    blocks: the calling thread the first, each helper thread the next.
+    Every worker's buffers are allocated before any worker starts.  A
+    helper's exception is raised here, after every helper ended."""
     last = len(table) - 1
     if last < 2:
         return
-    blocks = -(-last // _BLOCK)
-    workers = min(_WORKERS, _usable_cpus(), blocks)
     r, n = spectrum.plus.shape
+    size = max(1, _BLOCK_ROWS // r)
+    blocks = -(-last // size)
+    workers = min(_WORKERS, _usable_cpus(), blocks)
     step = _unit_phase(spectrum.w, tau, np.empty(n, dtype=np.complex128))
     bounds = [blocks * i // workers for i in range(workers + 1)]
     work = []
     for start, stop in zip(bounds, bounds[1:]):
-        buffers = (np.empty((_BLOCK, n), dtype=np.complex128),
-                   np.empty((_BLOCK, r, n), dtype=np.complex128),
+        buffers = (np.empty((size, n), dtype=np.complex128),
+                   np.empty((size, r, n), dtype=np.complex128),
                    np.empty(n, dtype=np.complex128))
         work.append((spectrum, moments, tau, step, range(start, stop), table, buffers))
     errors = []
@@ -465,14 +478,16 @@ def trajectory(
     its norm stays within a few ulp of the initial one.
 
     The samples between the first and the last run in fixed blocks of
-    _BLOCK, each a few whole-block numpy calls (the combination, one
-    inverse FFT of the occupied components, the reductions; mean_k is read
-    from the spectral coefficients).  The blocks are split between the
-    calling thread and at most one helper thread (_WORKERS, and no more
-    than the usable CPUs), which is joined before trajectory returns or
-    raises.  Each worker holds one block's buffers, so memory does not grow
-    with the sample count, and the results do not depend on the worker
-    count, bit for bit.  The initial state is the first sample.  The last
+    max(1, _BLOCK_ROWS // r) samples for a packet on r occupied rows (4
+    on the 2 rows of a z-directed packet, 2 on 4 rows), each a few
+    whole-block numpy calls (the combination, one inverse FFT of the
+    occupied components, the reductions; mean_k is read from the spectral
+    coefficients).  The blocks are split between the calling thread and at
+    most one helper thread (_WORKERS, and no more than the usable CPUs),
+    which is joined before trajectory returns or raises.  Each worker holds
+    one block's buffers, so memory does not grow with the sample count, and
+    the results do not depend on the block size or the worker count, bit
+    for bit.  The initial state is the first sample.  The last
     sample, after `steps` steps, goes through _Spectrum.at as evolve does,
     so the returned packet equals evolve(packet, params, dt, steps) bit for
     bit.

@@ -412,7 +412,7 @@ def assert_rows_match_evolve(result, packet, params, dt, steps, sample_every, ro
         )
 
 
-def test_phase_table_rows_match_evolve_across_blocks():
+def test_phase_chain_rows_match_evolve_across_blocks():
     # Several refreshes of the phase chain, several steps per sample and a
     # partial last step: rows on both sides of each refresh (z_j is one
     # np.exp there and a product with exp(i w tau) after it), of each block
@@ -426,15 +426,16 @@ def test_phase_table_rows_match_evolve_across_blocks():
     result = trajectory(packet, params, dt, steps, sample_every)
     last = result.times.size - 1
     assert last == 2 * refresh + 6
-    blocks = -(-last // evolution._BLOCK)
-    split = blocks // 2 * evolution._BLOCK
+    size = max(1, evolution._BLOCK_ROWS // len(evolution._Spectrum(packet, params).rows))
+    blocks = -(-last // size)
+    split = blocks // 2 * size
     rows = [1, 2, 3, refresh - 1, refresh, refresh + 1, 2 * refresh - 1, 2 * refresh,
             2 * refresh + 1, split - 1, split, last - 1, last]
     assert_rows_match_evolve(result, packet, params, dt, steps, sample_every, rows)
     np.testing.assert_array_equal(result.packet.values, evolve(packet, params, dt, steps).values)
 
 
-def test_massless_zero_mode_on_the_phase_table():
+def test_massless_zero_mode_on_the_phase_chain():
     # m0 = 0 and p_tilde = -k[m]: grid mode m has w = 0 exactly, where
     # H0 = 0 and 1/w is read as 0, so both projectors are 1/2 there.
     n, length, m = 256, 64.0, 5
@@ -501,6 +502,27 @@ def test_spectrum_setup_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+def test_spectrum_at_memory_peak_and_bits(monkeypatch):
+    # _Spectrum.at holds its result (r x n complex) and z (n complex),
+    # 192 KiB at n = 4096 on two rows.  Its broadcasts run with ufunc
+    # buffers of _BUFSIZE elements, not numpy's 8192 (128 KiB complex,
+    # a peak of about 321 KiB), and the values do not depend on that size.
+    packet, params = dense_packet()
+    spectrum = evolution._Spectrum(packet, params)
+    spectrum.at(3.0)
+    tracemalloc.start()
+    try:
+        spectrum.at(3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 224 * 2**10
+    assert np.getbufsize() == 8192
+    values = evolve(packet, params, 0.5, 37).values
+    monkeypatch.setattr(evolution, "_BUFSIZE", 8192)
+    np.testing.assert_array_equal(evolve(packet, params, 0.5, 37).values, values)
 
 
 def test_trajectory_memory_peak_does_not_grow_with_steps():
@@ -627,6 +649,39 @@ def test_generalized_evolution_is_mapped_standard_evolution(m0, eps, p_perp, bra
                     np.exp(1j * eps * dt * steps) * mapped.packet.values)
 
 
+@pytest.mark.parametrize(
+    "m0, eps, p_tilde, branch",
+    [(1.23, 0.31, (0.0, 0.0, 0.12), +1), (1.0, -0.2, (0.0, 0.0, -0.3), -1),
+     (0.1, 0.4, (0.0, 0.0, 0.2), +1), (0.9, 0.2, (0.3, -0.2, 0.1), -1)],
+)
+def test_single_branch_packet_moves_at_its_mean_group_velocity(m0, eps, p_tilde, branch):
+    # On one branch P+- alpha_z P+- = +-(k + p_z)/w P+-, so the packet
+    # P+- psi has mean_x(t) = mean_x(0) + t <v> and a variance quadratic in
+    # t with leading coefficient Var(v), v = +-(k + p_z)/w over its momentum
+    # density: no Zitterbewegung.  The domain is m0 > 0 (or a packet whose
+    # support stays away from k = -p_z): at m0 = 0, P+- jumps at k = -p_z,
+    # and the projected packet, cut off sharply in k, has slowly decaying
+    # tails in x that reach the periodic seam (2.3e-4 at m0 = 0, p_z = -0.3).
+    n, length = 1024, 800.0
+    params = GeneralizedParams.from_physical(m0, eps, p_tilde)
+    start = init_gaussian(n, length, 300.0, 0.55, width=10.0, branch=branch, params=params)
+    spectrum = evolution._Spectrum(start, params)
+    coefficients = spectrum.plus if branch == +1 else spectrum.minus
+    packet = WavePacket(n, length, spectrum.spinors(np.fft.ifft(coefficients, norm="forward")))
+    v = branch * (packet.k + p_tilde[2]) / spectrum.w
+    density = np.sum(np.abs(coefficients) ** 2, axis=0)
+    density /= density.sum()
+    mean_v = density @ v
+    var_v = density @ (v - mean_v) ** 2
+
+    result = trajectory(packet, params, 5.0, 40)
+    t = result.times
+    assert_close_to(result.mean_x, result.mean_x[0] + t * mean_v)
+    var = result.spreads ** 2
+    linear = var - var_v * t ** 2
+    assert_close_to(linear, np.polyval(np.polyfit(t, linear, 1), t))
+
+
 # The sampler: trajectory's samples between the first and the last run in
 # fixed blocks, split between the calling thread and one helper thread.
 def with_workers(monkeypatch, workers):
@@ -636,9 +691,10 @@ def with_workers(monkeypatch, workers):
 
 
 @pytest.mark.parametrize(
-    "p_tilde, rows",
-    [((0.0, 0.0, 0.12), [0, 2]), ((0.05, -0.1, 0.12), [0, 1, 2, 3])],
-    ids=["two-rows", "four-rows"],
+    "m0, p_tilde, rows",
+    [(1.23, (0.0, 0.0, 0.12), [0, 2]), (1.23, (0.05, -0.1, 0.12), [0, 1, 2, 3]),
+     (0.0, (0.0, 0.0, -0.3), [0, 2])],
+    ids=["two-rows", "four-rows", "massless"],
 )
 @pytest.mark.parametrize(
     "steps, sample_every",
@@ -646,19 +702,25 @@ def with_workers(monkeypatch, workers):
     # step and a partial final block; three refreshes of the phase chain
     [(1, 1), (2, 1), (3, 1), (23, 5), (40, 3), (73, 1)],
 )
-def test_one_worker_and_two_give_the_same_bits(monkeypatch, p_tilde, rows, steps, sample_every):
-    params = GeneralizedParams.from_physical(1.23, 0.31, p_tilde)
+def test_one_worker_and_two_give_the_same_bits(monkeypatch, m0, p_tilde, rows, steps,
+                                               sample_every):
+    # Blocks of 2, 6, 8 and 16 spinor rows: on two rows, blocks of 1, 3, 4
+    # and 8 samples (3 does not divide _REFRESH); on four, of 1, 1, 2 and 4.
+    params = GeneralizedParams.from_physical(m0, 0.31, p_tilde)
     packet = init_gaussian(512, 100.0, 40.0, 0.55, width=8.0, params=params)
     assert evolution._Spectrum(packet, params).rows.tolist() == rows
     results = []
-    for workers in (1, 2):
-        with_workers(monkeypatch, workers)
-        results.append(trajectory(packet, params, 0.45, steps, sample_every))
-    one, two = results
-    np.testing.assert_array_equal(one.times, two.times)
-    np.testing.assert_array_equal(columns(one), columns(two))
-    np.testing.assert_array_equal(one.packet.values, two.packet.values)
-    np.testing.assert_array_equal(two.packet.values, evolve(packet, params, 0.45, steps).values)
+    for block_rows in (2, 6, 8, 16):
+        monkeypatch.setattr(evolution, "_BLOCK_ROWS", block_rows)
+        for workers in (1, 2):
+            with_workers(monkeypatch, workers)
+            results.append(trajectory(packet, params, 0.45, steps, sample_every))
+    first = results[0]
+    for result in results[1:]:
+        np.testing.assert_array_equal(result.times, first.times)
+        np.testing.assert_array_equal(columns(result), columns(first))
+        np.testing.assert_array_equal(result.packet.values, first.packet.values)
+    np.testing.assert_array_equal(first.packet.values, evolve(packet, params, 0.45, steps).values)
 
 
 def test_more_workers_than_cores_under_fast_switching(monkeypatch):
