@@ -89,13 +89,29 @@ def _open_output(path):
     return open(path, "w", encoding="utf-8"), True
 
 
+# Rows of a sweep CSV formatted and written per write call.
+_CHUNK_ROWS = 512
+
+
 def _write_csv(path, header: str, columns) -> None:
-    """Write equal-length float columns as CSV rows, each value as repr(float)."""
-    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    """Write equal-length float columns as CSV rows, each value as repr(float).
+
+    Each row's bytes are ``",".join(map(repr, row)) + "\\n"``.  The rows are
+    formatted in chunks of _CHUNK_ROWS, and a column object passed twice
+    (dispersion's Pauli energy) is formatted once per chunk.
+    """
+    distinct = {id(col): np.asarray(col, dtype=float) for col in columns}
+    slots = [list(distinct).index(id(col)) for col in columns]
+    arrays = list(distinct.values())
+    rows = min(map(len, arrays))
     stream, close = _open_output(path)
     try:
         stream.write(header + "\n")
-        stream.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        for start in range(0, rows, _CHUNK_ROWS):
+            end = start + _CHUNK_ROWS
+            chunk = [list(map(repr, a[start:end].tolist())) for a in arrays]
+            lines = map(",".join, zip(*[chunk[i] for i in slots]))
+            stream.write("\n".join(lines) + "\n")
     finally:
         if close:
             stream.close()
@@ -165,6 +181,11 @@ def _cmd_dispersion(args) -> int:
         raise ValueError("--steps must be at least 2")
     if not np.isfinite([args.k_min, args.k_max]).all():
         raise ValueError("--k-min and --k-max must be finite")
+    if not np.isfinite(args.k_max - args.k_min):
+        raise ValueError(
+            "the span from --k-min to --k-max is not finite: "
+            "the inputs overflow double precision"
+        )
     nr = NonRelParams(
         m0=args.m0,
         eps_tilde=args.eps_tilde,

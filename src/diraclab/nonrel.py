@@ -194,8 +194,15 @@ def nonrel_error(k, params: NonRelParams) -> NonRelError:
     """Relative gap between the relativistic branch (rest energy removed)
     and the limit energy; falls back to the absolute gap, flagged, when
     the limit energy vanishes.  On a stack of momenta both fields are
-    arrays, and every momentum must stay below m0 * c_light."""
-    if np.any(np.sqrt(_k2(k, params.c_tilde)) >= params.m0 * params.c_light):
+    arrays, and every momentum must stay below m0 * c_light.  A momentum
+    whose |k + shift|^2 overflows is reported as an overflow, not as one
+    at or above m0 * c_light."""
+    k2 = _k2(k, params.c_tilde)
+    if not np.isfinite(k2).all():
+        raise ValueError(
+            "|k + shift|^2 is not finite: the inputs overflow double precision"
+        )
+    if np.any(np.sqrt(k2) >= params.m0 * params.c_light):
         raise ValueError("kinetic momentum must stay below m0 * c_light")
     abs_err = nonrel_abs_error(k, params)
     denom = np.abs(pauli_energy(k, params))

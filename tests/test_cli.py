@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import diraclab
-from diraclab.cli import main, parse_matrix_file, write_matrix_file
+from diraclab.cli import _CHUNK_ROWS, _write_csv, main, parse_matrix_file, write_matrix_file
 from diraclab.clifford import GAMMA5, random_matrix
 from diraclab.invariance import GeneralizedParams
 from diraclab.nonrel import (
@@ -278,6 +278,8 @@ class TestDispersionCommand:
             # finite, but the energies overflow
             ["--k-min", "0", "--k-max", "1e200", "--steps", "3"],
             ["--k-min", "0", "--k-max", "1", "--steps", "2", "--m0", "1e200"],
+            # finite bounds whose span overflows
+            ["--k-min=-1e308", "--k-max", "1e308", "--steps", "3"],
         ],
     )
     def test_non_finite_input_exits_2_without_output(self, capsys, argv):
@@ -456,6 +458,83 @@ class TestLimitCommand:
         assert out == ""
         assert not path.exists()
 
+    def test_overflowing_momentum_writes_nothing(self, capsys, tmp_path):
+        # k_max < m0 * c_light, but |k|^2 overflows: an overflow, not a
+        # momentum at or above m0 * c_light
+        argv = ["limit", "--m0", "1e200", "--k-max", "1e199", "--points", "3"]
+        path = tmp_path / "limit.csv"
+        for extra in ([], ["-o", str(path)]):
+            code, out, err = run_main(capsys, [*argv, *extra])
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1
+            assert "overflow double precision" in err
+            assert "m0 * c_light" not in err
+        assert not path.exists()
+
+
+def row_csv(header, columns):
+    """The CSV of _write_csv's definition: one row at a time."""
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+# repr's edge cases: nan, a signed zero, the smallest subnormal, and both
+# sides of its switches to exponent form (below 1e-4, at 1e16 and above)
+REPR_EDGES = np.array(
+    [np.nan, -0.0, 5e-324, 1e16, 1e-5, 1e-4, 9999999999999998.0, 0.1, -2.5e-310]
+)
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize(
+        "rows",
+        [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1],
+    )
+    def test_matches_row_definition(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        edges = np.resize(REPR_EDGES, rows)
+        wide = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+        # the same object twice, and an equal copy of it
+        columns = (edges, wide, edges, np.roll(edges, 1), wide.copy())
+        header = "a,b,a_again,c,b_copy"
+        path = tmp_path / "out.csv"
+        _write_csv(str(path), header, columns)
+        assert path.read_bytes() == row_csv(header, columns).encode()
+
+    @pytest.mark.parametrize("command", ["dispersion", "limit"])
+    def test_cli_stdout_matches_file(self, capsys, tmp_path, command):
+        argv = {
+            "dispersion": ["dispersion", "--m0", "1", "--k-min", "0", "--k-max", "1",
+                           "--steps", str(_CHUNK_ROWS + 1)],
+            "limit": ["limit", "--m0", "1", "--k-max", "0.5", "--points",
+                      str(_CHUNK_ROWS + 1)],
+        }[command]
+        path = tmp_path / "out.csv"
+        assert run_main(capsys, [*argv, "-o", str(path)])[:2] == (0, "")
+        for extra in ([], ["-o", "-"]):
+            code, out, _ = run_main(capsys, [*argv, *extra])
+            assert code == 0
+            assert out.encode() == path.read_bytes()
+
+
+# Sweep CSVs of 1025 rows, generated before the writer formatted rows in
+# chunks of 512; a change that moves any byte of them shows here.
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_SWEEPS = {
+    "dispersion.csv": [
+        "dispersion", "--m0", "0.73", "--eps-tilde=-0.61", "--p-tilde=-0.42",
+        "--k-min", "-2", "--k-max", "2", "--steps", "1025", "--c-light", "10",
+    ],
+    "limit.csv": ["limit", "--m0", "1.9", "--k-max", "1.7", "--points", "1025"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_sweep_matches_golden(capsys, name):
+    code, out, _ = run_main(capsys, GOLDEN_SWEEPS[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN_DIR / name).read_bytes()
 
 class TestDecomposeCommand:
     def test_chiral_element(self, capsys, tmp_path):
@@ -522,11 +601,12 @@ EVOLVE_ARGV = [
 
 def run_module(*argv):
     """Run `python -m diraclab` in a child process that imports the same
-    diraclab as this one, installed or not."""
+    diraclab as this one, installed or not.  A numpy RuntimeWarning is an
+    error there, as it is in this process."""
     src = str(Path(diraclab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "diraclab", *argv],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "diraclab", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -544,10 +624,11 @@ def test_module_entry_point():
     "argv",
     [
         ["dispersion", "--m0", "1", "--k-min", "0", "--k-max", "1e200", "--steps", "3"],
+        ["dispersion", "--m0", "1", "--k-min=-1e308", "--k-max", "1e308", "--steps", "3"],
         [*EVOLVE_ARGV, "--dt", "1e308"],  # dt * steps overflows
         [*EVOLVE_ARGV, "--dt", "1e307"],  # the span is finite, the phase w*t is not
     ],
-    ids=["dispersion-k-max", "evolve-span", "evolve-phase"],
+    ids=["dispersion-k-max", "dispersion-span", "evolve-span", "evolve-phase"],
 )
 def test_overflow_prints_one_error_line(argv):
     # numpy's RuntimeWarnings must not reach stderr ahead of the error line

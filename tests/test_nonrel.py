@@ -230,6 +230,11 @@ class TestLimitError:
         with pytest.raises(ValueError):
             nonrel_error([0, 0, 1.5], FREE)
 
+    def test_overflowing_momentum_is_reported_as_overflow(self):
+        # 1e199 < m0 * c_light = 1e200, but |k|^2 overflows to inf
+        with pytest.raises(ValueError, match="overflow double precision"):
+            nonrel_error(1e199, NonRelParams(m0=1e200))
+
     def test_physical_units_consistency(self):
         # restoring the light speed: same physics, scaled error
         p = NonRelParams(m0=1.0, c_light=137.0)
