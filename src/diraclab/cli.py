@@ -10,6 +10,7 @@ files.  Exit status: 0 success, 1 check failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -83,10 +84,12 @@ def _fmt_complex(z: complex) -> str:
     return f"{re}{sign}{im}i"
 
 
-def _open_output(path):
+def _output(path):
+    """The stream a `with` block writes to: the file `path`, closed at the
+    block's end, or stdout for None and "-", which stays open."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 # Rows of a sweep CSV formatted and written per write call.
@@ -104,17 +107,13 @@ def _write_csv(path, header: str, columns) -> None:
     slots = [list(distinct).index(id(col)) for col in columns]
     arrays = list(distinct.values())
     rows = min(map(len, arrays))
-    stream, close = _open_output(path)
-    try:
+    with _output(path) as stream:
         stream.write(header + "\n")
         for start in range(0, rows, _CHUNK_ROWS):
             end = start + _CHUNK_ROWS
             chunk = [list(map(repr, a[start:end].tolist())) for a in arrays]
             lines = map(",".join, zip(*[chunk[i] for i in slots]))
             stream.write("\n".join(lines) + "\n")
-    finally:
-        if close:
-            stream.close()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,12 +210,8 @@ def _cmd_evolve(args) -> int:
     result = trajectory(
         packet, params, args.dt, args.steps, sample_every=args.sample_every
     )
-    stream, close = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         write_trajectory_csv(stream, result)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -244,13 +239,9 @@ def _cmd_decompose(args) -> int:
     m = parse_matrix_file(args.input)
     coeffs = basis_decompose(m)
     vec = coeffs.as_vector()
-    stream, close = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         for label, value in zip(basis_labels(), vec):
             stream.write(f"{label}={_fmt_complex(complex(value))}\n")
-    finally:
-        if close:
-            stream.close()
     return 0
 
 

@@ -13,30 +13,7 @@ closed form
 at each requested time from the initial coefficients: no time-step error,
 and the roundoff does not grow with the number of samples.  H0 and w on
 the grid come from operators (_h0, _k2, _w), the one place that defines
-them.  _Spectrum holds a packet's P+ psi0 and P- psi0, each scaled by 1/n,
-the normalisation of the inverse FFT, which n (a power of two) makes
-exact.  Its one state routine forms the spectral coefficients
-conj(z) P+ psi0 + z P- psi0 per mode, z = exp(i w t), in place as
-conj(z) (P+ psi0 + z^2 P- psi0), for one state or for a block of m states
-at once, and the inverse FFT runs in place on them.  evolve, and
-trajectory's last sample, take z from one np.exp and multiply in the
-global phase exp(i eps_tilde t) (_Spectrum.at), so the packet trajectory
-returns equals evolve's bit for bit; trajectory's other samples drop the
-global phase, which no |psi|^2 observable sees, and take z from a chain
-of products refreshed by one np.exp every _REFRESH samples (no trig call
-per sample).  A sample's mean_k comes from its spectral coefficients.
-
-trajectory splits its other samples into fixed blocks of about
-_BLOCK_ROWS spinor rows, aligned on the sample index: 4 samples for a
-packet on 2 rows, 2 for one on 4.  It gives each of at most _WORKERS
-workers (the calling thread and one helper thread, no more than the
-usable CPUs) a contiguous range of blocks.  A block's states go through a
-few whole-block numpy calls (the combination, one inverse FFT, the
-reductions), each of which releases the GIL long enough for the other
-worker to run.  Every operation on a sample is elementwise or per row, so
-what a sample computes depends neither on its block nor on the worker
-that runs it: the results are the same, bit for bit, for any block size
-and worker count.
+them.
 
 Only the spinor components a packet occupies are evolved.  A component
 that is zero in both psi0 and H0 psi0 is zero in P+ psi0 and P- psi0, so
@@ -55,10 +32,8 @@ Grid conventions:
 * a packet's norm is sum |psi|^2 * dx = 1.
 
 Packets must keep their momentum support away from the Nyquist bin; the
-constructor enforces |k0| + 3/width below pi*n/L.  Observables are
-reduced by one routine (_Moments) for a block of states: the squares
-re^2 and im^2 of every component, summed and dotted with x and k.  A
-packet of zero norm has no moments and is rejected.
+constructor enforces |k0| + 3/width below pi*n/L.  A packet of zero norm
+has no moments and is rejected.
 """
 
 from __future__ import annotations
@@ -175,6 +150,14 @@ class _Moments:
         out[:, 0] = total * self.dx
         out[:, 1] = mean_x
         out[:, 2] = np.sqrt(np.maximum(var, 0.0))
+
+    def sample(self, values_k, scratch, out) -> None:
+        """norm, mean_x, spread, mean_k of each state into out from its
+        spectral coefficients (over n), which are inverse-transformed in
+        place into its samples and then squared."""
+        self.momentum(values_k, scratch, out)
+        np.fft.ifft(values_k, norm="forward", out=values_k)
+        self.position(values_k, scratch, out)
 
     def of(self, values) -> np.ndarray:
         """norm, mean_x, spread, mean_k of one state from its (r, n)
@@ -307,10 +290,12 @@ class _Spectrum:
             values_k = self.state(z, np.empty_like(self.plus))
             return np.multiply(values_k, np.exp(1j * self.eps_tilde * t), out=values_k)
 
-    def spinors(self, values: np.ndarray) -> np.ndarray:
-        """The (n, 4) samples of a state from its occupied rows, 0 elsewhere."""
-        full = np.zeros((values.shape[1], 4), dtype=np.complex128)
-        full[:, self.rows] = values.T
+    def spinors(self, values_k: np.ndarray) -> np.ndarray:
+        """The (n, 4) samples of a state from the spectral coefficients
+        (over n) of its occupied rows, which are left as they are; 0 in
+        the other rows."""
+        full = np.zeros((values_k.shape[1], 4), dtype=np.complex128)
+        full[:, self.rows] = np.fft.ifft(values_k, norm="forward").T
         return full
 
 
@@ -324,9 +309,8 @@ def evolve(
     spectrum = _Spectrum(packet, params)
     # a span whose phase w*t overflows gives NaN values, which WavePacket rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.fft.ifft(spectrum.at(dt * steps), norm="forward")
-    end = packet.time + dt * steps
-    return WavePacket(packet.n, packet.length, spectrum.spinors(values), end)
+        values = spectrum.spinors(spectrum.at(dt * steps))
+    return WavePacket(packet.n, packet.length, values, packet.time + dt * steps)
 
 
 @dataclass(frozen=True)
@@ -339,18 +323,12 @@ class TrajectoryResult:
     packet: WavePacket
 
 
-# Spinor rows per block of trajectory's sampler: a packet on r rows runs
-# blocks of max(1, _BLOCK_ROWS // r) samples, 4 for two rows and 2 for
-# four.  The states of a block go through whole-block numpy calls, each
-# long enough to pay for handing the GIL to the other worker.  Each worker
-# holds one block's buffers, (r + 1) n complex numbers per sample of the
-# block and n more.
+# trajectory's sampler (_sample): spinor rows per block, and workers.
 _BLOCK_ROWS = 8
-# Sampling workers: the calling thread and at most _WORKERS - 1 helpers.
 _WORKERS = 2
-# Samples between two exact evaluations of trajectory's phase z_j.
+# Samples between two exact evaluations of the phase chain (_sample_blocks).
 _REFRESH = 32
-# numpy's ufunc buffer size in elements inside the sampler.
+# numpy's ufunc buffer size in elements in the sampler and _Spectrum.at.
 _BUFSIZE = 1024
 
 
@@ -370,10 +348,8 @@ def _sample_blocks(spectrum, moments, tau, step, blocks, table, buffers) -> None
     multiple of _REFRESH and z_{j-1} * step otherwise, step = exp(i w tau):
     at most _REFRESH roundings however large j is, where a recurrence
     from z_0 would add one per j.  Every z_j comes from the same chain
-    whichever worker computes it.  A block's m states take one in-place
-    state formula, the momentum reduction of their coefficients, one
-    inverse FFT of their m*r rows in place and the position reduction; z,
-    spent once the states are formed, is the reductions' scratch."""
+    whichever worker computes it.  z, spent once a block's states are
+    formed, is the reductions' scratch."""
     z, values, carry = buffers
     size = len(z)
     w, last = spectrum.w, len(table) - 1
@@ -400,23 +376,26 @@ def _sample_blocks(spectrum, moments, tau, step, blocks, table, buffers) -> None
             np.copyto(carry, z[-1])
             rows = slice(max(base, 1) - base, min(base + size, last) - base)
             m = rows.stop - rows.start
-            out = table[base + rows.start : base + rows.stop]
             spectrum.state(z[rows, None], values[:m])
-            moments.momentum(values[:m], z[:m], out)
-            np.fft.ifft(values[:m], norm="forward", out=values[:m])
-            moments.position(values[:m], z[:m], out)
+            moments.sample(values[:m], z[:m], table[base + rows.start : base + rows.stop])
 
 
 def _sample(spectrum, moments, tau: float, table) -> None:
-    """table[j] for the samples j = 1 .. last - 1, last = len(table) - 1,
-    split between the workers.
+    """table[j] for the samples j = 1 .. last - 1, last = len(table) - 1.
 
     A packet on r rows runs blocks of size = max(1, _BLOCK_ROWS // r)
-    samples: block b holds the samples b*size .. (b+1)*size - 1 in that range,
-    whatever the worker count, and each worker takes a contiguous range of
-    blocks: the calling thread the first, each helper thread the next.
-    Every worker's buffers are allocated before any worker starts.  A
-    helper's exception is raised here, after every helper ended."""
+    samples, 4 on two rows and 2 on four: block b holds the samples
+    b*size .. (b+1)*size - 1 in that range whatever the worker count.  A
+    block's states take a few whole-block numpy calls (_Spectrum.state,
+    _Moments.sample), each long enough to pay for handing the GIL to
+    another worker.  The workers are the calling thread and at most
+    _WORKERS - 1 helper threads, no more than the usable CPUs; each takes
+    a contiguous range of blocks, the calling thread the first.  Each
+    holds one block's buffers, (r + 1) n complex numbers per sample of the
+    block and n more, all allocated before any worker starts.  Every
+    operation on a sample is elementwise or per row, so what a sample
+    computes depends neither on its block nor on its worker.  A helper's
+    exception is raised here, after every helper ended."""
     last = len(table) - 1
     if last < 2:
         return
@@ -462,35 +441,20 @@ def trajectory(
 ) -> TrajectoryResult:
     """Sample a packet's observables every `sample_every` steps of dt.
 
-    Sample j is the closed-form propagator applied to the initial spectral
-    coefficients psi0 at t_j = j * tau, tau = dt * sample_every, so samples
-    carry no roundoff from earlier ones.  Every sample is _Spectrum's one
-    state formula with z_j = exp(i w t_j), on the branch components P+- psi0
-    that _Spectrum holds with the inverse FFT's 1/n folded in:
-
-        psi_j = conj(z_j) * P+ psi0 + z_j * P- psi0
-
-    The global phase exp(i eps t) drops out of every observable, so the
-    samples leave it out.  z_j is one np.exp every _REFRESH samples and
-    z_{j-1} exp(i w tau) in between: no trig call per sample, and an error
-    of a few roundings whatever the sample count.  A sample's observables
-    agree with those of evolve over the same span to 1e-13 relative, and
-    its norm stays within a few ulp of the initial one.
-
-    The samples between the first and the last run in fixed blocks of
-    max(1, _BLOCK_ROWS // r) samples for a packet on r occupied rows (4
-    on the 2 rows of a z-directed packet, 2 on 4 rows), each a few
-    whole-block numpy calls (the combination, one inverse FFT of the
-    occupied components, the reductions; mean_k is read from the spectral
-    coefficients).  The blocks are split between the calling thread and at
-    most one helper thread (_WORKERS, and no more than the usable CPUs),
-    which is joined before trajectory returns or raises.  Each worker holds
-    one block's buffers, so memory does not grow with the sample count, and
-    the results do not depend on the block size or the worker count, bit
-    for bit.  The initial state is the first sample.  The last
-    sample, after `steps` steps, goes through _Spectrum.at as evolve does,
-    so the returned packet equals evolve(packet, params, dt, steps) bit for
-    bit.
+    Row j holds the observables at t_j = j * tau, tau = dt * sample_every,
+    of the closed-form propagator applied to the initial coefficients, so
+    a row carries no roundoff from earlier ones; row 0 is the packet
+    itself and the last row is at dt * steps.  The rows in between leave
+    out the global phase exp(i eps t), which no observable sees, and take
+    exp(i w t_j) from a chain of products; they agree with the observables
+    of evolve over the same span to 1e-13 relative, and a row's norm stays
+    within a few ulp of the initial one.  The last row and the returned
+    packet come from _Spectrum.at and .spinors, as evolve's packet does, so
+    that packet equals evolve(packet, params, dt, steps) bit for bit.
+    Beyond the returned arrays, memory does not grow with the row count,
+    and the rows do not depend on how _sample splits them into blocks and
+    threads, bit for bit; a helper thread is joined before trajectory
+    returns or raises.
     """
     if not _is_count(steps, 1):
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
@@ -502,18 +466,15 @@ def trajectory(
 
     done = np.minimum(np.arange(0, steps + sample_every, sample_every), steps)
     times = packet.time + dt * done
-    last = done.size - 1
     table = np.empty((done.size, 4))
     table[0] = moments.of(packet.values.T[spectrum.rows])
     # a time whose phase w*t overflows gives NaN samples, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         _sample(spectrum, moments, dt * sample_every, table)
-        values = spectrum.at(dt * steps)
+        values_k = spectrum.at(dt * steps)
+        spinors = spectrum.spinors(values_k)
         scratch = np.empty((1, packet.n), dtype=np.complex128)
-        moments.momentum(values[None], scratch, table[last:])
-        np.fft.ifft(values, norm="forward", out=values)
-        spinors = spectrum.spinors(values)
-        moments.position(values[None], scratch, table[last:])
+        moments.sample(values_k[None], scratch, table[-1:])
     if not np.isfinite(table).all():
         raise ValueError("trajectory is not finite: the inputs overflow double precision")
     final = WavePacket(packet.n, packet.length, spinors, float(times[-1]))

@@ -16,6 +16,8 @@ pass 1.
 The energy functions take the momentum k as a scalar (momentum along z)
 or a 3-vector, and return a float; or as a (..., 3) stack of momenta, and
 return an array of shape (...).  levy_leblond_solve takes one momentum.
+A NaN or infinite k is rejected as such (operators._as_k3); a finite k
+whose energy overflows is reported as an overflow.
 """
 
 from __future__ import annotations
@@ -56,10 +58,10 @@ class NonRelParams:
     def __post_init__(self):
         if any(np.ndim(x) for x in (self.m0, self.eps_tilde, self.c_light)):
             raise ValueError(f"the parameters other than c_tilde must be scalars, got {self}")
+        _check(self)
         ct = _as_k3(self.c_tilde).copy()
         ct.flags.writeable = False
         object.__setattr__(self, "c_tilde", ct)
-        _check(self)
 
 
 class _NonRelStack(NamedTuple):
@@ -78,9 +80,10 @@ def _nonrel_stack(m0, eps_tilde, c_tilde) -> _NonRelStack:
     stack = _NonRelStack(
         np.asarray(m0, dtype=float),
         np.asarray(eps_tilde, dtype=float),
-        _as_k3(c_tilde, stack=True),
+        np.asarray(c_tilde, dtype=float),
     )
     _check(stack)
+    _as_k3(stack.c_tilde, stack=True)  # the shape check
     return stack
 
 
@@ -91,7 +94,7 @@ def _check(params) -> None:
     if np.any(np.asarray(params.c_light) <= 0.0):
         raise ValueError(f"c_light must be positive, got {params.c_light}")
     fields = (params.m0, params.eps_tilde, params.c_light, params.c_tilde)
-    if not all(np.isfinite(x).all() for x in fields):
+    if not all(np.isfinite(np.asarray(x, dtype=float)).all() for x in fields):
         raise ValueError(f"parameters must be finite, got {params}")
 
 
@@ -125,10 +128,7 @@ def levy_leblond_solve(k, params: NonRelParams) -> LevyLeblondSolution:
     A non-finite k and a momentum whose energy or spinor overflows double
     precision raise ValueError.
     """
-    k3 = _as_k3(k)
-    if not np.isfinite(k3).all():
-        raise ValueError(f"k must be finite, got {k}")
-    return LevyLeblondSolution(*_levy_leblond_spinors(k3, params))
+    return LevyLeblondSolution(*_levy_leblond_spinors(_as_k3(k), params))
 
 
 def _levy_leblond_spinors(k, params):

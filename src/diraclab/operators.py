@@ -46,8 +46,11 @@ for _m in ALPHA:
 
 def _as_k3(k, stack: bool = False) -> np.ndarray:
     """Momentum as a float array: a scalar is k along z, otherwise a
-    3-vector or, with stack=True, a (..., 3) stack of 3-vectors."""
+    3-vector or, with stack=True, a (..., 3) stack of 3-vectors.  A NaN or
+    infinite entry is rejected before any arithmetic."""
     k = np.asarray(k, dtype=float)
+    if not np.isfinite(k).all():
+        raise ValueError(f"k must be finite, got {k}")
     if k.ndim == 0:
         return np.array([0.0, 0.0, float(k)])
     if k.shape[-1:] != (3,) or (k.ndim > 1 and not stack):

@@ -536,6 +536,68 @@ def test_sweep_matches_golden(capsys, name):
     assert code == 0
     assert out.encode() == (GOLDEN_DIR / name).read_bytes()
 
+
+# Trajectory CSVs generated at commit 8f133b5, before trajectory's blocks
+# and last row shared one row routine: the evolve_dense geometry sampled
+# every 50 steps, criterion 09's two cases, a massless packet with a
+# partial last step, and a lower-branch packet run backwards in time.
+GOLDEN_EVOLVE_DENSE = ["--n", "4096", "--length", "800", "--dt", "0.5", "--steps", "1000",
+                       "--width", "10", "--x0", "100"]
+GOLDEN_CRITERION_09 = ["--n", "1024", "--length", "200", "--dt", "5e-3", "--steps", "10000",
+                       "--sample-every", "500", "--width", "10", "--x0", "60", "--m0", "1"]
+GOLDEN_TRAJECTORIES = {
+    "evolve_dense.csv": ["evolve", *GOLDEN_EVOLVE_DENSE, "--sample-every", "50",
+                         "--k0", "0.55", "--m0", "1.2", "--eps-tilde=0.3", "--p-tilde=0.1"],
+    "criterion09_a.csv": ["evolve", *GOLDEN_CRITERION_09, "--k0", "0.5"],
+    "criterion09_b.csv": ["evolve", *GOLDEN_CRITERION_09, "--k0", "0", "--p-tilde", "0.5"],
+    "massless.csv": ["evolve", "--n", "512", "--length", "200", "--dt", "0.25", "--steps", "100",
+                     "--sample-every", "7", "--width", "8", "--x0", "60", "--k0", "0.5",
+                     "--m0", "0", "--p-tilde=-0.2"],
+    "negative_branch.csv": ["evolve", "--n", "256", "--length", "100", "--dt=-0.2",
+                            "--steps", "60", "--sample-every", "3", "--width", "6", "--x0", "50",
+                            "--k0", "0.4", "--m0", "1", "--eps-tilde=0.2", "--p-tilde=-0.1",
+                            "--branch", "-1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRAJECTORIES))
+def test_trajectory_matches_golden(capsys, name):
+    # t exactly, the other columns within 1e-13 relative; case B's packet
+    # sits at zero grid momentum, so its mean_k is roundoff around 0 and
+    # is compared within an absolute 1e-15
+    code, out, _ = run_main(capsys, GOLDEN_TRAJECTORIES[name])
+    assert code == 0
+    golden = (GOLDEN_DIR / name).read_text().splitlines()
+    lines = out.splitlines()
+    assert lines[0] == golden[0] == "t,norm,mean_x,spread,mean_k"
+    got, want = (np.loadtxt(rows[1:], delimiter=",", ndmin=2) for rows in (lines, golden))
+    assert got.shape == want.shape
+    assert np.array_equal(got[:, 0], want[:, 0])
+    relative = slice(1, 4) if name == "criterion09_b.csv" else slice(1, 5)
+    assert np.all(np.abs(got[:, relative] - want[:, relative]) <= 1e-13 * np.abs(want[:, relative]))
+    if name == "criterion09_b.csv":
+        assert np.max(np.abs(got[:, 4] - want[:, 4])) <= 1e-15
+
+
+@pytest.mark.parametrize("extra", [[], ["-o", "-"]], ids=["no-o", "o-dash"])
+@pytest.mark.parametrize("command", ["dispersion", "evolve", "decompose"])
+def test_stdout_stays_open(capsys, tmp_path, command, extra):
+    matrix = tmp_path / "g5.mat"
+    write_matrix_file(str(matrix), GAMMA5)
+    argv = {
+        "dispersion": ["dispersion", "--m0", "1", "--k-min", "0", "--k-max", "1",
+                       "--steps", "3"],
+        "evolve": ["evolve", "--n", "64", "--length", "64", "--dt", "0.5", "--steps", "2",
+                   "--k0", "0.5", "--width", "6", "--m0", "1"],
+        "decompose": ["decompose", "--input", str(matrix)],
+    }[command]
+    first = run_main(capsys, [*argv, *extra])
+    assert not sys.stdout.closed
+    second = run_main(capsys, [*argv, *extra])
+    assert not sys.stdout.closed
+    assert first[0] == 0 and first[1] and first == second
+
+
 class TestDecomposeCommand:
     def test_chiral_element(self, capsys, tmp_path):
         path = tmp_path / "g5.mat"

@@ -1,6 +1,7 @@
 """Spectral evolution: construction, unitarity, phases, group velocity."""
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -667,7 +668,7 @@ def test_single_branch_packet_moves_at_its_mean_group_velocity(m0, eps, p_tilde,
     start = init_gaussian(n, length, 300.0, 0.55, width=10.0, branch=branch, params=params)
     spectrum = evolution._Spectrum(start, params)
     coefficients = spectrum.plus if branch == +1 else spectrum.minus
-    packet = WavePacket(n, length, spectrum.spinors(np.fft.ifft(coefficients, norm="forward")))
+    packet = WavePacket(n, length, spectrum.spinors(coefficients))
     v = branch * (packet.k + p_tilde[2]) / spectrum.w
     density = np.sum(np.abs(coefficients) ** 2, axis=0)
     density /= density.sum()
@@ -741,6 +742,21 @@ def test_more_workers_than_cores_under_fast_switching(monkeypatch):
         sys.setswitchinterval(interval)
     np.testing.assert_array_equal(columns(many), columns(one))
     np.testing.assert_array_equal(many.packet.values, one.packet.values)
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    # Platforms without os.sched_getaffinity (macOS) count os.cpu_count(),
+    # or one CPU where that is unknown; the samples keep their bits.
+    params = GeneralizedParams.from_physical(1.3, -0.4, (0.0, 0.0, 0.2))
+    packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, params=params)
+    with_affinity = trajectory(packet, params, 0.37, 90)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert evolution._usable_cpus() == (os.cpu_count() or 1)
+    without = trajectory(packet, params, 0.37, 90)
+    np.testing.assert_array_equal(columns(without), columns(with_affinity))
+    np.testing.assert_array_equal(without.packet.values, with_affinity.packet.values)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert evolution._usable_cpus() == 1
 
 
 @pytest.mark.parametrize("failing", ["helper", "caller"])

@@ -20,7 +20,13 @@ from diraclab.nonrel import (
     nonrel_error,
     pauli_energy,
 )
-from diraclab.operators import dispersion
+from diraclab.operators import (
+    dirac_square_equals_kg,
+    dispersion,
+    hamiltonian_matrix,
+    kg_rhs_matrix,
+    plane_wave_solve,
+)
 
 FREE = NonRelParams(m0=1.0)
 
@@ -41,12 +47,15 @@ class TestParams:
             NonRelParams(m0=1.0, c_light=0.0)
         with pytest.raises(ValueError):
             NonRelParams(m0=1.0, c_tilde=np.zeros(2))
+        with pytest.raises(ValueError):
+            NonRelParams(m0=1.0, c_tilde=(0.0, "b", 0.0))
 
     @pytest.mark.parametrize("field", ["m0", "eps_tilde", "c_tilde", "c_light"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, field, value):
         kwargs = {"m0": 1.0, field: (0.0, value, 0.0) if field == "c_tilde" else value}
-        with pytest.raises(ValueError):
+        # a non-finite shift is a parameter, not a momentum k
+        with pytest.raises(ValueError, match="parameters" if field == "c_tilde" else None):
             NonRelParams(**kwargs)
 
     def test_overflowing_energy_raises_value_error(self):
@@ -399,3 +408,34 @@ def test_params_reject_stacked_scalars():
     # One NonRelParams holds one set of parameters; stacks are private.
     with pytest.raises(ValueError, match="scalars"):
         NonRelParams(m0=np.array([1.0, 2.0]))
+
+
+# Every public function that takes a momentum k, and whether it takes a
+# (..., 3) stack of momenta.
+GEN = GeneralizedParams.from_physical(1.0, 0.5, (0.0, 0.0, 0.25))
+MOMENTUM_CALLS = {
+    "hamiltonian_matrix": (lambda k: hamiltonian_matrix(k, GEN), False),
+    "dispersion": (lambda k: dispersion(k, GEN), True),
+    "plane_wave_solve": (lambda k: plane_wave_solve(k, GEN), False),
+    "kg_rhs_matrix": (lambda k: kg_rhs_matrix(k, GEN), False),
+    "dirac_square_equals_kg": (lambda k: dirac_square_equals_kg(k, GEN), False),
+    "pauli_energy": (lambda k: pauli_energy(k, FREE), True),
+    "levy_leblond_solve": (lambda k: levy_leblond_solve(k, FREE), False),
+    "dirac_energy": (lambda k: dirac_energy(k, FREE), True),
+    "kinetic_minus_rest": (lambda k: kinetic_minus_rest(k, FREE), True),
+    "nonrel_abs_error": (lambda k: nonrel_abs_error(k, FREE), True),
+    "nonrel_error": (lambda k: nonrel_error(k, FREE), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOMENTUM_CALLS))
+@pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf, None], ids=["nan", "inf", "-inf", "stack"])
+def test_non_finite_momentum_is_rejected_by_name(name, k):
+    # a NaN or infinite k is not an overflow: it is rejected, with no numpy
+    # warning, before any arithmetic; None stands for a stack holding a NaN
+    # (one 3-vector for the functions that take one momentum)
+    call, stacked = MOMENTUM_CALLS[name]
+    if k is None:
+        k = [[0.0, 0.0, 0.5], [0.0, np.nan, 0.0]] if stacked else [0.0, np.nan, 0.0]
+    with pytest.raises(ValueError, match="^k must be finite"):
+        call(k)
