@@ -197,6 +197,8 @@ def init_gaussian(
     for name, value in (("x0", x0), ("k0", k0), ("width", width)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if width <= 0.0:
+        raise ValueError(f"width must be positive, got {width}")
     dx = length / n
     if width < 5.0 * dx:
         raise ValueError(

@@ -89,12 +89,13 @@ def _nonrel_stack(m0, eps_tilde, c_tilde) -> _NonRelStack:
 
 def _check(params) -> None:
     """NonRelParams' checks, on one set of fields or a stack of them."""
-    if np.any(np.asarray(params.m0) <= 0.0):
-        raise ValueError(f"m0 must be positive, got {params.m0}")
-    if np.any(np.asarray(params.c_light) <= 0.0):
-        raise ValueError(f"c_light must be positive, got {params.c_light}")
     fields = (params.m0, params.eps_tilde, params.c_light, params.c_tilde)
-    if not all(np.isfinite(np.asarray(x, dtype=float)).all() for x in fields):
+    m0, eps_tilde, c_light, c_tilde = (np.asarray(x, dtype=float) for x in fields)
+    if np.any(m0 <= 0.0):
+        raise ValueError(f"m0 must be positive, got {params.m0}")
+    if np.any(c_light <= 0.0):
+        raise ValueError(f"c_light must be positive, got {params.c_light}")
+    if not all(np.isfinite(x).all() for x in (m0, eps_tilde, c_light, c_tilde)):
         raise ValueError(f"parameters must be finite, got {params}")
 
 

@@ -26,6 +26,7 @@ from .invariance import (
     _bc_residuals,
     _param_stack,
     _blockwise,
+    _check_trials,
     _ParamStack,
     _reduce,
     _zeta,
@@ -220,8 +221,7 @@ def run_verification(trials: int = 200, seed: int = 42, tol: float | None = None
     positive and finite: an infinite gate passes everything and a zero or
     negative one fails everything.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     rng = np.random.default_rng(seed)

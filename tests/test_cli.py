@@ -345,6 +345,8 @@ class TestEvolveCommand:
             ("--m0", "1e200", "overflow"),
             ("--dt", "1e308", "overflow"),
             ("--width", "1e300", "overflow"),
+            ("--width", "-10", "width must be positive"),
+            ("--width", "0", "width must be positive"),
             # grid sizes, checked before the grid spacing is computed
             ("--n", "0", "n must be"),
             ("--n", "-64", "n must be"),

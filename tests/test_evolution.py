@@ -51,6 +51,9 @@ def test_init_resolution_guards():
         init_gaussian(128, 100.0, 50.0, 3.9, width=10.0, params=STD)
     with pytest.raises(ValueError, match="n must be"):
         init_gaussian(128.0, 100.0, 50.0, 0.5, width=10.0, params=STD)
+    for width in (0.0, -10.0):
+        with pytest.raises(ValueError, match="width must be positive"):
+            init_gaussian(128, 100.0, 50.0, 0.5, width=width, params=STD)
 
 
 def test_init_observables():

@@ -6,11 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from diraclab.clifford import GAMMA, GAMMA5, I4, basis_labels
 from diraclab.invariance import (
     CheckResult,
     GeneralizedParams,
     PhaseFunction,
     _bc_residuals,
+    _commutant_matrix,
+    _containment_residual,
+    _covariance_system_matrix,
+    _listed_constraint_residual,
+    _nullspace,
     _param_stack,
     _zeta,
     bc_condition_residual,
@@ -42,11 +48,16 @@ class TestGeneralizedParams:
 
     @pytest.mark.parametrize(
         "m0, eps, p", [(np.inf, 0.0, 0.0), (np.nan, 0.0, 0.0), (1.0, np.nan, 0.0),
-                       (1.0, 0.0, (0.0, np.inf, 0.0))]
+                       (1.0, 0.0, (0.0, np.inf, 0.0)), (None, 0.0, 0.0)]
     )
     def test_rejects_non_finite(self, m0, eps, p):
         with pytest.raises(ValueError, match="finite"):
             GeneralizedParams.from_physical(m0, eps, p)
+
+    @pytest.mark.parametrize("m0, eps", [("a", 0.0), (1.0, "x")])
+    def test_rejects_non_numeric(self, m0, eps):
+        with pytest.raises(ValueError, match="could not convert"):
+            GeneralizedParams.from_physical(m0, eps)
 
     @pytest.mark.parametrize(
         "m0, eps, p, message",
@@ -184,23 +195,43 @@ class TestPhi0Uniqueness:
         assert report["phi0_gamma_structure"].max_residual <= 1e-10
 
     def test_mixed_normalization_blocks_pass_listed_constraints(self):
-        # The listed constraints are insensitive to one overall scale per
-        # block family, so the real-block normalization passes too.
-        from diraclab.invariance import _ansatz_bset, _listed_constraint_residual
-
-        bset = _ansatz_bset(np.array([1, 0, 0, -1, 0, 1, -1, 0], dtype=complex))
+        # The listed constraints are insensitive to a scale on each matrix,
+        # so the real-block normalization (g0, -i g1, -i g2, -i g3) passes too.
+        bset = np.array([GAMMA[0], *(-1j * GAMMA[j] for j in (1, 2, 3))])
         assert _listed_constraint_residual(bset) <= 1e-10
 
     def test_random_draw_violates(self):
-        from diraclab.invariance import _ansatz_bset, _listed_constraint_residual
-
         rng = np.random.default_rng(34)
-        v = rng.uniform(-1, 1, 8) + 1j * rng.uniform(-1, 1, 8)
-        assert _listed_constraint_residual(_ansatz_bset(v)) > 1e-3
+        bset = rng.uniform(-1, 1, (4, 4, 4)) + 1j * rng.uniform(-1, 1, (4, 4, 4))
+        assert _listed_constraint_residual(bset) > 1e-3
+
+    def test_covariant_tuples_are_gamma_and_gamma5_gamma(self):
+        # Over all 64 entries of a 4-tuple, with no ansatz.
+        dim, basis = _nullspace(_covariance_system_matrix())
+        assert dim == 2
+        gammas = np.array(GAMMA)
+        for bset in (gammas, GAMMA5 @ gammas):
+            assert _containment_residual(basis, bset.ravel()) <= 1e-14
+
+    def test_perturbed_tuple_is_not_covariant(self):
+        _, basis = _nullspace(_covariance_system_matrix())
+        bset = np.array(GAMMA)
+        bset[1] = bset[1] + 0.1 * I4
+        assert _containment_residual(basis, bset.ravel()) > 1e-3
+
+    def test_commutant_is_identity_and_gamma5(self):
+        dim, basis = _nullspace(_commutant_matrix())
+        assert dim == 2
+        labels = basis_labels()
+        for label in ("a", "e5"):  # the I and gamma5 columns
+            e = np.zeros(16)
+            e[labels.index(label)] = 1.0
+            assert _containment_residual(basis, e) <= 1e-14
 
     def test_trials_validation(self):
-        with pytest.raises(ValueError):
-            verify_phi0_uniqueness(trials=0)
+        for trials in (0, -1, 2.0, None, "3"):
+            with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+                verify_phi0_uniqueness(trials=trials)
 
     def test_checkresult_fail_line(self):
         r = CheckResult("demo", 0.5, False)

@@ -49,6 +49,10 @@ class TestParams:
             NonRelParams(m0=1.0, c_tilde=np.zeros(2))
         with pytest.raises(ValueError):
             NonRelParams(m0=1.0, c_tilde=(0.0, "b", 0.0))
+        with pytest.raises(ValueError):
+            NonRelParams(m0="a")
+        with pytest.raises(ValueError):
+            NonRelParams(m0=1.0, c_light="x")
 
     @pytest.mark.parametrize("field", ["m0", "eps_tilde", "c_tilde", "c_light"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -26,8 +26,8 @@ CHECK covariance_negative_control max_residual=5.752805e-02 PASS
 CHECK zeta_condition max_residual=1.332268e-15 PASS
 CHECK zeta_negative_control max_residual=1.992410e-01 PASS
 CHECK phi0_gamma_structure max_residual=0.000000e+00 PASS
-CHECK phi0_ansatz_nullspace max_residual=5.527038e-16 PASS
-CHECK phi0_random_violation max_residual=7.086902e-01 PASS
+CHECK phi0_ansatz_nullspace max_residual=1.018307e-15 PASS
+CHECK phi0_random_violation max_residual=1.823354e+00 PASS
 CHECK phi0_bc_commutant max_residual=0.000000e+00 PASS
 CHECK phi0_bc_negative max_residual=2.000000e+00 PASS
 CHECK hamiltonian_hermiticity max_residual=0.000000e+00 PASS
@@ -46,8 +46,8 @@ CHECK covariance_negative_control max_residual=5.222864e-02 PASS
 CHECK zeta_condition max_residual=1.336886e-15 PASS
 CHECK zeta_negative_control max_residual=2.063539e-01 PASS
 CHECK phi0_gamma_structure max_residual=0.000000e+00 PASS
-CHECK phi0_ansatz_nullspace max_residual=5.527038e-16 PASS
-CHECK phi0_random_violation max_residual=6.703526e-01 PASS
+CHECK phi0_ansatz_nullspace max_residual=1.018307e-15 PASS
+CHECK phi0_random_violation max_residual=1.804402e+00 PASS
 CHECK phi0_bc_commutant max_residual=0.000000e+00 PASS
 CHECK phi0_bc_negative max_residual=2.000000e+00 PASS
 CHECK hamiltonian_hermiticity max_residual=0.000000e+00 PASS
@@ -66,8 +66,8 @@ CHECK covariance_negative_control max_residual=5.493908e-02 PASS
 CHECK zeta_condition max_residual=8.950904e-16 PASS
 CHECK zeta_negative_control max_residual=2.328463e-01 PASS
 CHECK phi0_gamma_structure max_residual=0.000000e+00 PASS
-CHECK phi0_ansatz_nullspace max_residual=5.527038e-16 PASS
-CHECK phi0_random_violation max_residual=6.967532e-01 PASS
+CHECK phi0_ansatz_nullspace max_residual=1.018307e-15 PASS
+CHECK phi0_random_violation max_residual=1.783380e+00 PASS
 CHECK phi0_bc_commutant max_residual=0.000000e+00 PASS
 CHECK phi0_bc_negative max_residual=2.000000e+00 PASS
 CHECK hamiltonian_hermiticity max_residual=0.000000e+00 PASS
@@ -129,6 +129,12 @@ def test_reducer_kinds():
     assert _reduce("x", r, 0.3, "floor") == invariance.CheckResult("x", 0.2, False)
     with pytest.raises(ValueError, match="kind"):
         _reduce("x", r, 0.5, "max")
+
+
+@pytest.mark.parametrize("trials", [0, -5, 2.0, None, "3"])
+def test_run_verification_rejects_bad_trials(trials):
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        run_verification(trials, 1)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1.0, 0.0])
