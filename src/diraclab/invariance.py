@@ -113,17 +113,17 @@ class GeneralizedParams:
     def from_physical(cls, m0: float, eps_tilde: float = 0.0, p_tilde=(0.0, 0.0, 0.0)) -> "GeneralizedParams":
         """Build a and c from the rest mass, energy shift and momentum shift,
         which must be finite, with m0 >= 0; a scalar p_tilde lies along z."""
-        p = np.asarray(p_tilde, dtype=float)
+        fields = {"m0": m0, "eps_tilde": eps_tilde, "p_tilde": p_tilde}
+        m0, eps_tilde, p = (_as_float(name, x) for name, x in fields.items())
         if p.shape == ():
             p = np.array([0.0, 0.0, float(p)])
         if p.shape != (3,):
             raise ValueError(f"p_tilde must have 3 components, got shape {p.shape}")
-        m0, eps_tilde = np.asarray(m0, dtype=float), np.asarray(eps_tilde, dtype=float)
-        for name, value in (("m0", m0), ("eps_tilde", eps_tilde), ("p_tilde", p)):
+        for (name, x), value in zip(fields.items(), (m0, eps_tilde, p)):
             if not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {x!r}")
         if m0 < 0.0:
-            raise ValueError(f"m0 must be nonnegative, got {m0}")
+            raise ValueError(f"m0 must be nonnegative, got {fields['m0']!r}")
         c = np.array(
             [-1j * eps_tilde, 1j * p[0], 1j * p[1], 1j * p[2]], dtype=np.complex128
         )
@@ -145,6 +145,15 @@ class GeneralizedParams:
     @property
     def p_tilde(self) -> np.ndarray:
         return (-1j * self.c[1:]).real.copy()
+
+
+def _as_float(name: str, value) -> np.ndarray:
+    """value as a float array.  numpy's conversion error is raised again
+    with the same type, naming the field and the value passed."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{name} must be a real number, got {value!r} ({exc})") from None
 
 
 def _check_ac(a, c) -> None:
@@ -389,10 +398,11 @@ _PHI0_TOL = 1e-10  # gate of the uniqueness suite's residual-bounded checks
 _VIOLATION_FLOOR = 1e-3  # least violation its negative controls must show
 
 
-def _check_trials(trials) -> None:
-    """Reject a trial count that is not an integer (numpy's too) >= 1."""
-    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+def _check_int(name: str, value, least: int) -> None:
+    """Reject a trial count or seed that is not an integer (numpy's too)
+    >= least, before anything is drawn."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def verify_phi0_uniqueness(trials: int = 100, seed: int = 0) -> list[CheckResult]:
@@ -422,7 +432,8 @@ def verify_phi0_uniqueness(trials: int = 100, seed: int = 0) -> list[CheckResult
     block-ansatz form of the check, because the acceptance tests and the
     benchmark pin the check names.
     """
-    _check_trials(trials)
+    _check_int("trials", trials, 1)
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     gammas = np.array(GAMMA)
     r = _listed_constraint_residual(gammas)

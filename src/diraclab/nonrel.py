@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .invariance import _as_float
 from .operators import _as_k3, _k2, _sigma_dot, _value, _w
 
 __all__ = [
@@ -88,15 +89,16 @@ def _nonrel_stack(m0, eps_tilde, c_tilde) -> _NonRelStack:
 
 
 def _check(params) -> None:
-    """NonRelParams' checks, on one set of fields or a stack of them."""
-    fields = (params.m0, params.eps_tilde, params.c_light, params.c_tilde)
-    m0, eps_tilde, c_light, c_tilde = (np.asarray(x, dtype=float) for x in fields)
-    if np.any(m0 <= 0.0):
-        raise ValueError(f"m0 must be positive, got {params.m0}")
-    if np.any(c_light <= 0.0):
-        raise ValueError(f"c_light must be positive, got {params.c_light}")
-    if not all(np.isfinite(x).all() for x in (m0, eps_tilde, c_light, c_tilde)):
-        raise ValueError(f"parameters must be finite, got {params}")
+    """NonRelParams' checks, on one set of fields or a stack of them; each
+    error names the field and shows the value passed."""
+    fields = {name: getattr(params, name) for name in ("m0", "c_light", "eps_tilde", "c_tilde")}
+    values = {name: _as_float(name, x) for name, x in fields.items()}
+    for name in ("m0", "c_light"):
+        if np.any(values[name] <= 0.0):
+            raise ValueError(f"{name} must be positive, got {fields[name]!r}")
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"parameters must be finite, got {name}={fields[name]!r}")
 
 
 def pauli_energy(k, params: NonRelParams) -> float | np.ndarray:

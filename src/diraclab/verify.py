@@ -7,11 +7,12 @@ from zero, which keeps the violated condition visible regardless of the
 draw (a transform whose parameter is near zero, or a constant matrix
 whose relevant components vanish, would otherwise mask the defect).
 
-Each randomized check draws its trials in a fixed per-trial order (one
-generator call per quantity, trial after trial, or one call that gives the
-same stream), evaluates one residual per trial on (trials, 4, 4) stacks in
-blocks of at most invariance._BLOCK trials, and hands the residual array to
-invariance._reduce, which makes every verdict NaN-safe.
+Each randomized check makes one generator call per block of at most
+invariance._BLOCK trials: a (trials, columns) uniform draw, one row per
+trial.  Integer choices (kind, axis, sign) are the floors of their own
+uniform columns.  The check evaluates one residual per trial on
+(trials, 4, 4) stacks and hands the residual array to invariance._reduce,
+which makes every verdict NaN-safe.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .invariance import (
     _bc_residuals,
     _param_stack,
     _blockwise,
-    _check_trials,
+    _check_int,
     _ParamStack,
     _reduce,
     _zeta,
@@ -45,40 +46,46 @@ from .poincare import _covariance_residuals, _reps
 
 __all__ = ["run_verification", "format_report", "report_header"]
 
-_KINDS = ("rotation", "boost")
-# A random sign is _SIGNS[rng.integers(2)]: rng.choice((-1.0, 1.0)) draws the
-# same stream through rng.integers, at several times the per-call cost.  That
-# equality is numpy's implementation, not its documented contract; the golden
-# reports in tests/test_verify.py pin the stream, so a numpy that breaks it
-# fails there.
+_KINDS = np.array(["rotation", "boost"])
 _SIGNS = np.array([-1.0, 1.0])
 
-# Bounds of the uniform draws, one pair per drawn number, in draw order.
+# Bounds of the uniform draws, one pair per column, in column order.
 _K = ((-2.0, 2.0),) * 3
 _PARAMS = ((0.1, 5.0), (-1.0, 1.0)) + ((-1.0, 1.0),) * 3  # m0, eps_tilde, p_tilde
+_BIT = (0.0, 2.0)  # floored to 0 or 1: an index into _KINDS or _SIGNS
+_KIND_AXIS = (_BIT, (1.0, 4.0))  # the axis floored to 1, 2 or 3
+_MAGNITUDE = ((0.5, 2.0), _BIT)  # a parameter bounded away from zero, then its sign
 
 
 def _uniform(rng, trials: int, bounds) -> np.ndarray:
-    """(trials, len(bounds)) uniform draws.  rng.uniform fills the array in
-    row-major order, so the stream is that of one call per number, trial
-    after trial."""
+    """(trials, len(bounds)) uniform draws in one generator call, one row
+    per trial.  rng.uniform fills the array in row-major order, so the
+    first n rows of a 2n-trial draw are the n-trial draw."""
     lo, hi = np.array(bounds).T
     return rng.uniform(lo, hi, (trials, len(bounds)))
+
+
+def _floor(u: np.ndarray) -> np.ndarray:
+    """The floor of positive draws, as indices.  lo + (hi - lo) * r with
+    r <= 1 - 2**-53 stays below hi for the bounds above, so the floor of a
+    (0, 2) column is 0 or 1 and of a (1, 4) column 1, 2 or 3."""
+    return u.astype(np.intp)  # truncation is the floor for positive values
+
+
+def _kinds_axes(u: np.ndarray):
+    """Kinds and axes of (trials, 2) _KIND_AXIS draws."""
+    i = _floor(u)
+    return _KINDS[i[:, 0]], i[:, 1]
+
+
+def _signed(u: np.ndarray) -> np.ndarray:
+    """Signed magnitudes of (trials, 2) _MAGNITUDE draws."""
+    return u[:, 0] * _SIGNS[_floor(u[:, 1])]
 
 
 def _params(u: np.ndarray) -> _ParamStack:
     """The GeneralizedParams of (trials, 5) draws (m0, eps_tilde, p_tilde)."""
     return _param_stack(u[:, 0], u[:, 1], u[:, 2:5])
-
-
-def _draw_transform(rng, bounded: bool = False) -> tuple[str, int, float]:
-    kind = _KINDS[int(rng.integers(2))]
-    axis = int(rng.integers(1, 4))
-    if bounded:
-        par = float(rng.uniform(0.5, 2.0) * _SIGNS[rng.integers(2)])
-    else:
-        par = float(rng.uniform(-2.0, 2.0))
-    return kind, axis, par
 
 
 def _check_clifford(threshold: float = 1e-14) -> CheckResult:
@@ -115,47 +122,36 @@ def _basis_roundtrip(rng, n):
 
 
 def _covariance(rng, n):
-    draws = [_draw_transform(rng) for _ in range(n)]
-    return _covariance_residuals(np.array(GAMMA), *_reps(*zip(*draws)))
+    # Per trial: kind, axis, parameter.
+    u = _uniform(rng, n, _KIND_AXIS + ((-2.0, 2.0),))
+    return _covariance_residuals(np.array(GAMMA), *_reps(*_kinds_axes(u[:, :2]), u[:, 2]))
 
 
 def _covariance_negative(rng, n):
     perturbed = np.array([GAMMA[0], GAMMA[1] + 0.1 * I4, GAMMA[2], GAMMA[3]])
-    pars = [float(rng.uniform(0.5, 2.0) * _SIGNS[rng.integers(2)]) for _ in range(n)]
+    pars = _signed(_uniform(rng, n, _MAGNITUDE))
     # Each trial's parameter under all six (kind, axis) pairs; a trial's
     # violation is the largest of its six residuals.
     kinds, axes = np.repeat(_KINDS, 3), np.tile([1, 2, 3], 2)
-    return _per_trial(
-        _covariance_residuals(perturbed, *_reps(kinds, axes, np.array(pars)[:, None]))
-    )
-
-
-def _bounded_imaginary_c(rng) -> np.ndarray:
-    mag = rng.uniform(0.25, 1.0, 4)
-    sign = _SIGNS[rng.integers(2, size=4)]
-    return 1j * mag * sign
-
-
-def _zeta_draws(rng, n: int, bounded: bool):
-    """Per trial: c, then a, then the transform; stacked column by column."""
-    rows = []
-    for _ in range(n):
-        c = _bounded_imaginary_c(rng) if bounded else 1j * rng.uniform(-1.0, 1.0, 4)
-        a = 1j * rng.uniform(0.0, 1.0)
-        rows.append((c, a, *_draw_transform(rng, bounded)))
-    return (np.array(col) for col in zip(*rows))
+    return _per_trial(_covariance_residuals(perturbed, *_reps(kinds, axes, pars[:, None])))
 
 
 def _zeta_condition(rng, n):
-    c, a, kinds, axes, pars = _zeta_draws(rng, n, bounded=False)
+    # Per trial: c, a, kind, axis, parameter.
+    u = _uniform(rng, n, ((-1.0, 1.0),) * 4 + ((0.0, 1.0),) + _KIND_AXIS + ((-2.0, 2.0),))
+    c, (kinds, axes), pars = 1j * u[:, :4], _kinds_axes(u[:, 5:7]), u[:, 7]
     S, Sinv, _ = _reps(kinds, axes, pars)
-    return _bc_residuals(a, c, S, Sinv, _zeta(c, kinds, axes, pars))
+    return _bc_residuals(1j * u[:, 4], c, S, Sinv, _zeta(c, kinds, axes, pars))
 
 
 def _zeta_negative(rng, n):
-    c, a, kinds, axes, pars = _zeta_draws(rng, n, bounded=True)
-    S, Sinv, _ = _reps(kinds, axes, pars)
-    return _bc_residuals(a, c, S, Sinv, np.zeros_like(c))
+    # Per trial: |c|, the signs of c, a, kind, axis, then a parameter
+    # bounded away from zero and its sign.
+    bounds = ((0.25, 1.0),) * 4 + (_BIT,) * 4 + ((0.0, 1.0),) + _KIND_AXIS + _MAGNITUDE
+    u = _uniform(rng, n, bounds)
+    c = 1j * u[:, :4] * _SIGNS[_floor(u[:, 4:8])]
+    S, Sinv, _ = _reps(*_kinds_axes(u[:, 9:11]), _signed(u[:, 11:]))
+    return _bc_residuals(1j * u[:, 8], c, S, Sinv, np.zeros_like(c))
 
 
 def _hermiticity(rng, n):
@@ -221,7 +217,8 @@ def run_verification(trials: int = 200, seed: int = 42, tol: float | None = None
     positive and finite: an infinite gate passes everything and a zero or
     negative one fails everything.
     """
-    _check_trials(trials)
+    _check_int("trials", trials, 1)
+    _check_int("seed", seed, 0)
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     rng = np.random.default_rng(seed)

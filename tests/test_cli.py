@@ -180,6 +180,12 @@ class TestVerifyCommand:
         assert out == ""
         assert "trials" in err
 
+    def test_negative_seed_exits_2_naming_the_seed(self, capsys):
+        code, out, err = run_main(capsys, ["verify", "--trials", "5", "--seed", "-1"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be an integer >= 0, got -1\n"
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_bad_tol_exits_2_without_output(self, capsys, tol):
         # inf would pass every gated check vacuously; nan, -1 and 0 would

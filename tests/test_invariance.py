@@ -48,16 +48,26 @@ class TestGeneralizedParams:
 
     @pytest.mark.parametrize(
         "m0, eps, p", [(np.inf, 0.0, 0.0), (np.nan, 0.0, 0.0), (1.0, np.nan, 0.0),
-                       (1.0, 0.0, (0.0, np.inf, 0.0)), (None, 0.0, 0.0)]
+                       (1.0, 0.0, (0.0, np.inf, 0.0)), (None, 0.0, 0.0),
+                       (1.0, None, 0.0), (1.0, 0.0, (0.0, None, 0.0))]
     )
     def test_rejects_non_finite(self, m0, eps, p):
-        with pytest.raises(ValueError, match="finite"):
+        # The message names the field and shows the value passed, not its
+        # conversion (None, not nan).
+        name, value = next(
+            (name, x) for name, x in (("m0", m0), ("eps_tilde", eps), ("p_tilde", p))
+            if not np.isfinite(np.asarray(x, dtype=float)).all()
+        )
+        with pytest.raises(ValueError, match="finite") as info:
             GeneralizedParams.from_physical(m0, eps, p)
+        assert str(info.value) == f"{name} must be finite, got {value!r}"
 
     @pytest.mark.parametrize("m0, eps", [("a", 0.0), (1.0, "x")])
     def test_rejects_non_numeric(self, m0, eps):
-        with pytest.raises(ValueError, match="could not convert"):
+        name, value = ("m0", m0) if m0 == "a" else ("eps_tilde", eps)
+        with pytest.raises(ValueError, match="could not convert") as info:
             GeneralizedParams.from_physical(m0, eps)
+        assert str(info.value).startswith(f"{name} must be a real number, got {value!r}")
 
     @pytest.mark.parametrize(
         "m0, eps, p, message",

@@ -47,20 +47,24 @@ class TestParams:
             NonRelParams(m0=1.0, c_light=0.0)
         with pytest.raises(ValueError):
             NonRelParams(m0=1.0, c_tilde=np.zeros(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^c_tilde must be a real number, got \(0.0, 'b', 0.0\)"):
             NonRelParams(m0=1.0, c_tilde=(0.0, "b", 0.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^m0 must be a real number, got 'a'"):
             NonRelParams(m0="a")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^c_light must be a real number, got 'x'"):
             NonRelParams(m0=1.0, c_light="x")
+        with pytest.raises(ValueError, match="^parameters must be finite, got eps_tilde=None$"):
+            NonRelParams(m0=1.0, eps_tilde=None)
 
     @pytest.mark.parametrize("field", ["m0", "eps_tilde", "c_tilde", "c_light"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, None])
     def test_rejects_non_finite(self, field, value):
         kwargs = {"m0": 1.0, field: (0.0, value, 0.0) if field == "c_tilde" else value}
-        # a non-finite shift is a parameter, not a momentum k
-        with pytest.raises(ValueError, match="parameters" if field == "c_tilde" else None):
+        # a non-finite shift is a parameter, not a momentum k; the message
+        # names the field and shows the value passed
+        with pytest.raises(ValueError, match="parameters" if field == "c_tilde" else None) as info:
             NonRelParams(**kwargs)
+        assert field in str(info.value) and repr(kwargs[field]) in str(info.value)
 
     def test_overflowing_energy_raises_value_error(self):
         # finite inputs whose energy overflows: Python float ** raised

@@ -10,31 +10,31 @@ import diraclab.verify as verify
 from diraclab.invariance import _reduce
 from diraclab.verify import format_report, report_header, run_verification
 
-# `verify --trials 500` at seeds 1, 7 and 42, as the per-trial loops printed
-# them before the checks ran on stacks.  A changed digit here is a changed
-# residual: name it, do not regenerate the report.  levy_leblond_vs_pauli
-# reads the linked-pair defect of the solved spinors; it read exactly 0
-# while it compared two copies of one energy formula.
+# `verify --trials 500` at seeds 1, 7 and 42, with every check drawing its
+# trials in one generator call per block, one row per trial.  A changed
+# digit here is a changed residual: name it, do not regenerate the report.
+# levy_leblond_vs_pauli reads the linked-pair defect of the solved spinors;
+# it read exactly 0 while it compared two copies of one energy formula.
 GOLDEN = {
     1: """\
 # diraclab verify trials=500 seed=1
 CHECK clifford_anticommutators max_residual=0.000000e+00 PASS
 CHECK gamma5_identity max_residual=0.000000e+00 PASS
 CHECK basis_roundtrip max_residual=1.110223e-15 PASS
-CHECK covariance_gamma max_residual=8.881784e-16 PASS
-CHECK covariance_negative_control max_residual=5.752805e-02 PASS
-CHECK zeta_condition max_residual=1.332268e-15 PASS
-CHECK zeta_negative_control max_residual=1.992410e-01 PASS
+CHECK covariance_gamma max_residual=6.661338e-16 PASS
+CHECK covariance_negative_control max_residual=5.320239e-02 PASS
+CHECK zeta_condition max_residual=9.930137e-16 PASS
+CHECK zeta_negative_control max_residual=1.707708e-01 PASS
 CHECK phi0_gamma_structure max_residual=0.000000e+00 PASS
 CHECK phi0_ansatz_nullspace max_residual=1.018307e-15 PASS
 CHECK phi0_random_violation max_residual=1.823354e+00 PASS
 CHECK phi0_bc_commutant max_residual=0.000000e+00 PASS
 CHECK phi0_bc_negative max_residual=2.000000e+00 PASS
 CHECK hamiltonian_hermiticity max_residual=0.000000e+00 PASS
-CHECK dispersion_vs_eigensolver max_residual=7.993606e-15 PASS
+CHECK dispersion_vs_eigensolver max_residual=6.217249e-15 PASS
 CHECK dirac_square_kg max_residual=1.421085e-14 PASS
-CHECK gauge_map_roundtrip max_residual=8.950904e-16 PASS
-CHECK levy_leblond_vs_pauli max_residual=4.580230e-16 PASS
+CHECK gauge_map_roundtrip max_residual=1.776370e-15 PASS
+CHECK levy_leblond_vs_pauli max_residual=6.686715e-16 PASS
 """,
     7: """\
 # diraclab verify trials=500 seed=7
@@ -42,9 +42,9 @@ CHECK clifford_anticommutators max_residual=0.000000e+00 PASS
 CHECK gamma5_identity max_residual=0.000000e+00 PASS
 CHECK basis_roundtrip max_residual=1.110223e-15 PASS
 CHECK covariance_gamma max_residual=8.881784e-16 PASS
-CHECK covariance_negative_control max_residual=5.222864e-02 PASS
-CHECK zeta_condition max_residual=1.336886e-15 PASS
-CHECK zeta_negative_control max_residual=2.063539e-01 PASS
+CHECK covariance_negative_control max_residual=5.554033e-02 PASS
+CHECK zeta_condition max_residual=9.930137e-16 PASS
+CHECK zeta_negative_control max_residual=1.811275e-01 PASS
 CHECK phi0_gamma_structure max_residual=0.000000e+00 PASS
 CHECK phi0_ansatz_nullspace max_residual=1.018307e-15 PASS
 CHECK phi0_random_violation max_residual=1.804402e+00 PASS
@@ -53,8 +53,8 @@ CHECK phi0_bc_negative max_residual=2.000000e+00 PASS
 CHECK hamiltonian_hermiticity max_residual=0.000000e+00 PASS
 CHECK dispersion_vs_eigensolver max_residual=6.217249e-15 PASS
 CHECK dirac_square_kg max_residual=1.421085e-14 PASS
-CHECK gauge_map_roundtrip max_residual=1.776574e-15 PASS
-CHECK levy_leblond_vs_pauli max_residual=4.490358e-16 PASS
+CHECK gauge_map_roundtrip max_residual=1.777224e-15 PASS
+CHECK levy_leblond_vs_pauli max_residual=6.680228e-16 PASS
 """,
     42: """\
 # diraclab verify trials=500 seed=42
@@ -62,9 +62,9 @@ CHECK clifford_anticommutators max_residual=0.000000e+00 PASS
 CHECK gamma5_identity max_residual=0.000000e+00 PASS
 CHECK basis_roundtrip max_residual=9.485750e-16 PASS
 CHECK covariance_gamma max_residual=8.881784e-16 PASS
-CHECK covariance_negative_control max_residual=5.493908e-02 PASS
-CHECK zeta_condition max_residual=8.950904e-16 PASS
-CHECK zeta_negative_control max_residual=2.328463e-01 PASS
+CHECK covariance_negative_control max_residual=5.254612e-02 PASS
+CHECK zeta_condition max_residual=1.332268e-15 PASS
+CHECK zeta_negative_control max_residual=1.999365e-01 PASS
 CHECK phi0_gamma_structure max_residual=0.000000e+00 PASS
 CHECK phi0_ansatz_nullspace max_residual=1.018307e-15 PASS
 CHECK phi0_random_violation max_residual=1.783380e+00 PASS
@@ -73,8 +73,8 @@ CHECK phi0_bc_negative max_residual=2.000000e+00 PASS
 CHECK hamiltonian_hermiticity max_residual=0.000000e+00 PASS
 CHECK dispersion_vs_eigensolver max_residual=6.217249e-15 PASS
 CHECK dirac_square_kg max_residual=1.421085e-14 PASS
-CHECK gauge_map_roundtrip max_residual=1.777224e-15 PASS
-CHECK levy_leblond_vs_pauli max_residual=4.494792e-16 PASS
+CHECK gauge_map_roundtrip max_residual=1.776357e-15 PASS
+CHECK levy_leblond_vs_pauli max_residual=6.661357e-16 PASS
 """,
 }
 
@@ -137,6 +137,21 @@ def test_run_verification_rejects_bad_trials(trials):
         run_verification(trials, 1)
 
 
+@pytest.mark.parametrize("seed", [-1, None, 1.0, "3", (1, 2)])
+def test_run_verification_rejects_bad_seed(seed):
+    # Rejected before any draw: seed=None would otherwise run seven checks
+    # and stop at seed + 1, and verify_phi0_uniqueness would draw from OS
+    # entropy.
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        run_verification(5, seed)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        invariance.verify_phi0_uniqueness(5, seed)
+
+
+def test_numpy_integer_seed_is_the_int_seed():
+    assert run_verification(5, np.int64(3)) == run_verification(5, 3)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1.0, 0.0])
 def test_run_verification_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol"):
@@ -156,6 +171,76 @@ def test_stacked_uniform_draws_follow_the_per_trial_stream():
     stacked = verify._uniform(stack_rng, 23, bounds)
     assert stacked.tobytes() == np.array(loop).tobytes()
     assert loop_rng.random() == stack_rng.random()
+
+
+_TRANSFORM_CHECKS = ["_covariance", "_covariance_negative", "_zeta_condition", "_zeta_negative"]
+
+
+def _record(monkeypatch, name):
+    """Wrap verify.<name> so that each call's arguments and result are kept."""
+    calls, wrapped = [], getattr(verify, name)
+
+    def call(*args):
+        calls.append((args, wrapped(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verify, name, call)
+    return calls
+
+
+@pytest.mark.parametrize("check", _TRANSFORM_CHECKS)
+def test_transform_draws_cover_every_kind_axis_and_sign(monkeypatch, check):
+    # Over a few thousand trials every (kind, axis) pair occurs, a
+    # parameter bounded away from zero takes both signs, and every
+    # parameter stays within its bounds.
+    reps, bc = _record(monkeypatch, "_reps"), _record(monkeypatch, "_bc_residuals")
+    getattr(verify, check)(np.random.default_rng(5), 3000)
+    kinds, axes, pars = (x.ravel() for x in np.broadcast_arrays(*reps[0][0]))
+    pairs = {(kind, axis) for kind in ("rotation", "boost") for axis in (1, 2, 3)}
+    assert set(zip(kinds.tolist(), axes.tolist())) == pairs
+    if check.endswith("negative"):
+        assert set(np.sign(pars)) == {-1.0, 1.0}
+        assert np.all((np.abs(pars) >= 0.5) & (np.abs(pars) < 2.0))
+    else:
+        assert np.all((pars >= -2.0) & (pars < 2.0))
+    if check.startswith("_zeta"):
+        a, c = (np.asarray(x) for x in bc[0][0][:2])
+        assert np.all(a.real == 0) and np.all((a.imag >= 0.0) & (a.imag < 1.0))
+        assert np.all(c.real == 0)
+        if check == "_zeta_negative":
+            assert np.all((np.abs(c.imag) >= 0.25) & (np.abs(c.imag) < 1.0))
+            assert all(set(np.sign(col)) == {-1.0, 1.0} for col in c.imag.T)
+        else:
+            assert np.all((c.imag >= -1.0) & (c.imag < 1.0))
+
+
+@pytest.mark.parametrize("check", _TRANSFORM_CHECKS)
+def test_first_trials_of_a_longer_draw_are_the_shorter_draw(monkeypatch, check):
+    # The first n rows of a 2n-trial draw are the n-trial draw, so blocks
+    # of trials draw what one stack would.
+    draws = _record(monkeypatch, "_uniform")
+    short, long = (getattr(verify, check)(np.random.default_rng(9), n) for n in (37, 74))
+    assert [u.shape[0] for _, u in draws] == [37, 74]
+    assert draws[0][1].tobytes() == draws[1][1][:37].tobytes()
+    assert short.tobytes() == long[:37].tobytes()
+
+
+def test_extreme_draws_floor_below_the_upper_bound():
+    # numpy's largest uniform double is r = 1 - 2**-53, drawn as
+    # lo + (hi - lo) * r.  On (0, 2) that is 2 - 2**-52, exactly.  On
+    # (1, 4), 3 * r lies 3/4 of an ulp below 3 (ulp 2**-51 on [2, 4)), so
+    # it rounds down to 3 - 2**-51, and 1 + that is 4 - 2**-51, exactly.
+    # Neither reaches hi, so the floors are 1 and 3, never 2 or 4.
+    r = 1 - 2.0**-53
+    top = np.array([[lo + (hi - lo) * r for lo, hi in verify._KIND_AXIS + verify._MAGNITUDE]])
+    assert top[0, 0] == top[0, 3] == 2 - 2.0**-52 and top[0, 1] == 4 - 2.0**-51
+    assert verify._floor(top[:, [0, 1, 3]]).tolist() == [[1, 3, 1]]
+    kinds, axes = verify._kinds_axes(top[:, :2])
+    assert kinds.tolist() == ["boost"] and axes.tolist() == [3]
+    assert verify._signed(top[:, 2:]).tolist() == [top[0, 2]]
+    bottom = np.array([[lo for lo, _ in verify._KIND_AXIS + verify._MAGNITUDE]])
+    assert verify._floor(bottom[:, [0, 1, 3]]).tolist() == [[0, 1, 0]]
+    assert verify._signed(bottom[:, 2:]).tolist() == [-0.5]
 
 
 def test_blocks_draw_and_check_like_one_stack(monkeypatch):
