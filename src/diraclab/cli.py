@@ -26,6 +26,7 @@ from .nonrel import (
     nonrel_error,
     pauli_energy,
 )
+from .poincare import _count, _real
 from .verify import format_report, report_header, run_verification
 
 __all__ = ["main", "build_parser", "parse_matrix_file", "write_matrix_file"]
@@ -176,11 +177,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dispersion(args) -> int:
-    if args.steps < 2:
-        raise ValueError("--steps must be at least 2")
-    if not np.isfinite([args.k_min, args.k_max]).all():
-        raise ValueError("--k-min and --k-max must be finite")
-    if not np.isfinite(args.k_max - args.k_min):
+    _count("--steps", args.steps, 2)
+    k_min, k_max = _real("--k-min", args.k_min), _real("--k-max", args.k_max)
+    if not np.isfinite(k_max - k_min):
         raise ValueError(
             "the span from --k-min to --k-max is not finite: "
             "the inputs overflow double precision"
@@ -191,7 +190,7 @@ def _cmd_dispersion(args) -> int:
         c_tilde=(0.0, 0.0, args.p_tilde),
         c_light=args.c_light,
     )
-    ks = np.linspace(args.k_min, args.k_max, args.steps)
+    ks = np.linspace(k_min, k_max, args.steps)
     k3 = ks[:, None] * (0.0, 0.0, 1.0)  # the sweep runs along z
     pauli = pauli_energy(k3, nr)
     columns = (ks, dirac_energy(k3, nr, +1), dirac_energy(k3, nr, -1), pauli, pauli)
@@ -216,9 +215,8 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    if args.points < 2:
-        raise ValueError("--points must be at least 2")
-    if not (np.isfinite(args.k_max) and args.k_max > 0):
+    _count("--points", args.points, 2)
+    if _real("--k-max", args.k_max) <= 0.0:
         raise ValueError("--k-max must be positive and finite")
     nr = NonRelParams(m0=args.m0, c_light=args.c_light)
     ks = np.geomspace(args.k_max * 1e-3, args.k_max, args.points)

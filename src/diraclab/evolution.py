@@ -47,6 +47,7 @@ import numpy as np
 
 from .invariance import GeneralizedParams
 from .operators import ALPHA, _h0, _k2, _w, plane_wave_solve
+from .poincare import _count, _real
 
 __all__ = [
     "WavePacket",
@@ -60,16 +61,14 @@ __all__ = [
 ]
 
 
-def _is_count(value, least: int) -> bool:
-    """value is an integer (a numpy integer too) of at least `least`."""
-    return isinstance(value, (int, np.integer)) and value >= least
-
-
-def _check_grid(n: int, length: float) -> None:
-    if not _is_count(n, 64) or (n & (n - 1)) != 0:
+def _check_grid(n: int, length: float) -> float:
+    """The grid length as a float, once n and length are checked."""
+    if _count("n", n, 64) & (n - 1):
         raise ValueError(f"n must be a power of two >= 64, got {n}")
-    if not (math.isfinite(length) and length > 0.0):
+    length = _real("length", length)
+    if length <= 0.0:
         raise ValueError(f"length must be positive and finite, got {length}")
+    return length
 
 
 @dataclass(frozen=True)
@@ -82,14 +81,15 @@ class WavePacket:
     time: float = 0.0
 
     def __post_init__(self):
-        _check_grid(self.n, self.length)
+        object.__setattr__(self, "length", _check_grid(self.n, self.length))
         v = np.array(self.values, dtype=np.complex128, order="C")
         if v.shape != (self.n, 4):
             raise ValueError(f"values must have shape ({self.n}, 4), got {v.shape}")
-        if not (math.isfinite(self.time) and np.isfinite(v).all()):
-            raise ValueError("values and time must be finite")
+        if not np.isfinite(v).all():
+            raise ValueError("values must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "time", _real("time", self.time))
 
     @property
     def dx(self) -> float:
@@ -191,12 +191,10 @@ def init_gaussian(
     `width` is the standard deviation of the amplitude envelope, so the
     position density has spread width/sqrt(2).  Unit norm.
     """
-    if branch not in (+1, -1):
+    if _count("branch", branch, -1) not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
-    _check_grid(n, length)
-    for name, value in (("x0", x0), ("k0", k0), ("width", width)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    length = _check_grid(n, length)
+    x0, k0, width = _real("x0", x0), _real("k0", k0), _real("width", width)
     if width <= 0.0:
         raise ValueError(f"width must be positive, got {width}")
     dx = length / n
@@ -226,12 +224,13 @@ def init_gaussian(
     return WavePacket(n=n, length=length, values=values / norm, time=0.0)
 
 
-def _check_span(time: float, dt: float, steps: int) -> None:
-    """dt and the end time time + dt*steps (time itself is finite) are finite."""
-    if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}")
+def _check_span(time: float, dt: float, steps: int) -> float:
+    """dt as a float, once it and the end time time + dt*steps (time
+    itself is finite) are checked finite."""
+    dt = _real("dt", dt)
     if not math.isfinite(time + dt * steps):
         raise ValueError(f"time {time} + dt*steps ({dt}*{steps}) overflows double precision")
+    return dt
 
 
 def _unit_phase(w: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
@@ -305,9 +304,7 @@ def evolve(
     packet: WavePacket, params: GeneralizedParams, dt: float, steps: int = 1
 ) -> WavePacket:
     """Advance a packet by dt*steps with the exact mode-wise propagator."""
-    if not _is_count(steps, 0):
-        raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
-    _check_span(packet.time, dt, steps)
+    dt = _check_span(packet.time, dt, _count("steps", steps, 0))
     spectrum = _Spectrum(packet, params)
     # a span whose phase w*t overflows gives NaN values, which WavePacket rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -458,11 +455,9 @@ def trajectory(
     threads, bit for bit; a helper thread is joined before trajectory
     returns or raises.
     """
-    if not _is_count(steps, 1):
-        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
-    if not _is_count(sample_every, 1):
-        raise ValueError(f"sample_every must be an integer >= 1, got {sample_every!r}")
-    _check_span(packet.time, dt, steps)
+    steps = _count("steps", steps, 1)
+    _count("sample_every", sample_every, 1)
+    dt = _check_span(packet.time, dt, steps)
     spectrum = _Spectrum(packet, params)
     moments = _Moments(packet)
 

@@ -23,6 +23,7 @@ gamma^mu.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,9 +42,12 @@ from .clifford import (
 from .poincare import (
     _PLANES,
     PoincareTransform,
+    _as_float,
     _checked,
+    _count,
     _covariance_defects,
     _covariance_residuals,
+    _real,
     _reps,
     _split,
 )
@@ -100,6 +104,8 @@ class GeneralizedParams:
     c: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.a, bool) or not isinstance(self.a, numbers.Complex):
+            raise ValueError(f"a must be a complex number, got {self.a!r}")
         a = complex(self.a)
         c = np.array(self.c, dtype=np.complex128)
         if c.shape != (4,):
@@ -113,21 +119,16 @@ class GeneralizedParams:
     def from_physical(cls, m0: float, eps_tilde: float = 0.0, p_tilde=(0.0, 0.0, 0.0)) -> "GeneralizedParams":
         """Build a and c from the rest mass, energy shift and momentum shift,
         which must be finite, with m0 >= 0; a scalar p_tilde lies along z."""
-        fields = {"m0": m0, "eps_tilde": eps_tilde, "p_tilde": p_tilde}
-        m0, eps_tilde, p = (_as_float(name, x) for name, x in fields.items())
+        mass, eps = _real("m0", m0), _real("eps_tilde", eps_tilde)
+        p = _as_float("p_tilde", p_tilde)
         if p.shape == ():
             p = np.array([0.0, 0.0, float(p)])
         if p.shape != (3,):
             raise ValueError(f"p_tilde must have 3 components, got shape {p.shape}")
-        for (name, x), value in zip(fields.items(), (m0, eps_tilde, p)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite, got {x!r}")
-        if m0 < 0.0:
-            raise ValueError(f"m0 must be nonnegative, got {fields['m0']!r}")
-        c = np.array(
-            [-1j * eps_tilde, 1j * p[0], 1j * p[1], 1j * p[2]], dtype=np.complex128
-        )
-        return cls(a=1j * m0, c=c)
+        if mass < 0.0:
+            raise ValueError(f"m0 must be nonnegative, got {m0!r}")
+        c = np.array([-1j * eps, 1j * p[0], 1j * p[1], 1j * p[2]], dtype=np.complex128)
+        return cls(a=1j * mass, c=c)
 
     @classmethod
     def standard(cls, m0: float) -> "GeneralizedParams":
@@ -145,15 +146,6 @@ class GeneralizedParams:
     @property
     def p_tilde(self) -> np.ndarray:
         return (-1j * self.c[1:]).real.copy()
-
-
-def _as_float(name: str, value) -> np.ndarray:
-    """value as a float array.  numpy's conversion error is raised again
-    with the same type, naming the field and the value passed."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise type(exc)(f"{name} must be a real number, got {value!r} ({exc})") from None
 
 
 def _check_ac(a, c) -> None:
@@ -398,13 +390,6 @@ _PHI0_TOL = 1e-10  # gate of the uniqueness suite's residual-bounded checks
 _VIOLATION_FLOOR = 1e-3  # least violation its negative controls must show
 
 
-def _check_int(name: str, value, least: int) -> None:
-    """Reject a trial count or seed that is not an integer (numpy's too)
-    >= least, before anything is drawn."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def verify_phi0_uniqueness(trials: int = 100, seed: int = 0) -> list[CheckResult]:
     """Numerical evidence that zero phase forces the standard structure,
     over every 4-tuple of 4x4 matrices.
@@ -432,9 +417,8 @@ def verify_phi0_uniqueness(trials: int = 100, seed: int = 0) -> list[CheckResult
     block-ansatz form of the check, because the acceptance tests and the
     benchmark pin the check names.
     """
-    _check_int("trials", trials, 1)
-    _check_int("seed", seed, 0)
-    rng = np.random.default_rng(seed)
+    _count("trials", trials, 1)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     gammas = np.array(GAMMA)
     r = _listed_constraint_residual(gammas)
     results = [_reduce("phi0_gamma_structure", r, _PHI0_TOL, "bound")]

@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .invariance import _as_float
 from .operators import _as_k3, _k2, _sigma_dot, _value, _w
+from .poincare import _as_float, _count, _real
 
 __all__ = [
     "NonRelParams",
@@ -57,12 +57,17 @@ class NonRelParams:
     c_light: float = 1.0
 
     def __post_init__(self):
-        if any(np.ndim(x) for x in (self.m0, self.eps_tilde, self.c_light)):
-            raise ValueError(f"the parameters other than c_tilde must be scalars, got {self}")
-        _check(self)
-        ct = _as_k3(self.c_tilde).copy()
+        m0, c_light = _real("m0", self.m0), _real("c_light", self.c_light)
+        if m0 <= 0.0:
+            raise ValueError(f"m0 must be positive, got {self.m0!r}")
+        if c_light <= 0.0:
+            raise ValueError(f"c_light must be positive, got {self.c_light!r}")
+        ct = _as_k3(_as_float("c_tilde", self.c_tilde)).copy()
         ct.flags.writeable = False
+        object.__setattr__(self, "m0", m0)
+        object.__setattr__(self, "eps_tilde", _real("eps_tilde", self.eps_tilde))
         object.__setattr__(self, "c_tilde", ct)
+        object.__setattr__(self, "c_light", c_light)
 
 
 class _NonRelStack(NamedTuple):
@@ -77,28 +82,15 @@ class _NonRelStack(NamedTuple):
 
 
 def _nonrel_stack(m0, eps_tilde, c_tilde) -> _NonRelStack:
-    """NonRelParams for (T,) stacks of masses and shifts, checked alike."""
+    """NonRelParams for (T,) stacks of masses and shifts: every entry
+    finite, every mass positive, and (T, 3) shifts."""
     stack = _NonRelStack(
-        np.asarray(m0, dtype=float),
-        np.asarray(eps_tilde, dtype=float),
-        np.asarray(c_tilde, dtype=float),
+        _as_float("m0", m0), _as_float("eps_tilde", eps_tilde), _as_float("c_tilde", c_tilde)
     )
-    _check(stack)
+    if np.any(stack.m0 <= 0.0):
+        raise ValueError(f"m0 must be positive, got {m0!r}")
     _as_k3(stack.c_tilde, stack=True)  # the shape check
     return stack
-
-
-def _check(params) -> None:
-    """NonRelParams' checks, on one set of fields or a stack of them; each
-    error names the field and shows the value passed."""
-    fields = {name: getattr(params, name) for name in ("m0", "c_light", "eps_tilde", "c_tilde")}
-    values = {name: _as_float(name, x) for name, x in fields.items()}
-    for name in ("m0", "c_light"):
-        if np.any(values[name] <= 0.0):
-            raise ValueError(f"{name} must be positive, got {fields[name]!r}")
-    for name, value in values.items():
-        if not np.isfinite(value).all():
-            raise ValueError(f"parameters must be finite, got {name}={fields[name]!r}")
 
 
 def pauli_energy(k, params: NonRelParams) -> float | np.ndarray:
@@ -155,7 +147,7 @@ def _levy_leblond_spinors(k, params):
 def dirac_energy(k, params: NonRelParams, branch: int = +1) -> float | np.ndarray:
     """Relativistic branch energy in physical units:
     +/- sqrt(m0^2 c^4 + c^2 |k+shift|^2) - eps_tilde."""
-    if branch not in (+1, -1):
+    if _count("branch", branch, -1) not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
     w = _w(_k2(k, params.c_tilde), params.m0, params.c_light)
     return _value(branch * w - params.eps_tilde)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .clifford import GAMMA, I4
 from .invariance import GeneralizedParams
+from .poincare import _as_float, _count
 
 __all__ = [
     "ALPHA",
@@ -47,10 +48,8 @@ for _m in ALPHA:
 def _as_k3(k, stack: bool = False) -> np.ndarray:
     """Momentum as a float array: a scalar is k along z, otherwise a
     3-vector or, with stack=True, a (..., 3) stack of 3-vectors.  A NaN or
-    infinite entry is rejected before any arithmetic."""
-    k = np.asarray(k, dtype=float)
-    if not np.isfinite(k).all():
-        raise ValueError(f"k must be finite, got {k}")
+    infinite entry is rejected by name before any arithmetic."""
+    k = _as_float("k", k)
     if k.ndim == 0:
         return np.array([0.0, 0.0, float(k)])
     if k.shape[-1:] != (3,) or (k.ndim > 1 and not stack):
@@ -145,7 +144,7 @@ def hamiltonian_matrix(k, params: GeneralizedParams) -> np.ndarray:
 def dispersion(k, params: GeneralizedParams, branch: int = +1) -> float | np.ndarray:
     """Plane-wave energy on the given branch: +/- sqrt(m0^2+|k+p|^2) - eps;
     a float for one momentum k, an array for a (..., 3) stack of momenta."""
-    if branch not in (+1, -1):
+    if _count("branch", branch, -1) not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
     w = _w(_k2(k, params.p_tilde), params.m0)
     return _value(branch * w - params.eps_tilde)

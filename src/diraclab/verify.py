@@ -17,8 +17,6 @@ which makes every verdict NaN-safe.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .clifford import GAMMA, GAMMA5, I4, _compose, _decompose, anticommutator
@@ -27,7 +25,6 @@ from .invariance import (
     _bc_residuals,
     _param_stack,
     _blockwise,
-    _check_int,
     _ParamStack,
     _reduce,
     _zeta,
@@ -42,7 +39,7 @@ from .operators import (
     _sigma_dot,
     dispersion,
 )
-from .poincare import _covariance_residuals, _reps
+from .poincare import _count, _covariance_residuals, _real, _reps
 
 __all__ = ["run_verification", "format_report", "report_header"]
 
@@ -217,11 +214,15 @@ def run_verification(trials: int = 200, seed: int = 42, tol: float | None = None
     positive and finite: an infinite gate passes everything and a zero or
     negative one fails everything.
     """
-    _check_int("trials", trials, 1)
-    _check_int("seed", seed, 0)
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    rng = np.random.default_rng(seed)
+    _count("trials", trials, 1)
+    rng = np.random.default_rng(_count("seed", seed, 0))
+    if tol is not None:
+        try:
+            tol = _real("tol", tol)
+        except ValueError as exc:  # a NaN or infinite gate is out of range, as 0 is
+            raise ValueError(f"tol must be positive and finite: {exc}") from None
+        if tol <= 0.0:
+            raise ValueError(f"tol must be positive and finite, got {tol}")
 
     def gate(default: float) -> float:
         return default if tol is None else tol

@@ -1,5 +1,6 @@
 """Package-level import surface and the value types' array contract."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -103,3 +104,79 @@ def test_stored_arrays_are_read_only_copies(build, field, array):
     assert array.flags.writeable
     array[...] = 0
     assert np.all(stored != 0)
+
+
+# Every scalar entry point checks its input with one of two rules in
+# diraclab.poincare: _count (an integer, not a bool, at least a bound) and
+# _real (one finite real number, not a bool).  A rejected value raises
+# ValueError whose message starts with the name of the field.
+_STD = dl.GeneralizedParams.standard(1.0)
+_PACKET = dl.init_gaussian(128, 100.0, 50.0, 0.5, 8.0, params=_STD)
+_GAUSSIAN = dict(n=128, length=100.0, x0=50.0, k0=0.5, width=8.0)
+_C = 1j * np.array([0.3, -0.7, 0.2, 0.9])
+
+ENTRY_POINTS = [
+    ("trials", lambda v: dl.run_verification(v, 1)),
+    ("trials", lambda v: dl.verify_phi0_uniqueness(v, 1)),
+    ("seed", lambda v: dl.run_verification(5, v)),
+    ("seed", lambda v: dl.verify_phi0_uniqueness(5, v)),
+    ("tol", lambda v: dl.run_verification(5, 1, tol=v)),
+    ("steps", lambda v: dl.evolve(_PACKET, _STD, 0.1, v)),
+    ("steps", lambda v: dl.trajectory(_PACKET, _STD, 0.1, v)),
+    ("sample_every", lambda v: dl.trajectory(_PACKET, _STD, 0.1, 4, sample_every=v)),
+    ("dt", lambda v: dl.evolve(_PACKET, _STD, v)),
+    ("dt", lambda v: dl.trajectory(_PACKET, _STD, v, 4)),
+    ("n", lambda v: dl.WavePacket(v, 100.0, np.zeros((128, 4)))),
+    ("length", lambda v: dl.WavePacket(128, v, np.zeros((128, 4)))),
+    ("time", lambda v: dl.WavePacket(128, 100.0, np.zeros((128, 4)), time=v)),
+    *((name, lambda v, name=name: dl.init_gaussian(**{**_GAUSSIAN, name: v}, params=_STD))
+      for name in _GAUSSIAN),
+    ("branch", lambda v: dl.init_gaussian(**_GAUSSIAN, branch=v, params=_STD)),
+    ("branch", lambda v: dl.dispersion(0.5, _STD, v)),
+    ("m0", lambda v: dl.GeneralizedParams.from_physical(v)),
+    ("eps_tilde", lambda v: dl.GeneralizedParams.from_physical(1.0, v)),
+    ("p_tilde", lambda v: dl.GeneralizedParams.from_physical(1.0, 0.0, v)),
+    ("a", lambda v: dl.GeneralizedParams(a=v, c=np.zeros(4))),
+    ("m0", lambda v: dl.NonRelParams(m0=v)),
+    ("eps_tilde", lambda v: dl.NonRelParams(1.0, eps_tilde=v)),
+    ("c_light", lambda v: dl.NonRelParams(1.0, c_light=v)),
+    ("axis", lambda v: dl.PoincareTransform.rotation(v, 0.3)),
+    ("axis", lambda v: dl.zeta_boost(_C, v, 0.3)),
+    ("rotation parameter", lambda v: dl.PoincareTransform.rotation(1, v)),
+    ("boost parameter", lambda v: dl.PoincareTransform.make("boost", 2, v)),
+    ("rotation parameter", lambda v: dl.zeta_rotation(_C, 3, v)),
+]
+
+
+BAD_SCALARS = {"bool": True, "list": [1.0, 2.0], "str": "a", "None": None, "nan": np.nan}
+
+
+@pytest.mark.parametrize(
+    "name, call, value",
+    [pytest.param(name, call, value, id=f"{i}-{name}-{kind}")
+     for i, (name, call) in enumerate(ENTRY_POINTS)
+     for kind, value in BAD_SCALARS.items()
+     if not (name == "tol" and value is None)],  # tol=None is the default gate
+)
+def test_entry_points_reject_bad_scalars_by_name(name, call, value):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value).startswith(f"{name} "), str(info.value)
+
+
+def test_one_count_rule():
+    # A count is checked by poincare._count alone: np.integer appears in
+    # one isinstance call in the package, the one in _count.
+    found = []
+    for path in sorted((Path(dl.__file__).parent).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                        and "np.integer" in ast.unparse(node)):
+                    found.append((path.name, func.name))
+    assert found == [("poincare.py", "_count")]
+    text = "".join(p.read_text(encoding="utf-8") for p in Path(dl.__file__).parent.glob("*.py"))
+    assert text.count("np.integer") == 1

@@ -54,6 +54,10 @@ def test_init_resolution_guards():
     for width in (0.0, -10.0):
         with pytest.raises(ValueError, match="width must be positive"):
             init_gaussian(128, 100.0, 50.0, 0.5, width=width, params=STD)
+    # True and 1.0 are not the branch +1; 0 and 2 are not branches
+    for branch in (True, 1.0, 0, 2):
+        with pytest.raises(ValueError, match="^branch must be"):
+            init_gaussian(128, 100.0, 50.0, 0.5, width=10.0, branch=branch, params=STD)
 
 
 def test_init_observables():

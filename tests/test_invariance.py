@@ -126,6 +126,10 @@ class TestZetaFunctions:
             zeta_rotation(np.zeros(4), 0, 1.0)
         with pytest.raises(ValueError):
             zeta_boost(np.zeros(4), 5, 1.0)
+        # True is not axis 1, nor is 1.0
+        for zeta, axis in [(zeta_boost, 1.0), (zeta_rotation, True), (zeta_boost, False)]:
+            with pytest.raises(ValueError, match="^axis must be an integer >= 1"):
+                zeta(np.zeros(4), axis, 0.3)
 
     @pytest.mark.parametrize("par", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter(self, par):

@@ -108,6 +108,11 @@ class TestDispersion:
     def test_branch_validation(self):
         with pytest.raises(ValueError):
             dispersion(np.zeros(3), STD, 2)
+        # True and 1.0 are not the branch +1
+        for branch in (True, 1.0, np.float64(-1.0)):
+            with pytest.raises(ValueError, match="^branch must be an integer"):
+                dispersion(np.zeros(3), STD, branch)
+        assert dispersion(np.zeros(3), STD, np.int64(-1)) == dispersion(np.zeros(3), STD, -1)
 
     def test_determinant_condition(self):
         # det(H - e*I) equals the squared scalar dispersion polynomial,

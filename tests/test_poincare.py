@@ -46,6 +46,13 @@ def test_invalid_axis_and_parameter():
             PoincareTransform.make(kind, axis, par)
     with pytest.raises(ValueError):
         PoincareTransform.rotation(1, float("nan"))
+    # an axis must be the integer 1, 2 or 3: a float or a bool is rejected
+    # by name, not by an IndexError deep in numpy
+    for make, axis in [(PoincareTransform.rotation, 1.0), (PoincareTransform.boost, True),
+                       (PoincareTransform.rotation, np.float64(2.0))]:
+        with pytest.raises(ValueError, match="^axis must be an integer >= 1"):
+            make(axis, 0.3)
+    assert max_abs(spinor("boost", np.int64(2), 0.3) - spinor("boost", 2, 0.3)) == 0
 
 
 def test_rotation_composition_adds_angles():
