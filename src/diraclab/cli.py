@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .clifford import basis_decompose, basis_labels
+from .clifford import _count, _real, basis_decompose, basis_labels
 from .evolution import init_gaussian, trajectory, write_trajectory_csv
 from .invariance import GeneralizedParams
 from .nonrel import (
@@ -26,7 +26,6 @@ from .nonrel import (
     nonrel_error,
     pauli_energy,
 )
-from .poincare import _count, _real
 from .verify import format_report, report_header, run_verification
 
 __all__ = ["main", "build_parser", "parse_matrix_file", "write_matrix_file"]

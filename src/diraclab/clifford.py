@@ -10,6 +10,10 @@ and its vector products) is computed from products of the four generators,
 so this module is the single source of the sign conventions used by the
 rest of the package.  In this representation the chiral element is
 anti-Hermitian while the other fifteen basis elements are Hermitian.
+The basis table T (entries 0, +-1, +-i) has T^H T = 4 I exactly, checked at
+import, so decomposition is the closed form (T^H vec m) / 4 for one matrix
+or a stack.  This bottom module also holds the input rules _count, _real,
+_as_float and _as_k3.
 """
 
 from __future__ import annotations
@@ -38,6 +42,52 @@ __all__ = [
     "basis_decompose",
     "random_matrix",
 ]
+
+
+def _count(name: str, value, least: int):
+    """value, once it is an integer (a numpy integer too, not a bool) of at
+    least `least`: the one rule for counts, sizes, seeds and indices."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _as_float(name: str, value) -> np.ndarray:
+    """value as a float array of finite entries.  A bool, a value numpy
+    cannot convert and a NaN or infinite entry raise ValueError naming the
+    field and showing the value passed (None converts to NaN)."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a real number, not a bool, got {value!r}")
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a real number, got {value!r} ({exc})") from None
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def _real(name: str, value) -> float:
+    """value as a Python float: the one rule for real scalar parameters,
+    _as_float's rule on one number."""
+    x = _as_float(name, value)
+    if x.ndim:
+        raise ValueError(f"{name} must be one real number, not an array of scalars, got {value!r}")
+    return float(x)
+
+
+def _as_k3(name: str, k, stack: bool = False) -> np.ndarray:
+    """The momentum-like field `name` as a float array: a scalar is a vector
+    along z, otherwise a 3-vector or, with stack=True, a (..., 3) stack of
+    3-vectors.  A NaN or infinite entry and a wrong shape are rejected by
+    name before any arithmetic."""
+    k = _as_float(name, k)
+    if k.ndim == 0:
+        return np.array([0.0, 0.0, float(k)])
+    if k.shape[-1:] != (3,) or (k.ndim > 1 and not stack):
+        shape = "(..., 3)" if stack else "(3,)"
+        raise ValueError(f"{name} must be a scalar or of shape {shape}, got shape {k.shape}")
+    return k
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -70,23 +120,27 @@ GAMMA5 = _frozen(1j * GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3])
 SIGMA_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
+def _index(name: str, value, first: int, last: int) -> int:
+    """value, once it is an integer (the count rule) in first..last."""
+    if _count(name, value, first) > last:
+        raise ValueError(f"{name} must be in {first}..{last}, got {value!r}")
+    return value
+
+
 def pauli(j: int) -> np.ndarray:
     """Pauli matrix for spatial axis j in 1..3."""
-    if j not in (1, 2, 3):
-        raise ValueError(f"Pauli axis must be 1, 2 or 3, got {j}")
-    return PAULI[j - 1]
+    return PAULI[_index("j", j, 1, 3) - 1]
 
 
 def gamma(mu: int) -> np.ndarray:
     """Contravariant generator gamma^mu for mu in 0..3."""
-    if mu not in (0, 1, 2, 3):
-        raise ValueError(f"spacetime index must be in 0..3, got {mu}")
-    return GAMMA[mu]
+    return GAMMA[_index("mu", mu, 0, 3)]
 
 
 def sigma_pair(mu: int, nu: int) -> np.ndarray:
     """Antisymmetric pair product (i/2)[gamma(mu), gamma(nu)]."""
-    return 0.5j * (gamma(mu) @ gamma(nu) - gamma(nu) @ gamma(mu))
+    g_mu, g_nu = GAMMA[_index("mu", mu, 0, 3)], GAMMA[_index("nu", nu, 0, 3)]
+    return 0.5j * (g_mu @ g_nu - g_nu @ g_mu)
 
 
 def gamma5_gamma(mu: int) -> np.ndarray:
@@ -148,13 +202,12 @@ def _build_basis():
 
 _BASIS_MATS, _BASIS_LABELS = _build_basis()
 _BASIS_TABLE = np.stack([m.ravel() for m in _BASIS_MATS], axis=1)
-_BASIS_CONDITION = float(np.linalg.cond(_BASIS_TABLE))
-if _BASIS_CONDITION > 1e6:
-    # The sixteen elements are trace-orthogonal; a large condition number
-    # can only mean the table itself was corrupted.
-    raise RuntimeError(
-        f"matrix basis table is ill-conditioned (cond={_BASIS_CONDITION:.3e})"
-    )
+_BASIS_ADJOINT = _BASIS_TABLE.conj().T
+_BASIS_ADJOINT.flags.writeable = False
+if not np.array_equal(_BASIS_ADJOINT @ _BASIS_TABLE, 4.0 * np.eye(16)):
+    # Exact for entries 0, +-1 and +-i; anything else means the table
+    # itself was corrupted, and the closed-form decomposition would be wrong.
+    raise RuntimeError("matrix basis table is not trace-orthogonal: T^H T != 4 I")
 
 
 def basis_matrices() -> list[np.ndarray]:
@@ -218,7 +271,7 @@ class BasisCoefficients:
 def basis_decompose(m: np.ndarray) -> BasisCoefficients:
     """Unique coefficients of an arbitrary complex 4x4 matrix.
 
-    Solves the 16x16 linear system against the precomputed basis table;
+    The closed form (T^H vec m) / 4 over the trace-orthogonal basis table;
     round-trip reconstruction is exact to roundoff.
     """
     m = np.asarray(m, dtype=np.complex128)
@@ -230,10 +283,7 @@ def basis_decompose(m: np.ndarray) -> BasisCoefficients:
 def _decompose(m: np.ndarray) -> np.ndarray:
     """Coefficient vectors (..., 16) of a (..., 4, 4) stack of matrices."""
     flat = m.reshape(m.shape[:-2] + (16,))
-    # One single-column 16x16 solve per matrix; one multi-column solve for
-    # the whole stack rounds differently.
-    table = np.broadcast_to(_BASIS_TABLE, flat.shape[:-1] + (16, 16))
-    return np.linalg.solve(table, flat[..., None])[..., 0]
+    return (_BASIS_ADJOINT @ flat[..., None])[..., 0] / 4.0
 
 
 def _compose(coeffs: np.ndarray) -> np.ndarray:

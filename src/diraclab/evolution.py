@@ -40,14 +40,15 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from .clifford import _count, _real
 from .invariance import GeneralizedParams
-from .operators import ALPHA, _h0, _k2, _w, plane_wave_solve
-from .poincare import _count, _real
+from .operators import ALPHA, _finite, _h0, _k2, _w, plane_wave_solve
 
 __all__ = [
     "WavePacket",
@@ -161,14 +162,16 @@ class _Moments:
 
     def of(self, values) -> np.ndarray:
         """norm, mean_x, spread, mean_k of one state from its (r, n)
-        samples, which are left as they are."""
+        samples, which are left as they are; checked finite."""
         values = np.array(values, dtype=np.complex128, order="C")[None]
-        values_k = np.fft.fft(values, out=np.empty_like(values))
         scratch = np.empty((1, self.x.size), dtype=np.complex128)
         out = np.empty((1, 4))
-        self.position(values, scratch, out)
-        self.momentum(values_k, scratch, out)
-        return out[0]
+        # an overflow gives inf or NaN quietly, and _finite rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            values_k = np.fft.fft(values, out=np.empty_like(values))
+            self.position(values, scratch, out)
+            self.momentum(values_k, scratch, out)
+        return _finite(out[0], "an observable")
 
 
 def observables(packet: WavePacket) -> Observables:
@@ -197,6 +200,9 @@ def init_gaussian(
     x0, k0, width = _real("x0", x0), _real("k0", k0), _real("width", width)
     if width <= 0.0:
         raise ValueError(f"width must be positive, got {width}")
+    two_variance = 2.0 * (width * width)
+    if two_variance == math.inf:
+        raise ValueError(f"width {width} overflows double precision: 2*width^2 is not finite")
     dx = length / n
     if width < 5.0 * dx:
         raise ValueError(
@@ -213,9 +219,9 @@ def init_gaussian(
     x = np.arange(n) * dx
     # an x0 far off the grid overflows the exponent, and the envelope is 0
     with np.errstate(over="ignore", invalid="ignore"):
-        envelope = np.exp(-((x - x0) ** 2) / (2.0 * width ** 2)) * np.exp(1j * k0 * x)
+        envelope = np.exp(-np.square(x - x0) / two_variance) * np.exp(1j * k0 * x)
         values = envelope[:, None] * spinor[None, :]
-        norm = math.sqrt(float(np.sum(np.abs(values) ** 2)) * dx)
+        norm = math.sqrt(float(np.sum(np.square(np.abs(values)))) * dx)
     if not (math.isfinite(norm) and norm > 0.0):
         raise ValueError(
             f"the envelope at x0 = {x0} with width {width} vanishes on the grid "
@@ -225,11 +231,11 @@ def init_gaussian(
 
 
 def _check_span(time: float, dt: float, steps: int) -> float:
-    """dt as a float, once it and the end time time + dt*steps (time
-    itself is finite) are checked finite."""
+    """dt as a float, once steps fits double precision and dt and the end
+    time time + dt*steps (time itself is finite) are checked finite."""
     dt = _real("dt", dt)
-    if not math.isfinite(time + dt * steps):
-        raise ValueError(f"time {time} + dt*steps ({dt}*{steps}) overflows double precision")
+    if steps > sys.float_info.max or not math.isfinite(time + dt * steps):
+        raise ValueError(f"time {time} + dt*steps overflows double precision (dt = {dt})")
     return dt
 
 
@@ -472,8 +478,7 @@ def trajectory(
         spinors = spectrum.spinors(values_k)
         scratch = np.empty((1, packet.n), dtype=np.complex128)
         moments.sample(values_k[None], scratch, table[-1:])
-    if not np.isfinite(table).all():
-        raise ValueError("trajectory is not finite: the inputs overflow double precision")
+    _finite(table, "an observable")
     final = WavePacket(packet.n, packet.length, spinors, float(times[-1]))
     return TrajectoryResult(times, *table.T, packet=final)
 

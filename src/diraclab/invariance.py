@@ -33,6 +33,9 @@ from .clifford import (
     I4,
     GAMMA,
     GAMMA5,
+    _as_k3,
+    _count,
+    _real,
     anticommutator,
     basis_matrices,
     commutator,
@@ -42,12 +45,9 @@ from .clifford import (
 from .poincare import (
     _PLANES,
     PoincareTransform,
-    _as_float,
     _checked,
-    _count,
     _covariance_defects,
     _covariance_residuals,
-    _real,
     _reps,
     _split,
 )
@@ -120,11 +120,7 @@ class GeneralizedParams:
         """Build a and c from the rest mass, energy shift and momentum shift,
         which must be finite, with m0 >= 0; a scalar p_tilde lies along z."""
         mass, eps = _real("m0", m0), _real("eps_tilde", eps_tilde)
-        p = _as_float("p_tilde", p_tilde)
-        if p.shape == ():
-            p = np.array([0.0, 0.0, float(p)])
-        if p.shape != (3,):
-            raise ValueError(f"p_tilde must have 3 components, got shape {p.shape}")
+        p = _as_k3("p_tilde", p_tilde)
         if mass < 0.0:
             raise ValueError(f"m0 must be nonnegative, got {m0!r}")
         c = np.array([-1j * eps, 1j * p[0], 1j * p[1], 1j * p[2]], dtype=np.complex128)
@@ -151,8 +147,9 @@ class GeneralizedParams:
 def _check_ac(a, c) -> None:
     """GeneralizedParams' checks on a (...) and c (..., 4): every entry
     finite, purely imaginary, and a nonnegative rest mass."""
-    if not (np.isfinite(a).all() and np.isfinite(c).all()):
-        raise ValueError("a and c must be finite")
+    for name, x in (("a", a), ("c", c)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite, got {x!r}")
     if np.any(np.abs(np.real(a)) > _IMAG_TOL) or np.any(np.abs(np.real(c)) > _IMAG_TOL):
         raise ValueError("a and c must be purely imaginary for Hermiticity")
     if np.any((-1j * np.asarray(a)).real < 0.0):

@@ -16,7 +16,7 @@ pass 1.
 The energy functions take the momentum k as a scalar (momentum along z)
 or a 3-vector, and return a float; or as a (..., 3) stack of momenta, and
 return an array of shape (...).  levy_leblond_solve takes one momentum.
-A NaN or infinite k is rejected as such (operators._as_k3); a finite k
+A NaN or infinite k is rejected as such (clifford._as_k3); a finite k
 whose energy overflows is reported as an overflow.
 """
 
@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import _as_k3, _k2, _sigma_dot, _value, _w
-from .poincare import _as_float, _count, _real
+from .clifford import _as_float, _as_k3, _count, _real
+from .operators import _finite, _k2, _sigma_dot, _value, _w
 
 __all__ = [
     "NonRelParams",
@@ -62,7 +62,7 @@ class NonRelParams:
             raise ValueError(f"m0 must be positive, got {self.m0!r}")
         if c_light <= 0.0:
             raise ValueError(f"c_light must be positive, got {self.c_light!r}")
-        ct = _as_k3(_as_float("c_tilde", self.c_tilde)).copy()
+        ct = _as_k3("c_tilde", self.c_tilde).copy()
         ct.flags.writeable = False
         object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "eps_tilde", _real("eps_tilde", self.eps_tilde))
@@ -89,7 +89,7 @@ def _nonrel_stack(m0, eps_tilde, c_tilde) -> _NonRelStack:
     )
     if np.any(stack.m0 <= 0.0):
         raise ValueError(f"m0 must be positive, got {m0!r}")
-    _as_k3(stack.c_tilde, stack=True)  # the shape check
+    _as_k3("c_tilde", stack.c_tilde, stack=True)  # the shape check
     return stack
 
 
@@ -123,7 +123,7 @@ def levy_leblond_solve(k, params: NonRelParams) -> LevyLeblondSolution:
     A non-finite k and a momentum whose energy or spinor overflows double
     precision raise ValueError.
     """
-    return LevyLeblondSolution(*_levy_leblond_spinors(_as_k3(k), params))
+    return LevyLeblondSolution(*_levy_leblond_spinors(_as_k3("k", k), params))
 
 
 def _levy_leblond_spinors(k, params):
@@ -138,9 +138,8 @@ def _levy_leblond_spinors(k, params):
     with np.errstate(over="ignore", invalid="ignore"):
         kk = k + params.c_tilde
         chi = (_sigma_dot(kk) @ phi[..., None])[..., 0] / two_m0
-        norm = np.sqrt(1.0 + np.sum(np.abs(chi) ** 2, axis=-1))[..., None]
-    if not np.isfinite(norm).all():
-        raise ValueError("the spinor norm is not finite: the inputs overflow double precision")
+        norm = np.sqrt(1.0 + np.sum(np.square(np.abs(chi)), axis=-1))[..., None]
+    _finite(norm, "the spinor norm")
     return energy, phi / norm, chi / norm
 
 
@@ -156,10 +155,10 @@ def dirac_energy(k, params: NonRelParams, branch: int = +1) -> float | np.ndarra
 def kinetic_minus_rest(k, params: NonRelParams) -> float | np.ndarray:
     """sqrt(m0^2 c^4 + c^2 K^2) - m0 c^2 in the cancellation-free form
     c^2 K^2 / (sqrt(...) + m0 c^2)."""
-    c = params.c_light
+    c2 = params.c_light * params.c_light
     k2 = _k2(k, params.c_tilde)
-    w = _w(k2, params.m0, c)
-    return _value(c ** 2 * k2 / (w + params.m0 * c ** 2))
+    w = _w(k2, params.m0, params.c_light)
+    return _value(c2 * k2 / (w + params.m0 * c2))
 
 
 def nonrel_abs_error(k, params: NonRelParams) -> float | np.ndarray:
@@ -169,12 +168,13 @@ def nonrel_abs_error(k, params: NonRelParams) -> float | np.ndarray:
     K^4 c^2 / (2 m0 (W + m0 c^2)^2) with
     W = sqrt(m0^2 c^4 + c^2 K^2); at small K this is K^4 / (8 m0^3 c^2).
     """
-    c = params.c_light
+    c2 = params.c_light * params.c_light
     k2 = _k2(k, params.c_tilde)
-    w = _w(k2, params.m0, c)
+    w = _w(k2, params.m0, params.c_light)
     # an overflow gives inf quietly, and _value rejects it
     with np.errstate(over="ignore", invalid="ignore"):
-        err = k2 ** 2 * c ** 2 / (2.0 * params.m0 * (w + params.m0 * c ** 2) ** 2)
+        total = w + params.m0 * c2
+        err = k2 * k2 * c2 / (2.0 * params.m0 * (total * total))
     return _value(err)
 
 
@@ -192,11 +192,7 @@ def nonrel_error(k, params: NonRelParams) -> NonRelError:
     arrays, and every momentum must stay below m0 * c_light.  A momentum
     whose |k + shift|^2 overflows is reported as an overflow, not as one
     at or above m0 * c_light."""
-    k2 = _k2(k, params.c_tilde)
-    if not np.isfinite(k2).all():
-        raise ValueError(
-            "|k + shift|^2 is not finite: the inputs overflow double precision"
-        )
+    k2 = _finite(_k2(k, params.c_tilde), "|k + shift|^2")
     if np.any(np.sqrt(k2) >= params.m0 * params.c_light):
         raise ValueError("kinetic momentum must stay below m0 * c_light")
     abs_err = nonrel_abs_error(k, params)

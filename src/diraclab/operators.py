@@ -12,19 +12,19 @@ doubly degenerate.  Applying the operator twice gives the second-order
 form whose momentum-space matrix kg_rhs_matrix reproduces H(k)^2 as an
 operator identity.  Solutions of the generalized equation map onto
 standard ones by the kinematic shift (k, e) -> (k + p_tilde, e + eps_tilde)
-with the spinor unchanged.
+with the spinor unchanged.  One momentum and a stack take the same numpy
+arithmetic (a square is x * x), so stacked rows equal one-momentum calls bit
+for bit; an overflow gives inf or NaN quietly and _finite raises ValueError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import GAMMA, I4
+from .clifford import GAMMA, I4, _as_k3, _count
 from .invariance import GeneralizedParams
-from .poincare import _as_float, _count
 
 __all__ = [
     "ALPHA",
@@ -45,18 +45,6 @@ for _m in ALPHA:
     _m.flags.writeable = False
 
 
-def _as_k3(k, stack: bool = False) -> np.ndarray:
-    """Momentum as a float array: a scalar is k along z, otherwise a
-    3-vector or, with stack=True, a (..., 3) stack of 3-vectors.  A NaN or
-    infinite entry is rejected by name before any arithmetic."""
-    k = _as_float("k", k)
-    if k.ndim == 0:
-        return np.array([0.0, 0.0, float(k)])
-    if k.shape[-1:] != (3,) or (k.ndim > 1 and not stack):
-        raise ValueError(f"momentum shape {k.shape} is not {'(..., 3)' if stack else '(3,)'}")
-    return k
-
-
 def _dot(a, b):
     """a . b on the trailing axis of two 3- or 4-vectors or of stacks of them.
 
@@ -68,41 +56,33 @@ def _dot(a, b):
 
 def _k2(k, shift):
     """|k + shift|^2 on the trailing axis of a momentum or a (..., 3) stack."""
-    kk = _as_k3(k, stack=True) + shift
+    k = _as_k3("k", k, stack=True)
     # an overflow gives inf quietly, and _finite rejects it downstream
     with np.errstate(over="ignore", invalid="ignore"):
+        kk = k + shift
         return _dot(kk, kk)
-
-
-def _pow2(x):
-    """x ** 2 as Python computes it for one float, by the C library's pow.
-
-    That can differ in the last bit from numpy's x * x for a stack (in
-    about 0.1% of draws), so stacked parameters take this route too and
-    each row matches its one-parameter call.
-    """
-    if np.ndim(x) == 0:
-        return x ** 2
-    x = np.asarray(x)
-    return np.array([v ** 2 for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _w(k2, m0, c: float = 1.0):
     """Branch energy without shifts, sqrt(m0^2 c^4 + c^2 K^2), for K^2 = k2."""
-    try:
-        w = np.sqrt(_pow2(m0 * c ** 2) + c ** 2 * k2)
-    except OverflowError:  # Python float ** raises where numpy gives inf
-        w = np.inf
-    return _finite(w)
+    # an overflow gives inf quietly, and _finite rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        c2 = c * c
+        rest = m0 * c2
+        return _finite(np.sqrt(rest * rest + c2 * k2))
 
 
-def _finite(x):
-    """x itself; ValueError if any entry overflowed to a non-finite energy."""
-    # math.isfinite for one momentum (np.float64 is a float), which is
-    # cheaper than numpy's reduction on a scalar
-    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
-        raise ValueError("energy is not finite: the inputs overflow double precision")
+def _finite(x, what: str = "energy"):
+    """x itself; ValueError if any entry of `what` overflowed to a non-finite value."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} is not finite: the inputs overflow double precision")
     return x
+
+
+def _finite_call(core, *args):
+    """core(*args), an overflow giving inf or NaN quietly, checked by _finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(core(*args))
 
 
 def _value(x):
@@ -138,7 +118,7 @@ def _hamiltonian(k: np.ndarray, params) -> np.ndarray:
 
 def hamiltonian_matrix(k, params: GeneralizedParams) -> np.ndarray:
     """Hermitian 4x4 Hamiltonian at momentum k (scalar k means k along z)."""
-    return _hamiltonian(_as_k3(k), params)
+    return _finite_call(_hamiltonian, _as_k3("k", k), params)
 
 
 def dispersion(k, params: GeneralizedParams, branch: int = +1) -> float | np.ndarray:
@@ -186,7 +166,7 @@ def plane_wave_solve(k, params: GeneralizedParams) -> list[PlaneWaveSolution]:
     degenerate subspaces come out the same on every run.  Order:
     [plus, plus, minus, minus].
     """
-    k = _as_k3(k)
+    k = _as_k3("k", k)
     energies, spinors = _plane_waves(k, params)
     return [
         PlaneWaveSolution(k, float(e), branch, s)
@@ -197,9 +177,9 @@ def plane_wave_solve(k, params: GeneralizedParams) -> list[PlaneWaveSolution]:
 def _plane_waves(k: np.ndarray, params) -> tuple[np.ndarray, np.ndarray]:
     """plane_wave_solve's energies (..., 4) and spinors (..., 4, 4), one
     row per solution, at a 3-vector k or a (..., 3) stack."""
-    kk = k + params.p_tilde
+    w = _w(_k2(k, params.p_tilde), params.m0)
+    kk = k + params.p_tilde  # finite, as |kk|^2 is
     m0, eps = np.asarray(params.m0), np.asarray(params.eps_tilde)
-    w = _w(_dot(kk, kk), params.m0)
     sk = _sigma_dot(kk)
     # Massless at zero kinetic momentum: fully degenerate, so the rows
     # take the canonical basis (and a unit denominator, unused).
@@ -230,14 +210,14 @@ def kg_rhs_matrix(k, params: GeneralizedParams) -> np.ndarray:
         M = (k^2 + m0^2 + p^2 + eps^2 + 2 p.k) * I
             - 2*m0*eps*beta - 2*eps*alpha.k - 2*eps*alpha.p
     """
-    return _kg_rhs(_as_k3(k), params)
+    return _finite_call(_kg_rhs, _as_k3("k", k), params)
 
 
 def _kg_rhs(k: np.ndarray, params) -> np.ndarray:
     p = params.p_tilde
     eps = params.eps_tilde
     m0 = params.m0
-    scalar = _dot(k, k) + _pow2(m0) + _dot(p, p) + _pow2(eps) + 2.0 * _dot(p, k)
+    scalar = _dot(k, k) + m0 * m0 + _dot(p, p) + eps * eps + 2.0 * _dot(p, k)
     return (
         _times(scalar, I4)
         - _times(2.0 * m0 * eps, BETA)
@@ -249,7 +229,7 @@ def _kg_rhs(k: np.ndarray, params) -> np.ndarray:
 def dirac_square_equals_kg(k, params: GeneralizedParams) -> float:
     """Operator identity check: the squared Hamiltonian against the
     second-order matrix.  Zero up to roundoff for every (k, params)."""
-    return float(_dirac_square_residuals(_as_k3(k), params))
+    return float(_finite_call(_dirac_square_residuals, _as_k3("k", k), params))
 
 
 def _dirac_square_residuals(k: np.ndarray, params) -> np.ndarray:
@@ -267,14 +247,16 @@ def _shift(k, energy, spinor, params, source, sign: int):
     `source` to within _EIGEN_TOL.  Rows: k (..., 3), energy (...),
     spinor (..., 4).  Returns the moved k and energy and each row's
     eigenstate defect."""
-    h = _hamiltonian(k, source)
-    eigen = (h @ spinor[..., None])[..., 0] - energy[..., None] * spinor
-    defect = np.max(np.abs(eigen), axis=-1)
-    if np.any(defect > _EIGEN_TOL):
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _finite(_hamiltonian(k, source))
+        eigen = (h @ spinor[..., None])[..., 0] - energy[..., None] * spinor
+        defect = np.max(np.abs(eigen), axis=-1)
+        k, energy = _finite(k + sign * params.p_tilde), _finite(energy + sign * params.eps_tilde)
+    if not np.all(defect <= _EIGEN_TOL):
         raise ValueError(
             f"input is not an eigenstate of its Hamiltonian (residual {np.max(defect):.3e})"
         )
-    return k + sign * params.p_tilde, energy + sign * params.eps_tilde, defect
+    return k, energy, defect
 
 
 def _shifted(

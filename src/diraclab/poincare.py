@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import GAMMA, I4
+from .clifford import GAMMA, I4, _index, _real
 
 __all__ = [
     "ROTATION_PLANES",
@@ -44,44 +44,11 @@ _BOOST_GEN = np.stack([1j * (-GAMMA[a] @ GAMMA[0]) for a in ROTATION_PLANES])
 _PLANES = np.array(list(ROTATION_PLANES.values()))
 
 
-def _count(name: str, value, least: int):
-    """value, once it is an integer (a numpy integer too, not a bool) of at
-    least `least`: the one rule for counts, sizes, seeds and indices."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return value
-
-
-def _as_float(name: str, value) -> np.ndarray:
-    """value as a float array of finite entries.  A bool, a value numpy
-    cannot convert and a NaN or infinite entry raise ValueError naming the
-    field and showing the value passed (None converts to NaN)."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a real number, not a bool, got {value!r}")
-    try:
-        x = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be a real number, got {value!r} ({exc})") from None
-    if not np.isfinite(x).all():
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return x
-
-
-def _real(name: str, value) -> float:
-    """value as a Python float: the one rule for real scalar parameters,
-    _as_float's rule on one number."""
-    x = _as_float(name, value)
-    if x.ndim:
-        raise ValueError(f"{name} must be one real number, not an array of scalars, got {value!r}")
-    return float(x)
-
-
 def _checked(kind: str, axis: int, parameter: float) -> float:
     """The parameter as a float, once kind, axis and parameter are checked."""
     if kind not in ("rotation", "boost"):
         raise ValueError(f"kind must be 'rotation' or 'boost', got {kind!r}")
-    if _count("axis", axis, 1) > 3:
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    _index("axis", axis, 1, 3)
     return _real(f"{kind} parameter", parameter)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import GAMMA, GAMMA5, I4, _compose, _decompose, anticommutator
+from .clifford import GAMMA, GAMMA5, I4, _compose, _count, _decompose, _real, anticommutator
 from .invariance import (
     CheckResult,
     _bc_residuals,
@@ -39,7 +39,7 @@ from .operators import (
     _sigma_dot,
     dispersion,
 )
-from .poincare import _count, _covariance_residuals, _real, _reps
+from .poincare import _covariance_residuals, _reps
 
 __all__ = ["run_verification", "format_report", "report_header"]
 

@@ -107,7 +107,7 @@ def test_stored_arrays_are_read_only_copies(build, field, array):
 
 
 # Every scalar entry point checks its input with one of two rules in
-# diraclab.poincare: _count (an integer, not a bool, at least a bound) and
+# diraclab.clifford: _count (an integer, not a bool, at least a bound) and
 # _real (one finite real number, not a bool).  A rejected value raises
 # ValueError whose message starts with the name of the field.
 _STD = dl.GeneralizedParams.standard(1.0)
@@ -145,6 +145,11 @@ ENTRY_POINTS = [
     ("rotation parameter", lambda v: dl.PoincareTransform.rotation(1, v)),
     ("boost parameter", lambda v: dl.PoincareTransform.make("boost", 2, v)),
     ("rotation parameter", lambda v: dl.zeta_rotation(_C, 3, v)),
+    ("mu", lambda v: dl.gamma(v)),
+    ("j", lambda v: dl.pauli(v)),
+    ("mu", lambda v: dl.sigma_pair(v, 2)),
+    ("nu", lambda v: dl.sigma_pair(1, v)),
+    ("mu", lambda v: dl.gamma5_gamma(v)),
 ]
 
 
@@ -165,7 +170,7 @@ def test_entry_points_reject_bad_scalars_by_name(name, call, value):
 
 
 def test_one_count_rule():
-    # A count is checked by poincare._count alone: np.integer appears in
+    # A count is checked by clifford._count alone: np.integer appears in
     # one isinstance call in the package, the one in _count.
     found = []
     for path in sorted((Path(dl.__file__).parent).glob("*.py")):
@@ -177,6 +182,76 @@ def test_one_count_rule():
                 if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
                         and "np.integer" in ast.unparse(node)):
                     found.append((path.name, func.name))
-    assert found == [("poincare.py", "_count")]
+    assert found == [("clifford.py", "_count")]
     text = "".join(p.read_text(encoding="utf-8") for p in Path(dl.__file__).parent.glob("*.py"))
     assert text.count("np.integer") == 1
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("mu", lambda: dl.gamma(4)),
+        ("j", lambda: dl.pauli(0)),
+        ("nu", lambda: dl.sigma_pair(0, 4)),
+        ("mu", lambda: dl.gamma5_gamma(-1)),
+        ("axis", lambda: dl.PoincareTransform.boost(4, 0.3)),
+    ],
+    ids=["gamma", "pauli", "sigma_pair", "gamma5_gamma", "axis"],
+)
+def test_indices_out_of_range_are_rejected_by_name(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
+
+
+# A value of the wrong shape or a non-finite coefficient is rejected by the
+# name of the field that holds it.
+FIELD_ERRORS = {
+    "NonRelParams.c_tilde": ("c_tilde", lambda: dl.NonRelParams(1.0, c_tilde=[1.0, 2.0])),
+    "dispersion.k": ("k", lambda: dl.dispersion([1.0, 2.0], _STD)),
+    "hamiltonian_matrix.k": ("k", lambda: dl.hamiltonian_matrix(np.zeros((2, 3)), _STD)),
+    "pauli_energy.k": ("k", lambda: dl.pauli_energy(np.zeros(4), dl.NonRelParams(1.0))),
+    "levy_leblond_solve.k": ("k", lambda: dl.levy_leblond_solve([1.0, 2.0], dl.NonRelParams(1.0))),
+    "GeneralizedParams.a": ("a", lambda: dl.GeneralizedParams(a=np.nan, c=np.zeros(4))),
+    "GeneralizedParams.c": ("c", lambda: dl.GeneralizedParams(a=1j, c=[0.0, np.inf, 0.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("name, call", FIELD_ERRORS.values(), ids=FIELD_ERRORS)
+def test_shape_and_finiteness_errors_name_the_field(name, call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value).startswith(f"{name} must be "), str(info.value)
+
+
+# Finite inputs whose results overflow double precision, at every operators
+# and evolution entry point: a ValueError naming the overflow, and no numpy
+# RuntimeWarning on the way.
+_HEAVY = dl.GeneralizedParams.standard(1e200)
+_FAR = dl.GeneralizedParams.from_physical(1.0, 0.0, 1e308)
+_HUGE = dl.WavePacket(64, 10.0, np.full((64, 4), 1e200))
+OVERFLOWS = {
+    "hamiltonian_matrix": lambda: dl.hamiltonian_matrix(1e308, _FAR),
+    "kg_rhs_matrix-eps_tilde": lambda: dl.kg_rhs_matrix(0.5, dl.GeneralizedParams.from_physical(1.0, 1e200)),
+    "kg_rhs_matrix-m0": lambda: dl.kg_rhs_matrix(0.5, _HEAVY),
+    "dirac_square_equals_kg": lambda: dl.dirac_square_equals_kg(0.5, _HEAVY),
+    "dispersion": lambda: dl.dispersion(1e200, _STD),
+    "plane_wave_solve": lambda: dl.plane_wave_solve(1e308, _FAR),
+    "gauge_map_to_standard": lambda: dl.gauge_map_to_standard(
+        dl.PlaneWaveSolution([0.0, 0.0, 1e308], 1.0, 1, [1.0, 0.0, 0.0, 0.0]), _FAR),
+    "dirac_energy": lambda: dl.dirac_energy(0.5, dl.NonRelParams(1e200)),
+    "levy_leblond_solve": lambda: dl.levy_leblond_solve(1e200, dl.NonRelParams(1.0)),
+    "init_gaussian-width": lambda: dl.init_gaussian(**{**_GAUSSIAN, "width": 1e200}, params=_STD),
+    "init_gaussian-m0": lambda: dl.init_gaussian(**_GAUSSIAN, params=_HEAVY),
+    "evolve-steps": lambda: dl.evolve(_PACKET, _STD, 0.1, 10**400),
+    "trajectory-steps": lambda: dl.trajectory(_PACKET, _STD, 0.1, 10**400),
+    "evolve-m0": lambda: dl.evolve(_PACKET, _HEAVY, 0.1),
+    "observables": lambda: dl.observables(_HUGE),
+    "trajectory-packet": lambda: dl.trajectory(_HUGE, _STD, 0.1, 2),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", OVERFLOWS.values(), ids=OVERFLOWS)
+def test_overflow_is_a_value_error_without_warning(call):
+    with pytest.raises(ValueError, match="overflow"):
+        call()

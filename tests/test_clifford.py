@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diraclab import clifford
 from diraclab.clifford import (
@@ -169,5 +172,29 @@ class TestHermiticityDetector:
                 assert not BasisCoefficients.from_vector(v).is_hermitian(), (index, value)
 
 
-def test_basis_condition_number_is_small():
-    assert clifford._BASIS_CONDITION < 10.0
+def test_basis_table_is_exactly_trace_orthogonal():
+    # T^H T = 4 I with no rounding: the entries are 0, +-1 and +-i.  This
+    # is what the closed-form decomposition (T^H vec m) / 4 rests on.
+    table = clifford._BASIS_TABLE
+    assert set(np.unique(table).tolist()) <= {0, 1, -1, 1j, -1j}
+    np.testing.assert_array_equal(table.conj().T @ table, 4.0 * np.eye(16))
+
+
+def test_each_basis_element_decomposes_to_its_unit_vector():
+    for i, m in enumerate(basis_matrices()):
+        np.testing.assert_array_equal(basis_decompose(m).as_vector(), np.eye(16)[i])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 8), st.just(2), st.just(4), st.just(4)),
+        elements=st.floats(-1e300, 1e300),
+    )
+)
+def test_decompose_stack_rows_equal_one_matrix_calls(parts):
+    stack = parts[:, 0] + 1j * parts[:, 1]
+    rows = clifford._decompose(stack)
+    for m, row in zip(stack, rows):
+        np.testing.assert_array_equal(row.view(np.uint64), clifford._decompose(m).view(np.uint64))

@@ -68,6 +68,18 @@ def test_init_observables():
     assert obs.mean_k == pytest.approx(0.8, abs=1e-6)
 
 
+def test_widest_gaussian_is_a_constant_envelope():
+    # 2 width^2 is 2e300 here, so the exponent is below 1e-296 on the grid
+    # and the envelope reads exactly 1: a unit-norm packet of constant
+    # density.  A width whose 2 width^2 overflows is rejected by name.
+    packet = init_gaussian(128, 100.0, 50.0, 0.5, width=1e150, params=STD)
+    density = np.sum(np.abs(packet.values) ** 2, axis=1)
+    assert np.sum(density) * packet.dx == pytest.approx(1.0, abs=1e-14)
+    np.testing.assert_allclose(density, 1.0 / packet.length, rtol=1e-14)
+    with pytest.raises(ValueError, match="^width 1e\\+200 overflows double precision"):
+        init_gaussian(128, 100.0, 50.0, 0.5, width=1e200, params=STD)
+
+
 def test_init_spread_matches_envelope():
     width = 15.0
     packet = init_gaussian(1024, 300.0, 150.0, 0.3, width=width, params=STD)

@@ -291,6 +291,14 @@ class TestGaugeMap:
         with pytest.raises(ValueError):
             gauge_map_to_standard(bad, GEN)
 
+    def test_rejects_non_finite_spinor(self):
+        # a NaN defect is no eigenstate: it fails the tolerance, not passes it
+        sol = plane_wave_solve(np.zeros(3), GEN)[0]
+        bad = type(sol)(k=sol.k, energy=sol.energy, branch=sol.branch, spinor=[np.nan, 0, 0, 0])
+        for shift in (gauge_map_to_standard, gauge_map_from_standard):
+            with pytest.raises(ValueError, match=r"eigenstate .*\(residual nan\)"):
+                shift(bad, GEN)
+
 
 def reals(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False, allow_subnormal=False)

@@ -15,12 +15,14 @@ from diraclab.verify import format_report, report_header, run_verification
 # digit here is a changed residual: name it, do not regenerate the report.
 # levy_leblond_vs_pauli reads the linked-pair defect of the solved spinors;
 # it read exactly 0 while it compared two copies of one energy formula.
+# basis_roundtrip reads the closed-form decomposition (T^H vec m) / 4; it read
+# 1.110223e-15, 1.110223e-15 and 9.485750e-16 while each matrix took an LU solve.
 GOLDEN = {
     1: """\
 # diraclab verify trials=500 seed=1
 CHECK clifford_anticommutators max_residual=0.000000e+00 PASS
 CHECK gamma5_identity max_residual=0.000000e+00 PASS
-CHECK basis_roundtrip max_residual=1.110223e-15 PASS
+CHECK basis_roundtrip max_residual=4.965068e-16 PASS
 CHECK covariance_gamma max_residual=6.661338e-16 PASS
 CHECK covariance_negative_control max_residual=5.320239e-02 PASS
 CHECK zeta_condition max_residual=9.930137e-16 PASS
@@ -40,7 +42,7 @@ CHECK levy_leblond_vs_pauli max_residual=6.686715e-16 PASS
 # diraclab verify trials=500 seed=7
 CHECK clifford_anticommutators max_residual=0.000000e+00 PASS
 CHECK gamma5_identity max_residual=0.000000e+00 PASS
-CHECK basis_roundtrip max_residual=1.110223e-15 PASS
+CHECK basis_roundtrip max_residual=6.280370e-16 PASS
 CHECK covariance_gamma max_residual=8.881784e-16 PASS
 CHECK covariance_negative_control max_residual=5.554033e-02 PASS
 CHECK zeta_condition max_residual=9.930137e-16 PASS
@@ -60,7 +62,7 @@ CHECK levy_leblond_vs_pauli max_residual=6.680228e-16 PASS
 # diraclab verify trials=500 seed=42
 CHECK clifford_anticommutators max_residual=0.000000e+00 PASS
 CHECK gamma5_identity max_residual=0.000000e+00 PASS
-CHECK basis_roundtrip max_residual=9.485750e-16 PASS
+CHECK basis_roundtrip max_residual=4.965068e-16 PASS
 CHECK covariance_gamma max_residual=8.881784e-16 PASS
 CHECK covariance_negative_control max_residual=5.254612e-02 PASS
 CHECK zeta_condition max_residual=1.332268e-15 PASS
