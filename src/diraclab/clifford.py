@@ -13,7 +13,7 @@ anti-Hermitian while the other fifteen basis elements are Hermitian.
 The basis table T (entries 0, +-1, +-i) has T^H T = 4 I exactly, checked at
 import, so decomposition is the closed form (T^H vec m) / 4 for one matrix
 or a stack.  This bottom module also holds the input rules _count, _real,
-_as_float and _as_k3.
+_as_float and _as_k3, and the overflow check _finite.
 """
 
 from __future__ import annotations
@@ -88,6 +88,13 @@ def _as_k3(name: str, k, stack: bool = False) -> np.ndarray:
         shape = "(..., 3)" if stack else "(3,)"
         raise ValueError(f"{name} must be a scalar or of shape {shape}, got shape {k.shape}")
     return k
+
+
+def _finite(x, what: str = "energy"):
+    """x itself; ValueError if any entry of `what` overflowed to a non-finite value."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} is not finite: the inputs overflow double precision")
+    return x
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:

@@ -46,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import _count, _real
+from .clifford import _count, _finite, _real
 from .invariance import GeneralizedParams
-from .operators import ALPHA, _finite, _h0, _k2, _w, plane_wave_solve
+from .operators import ALPHA, _branch, _h0, _k2, _w, plane_wave_solve
 
 __all__ = [
     "WavePacket",
@@ -66,6 +66,8 @@ def _check_grid(n: int, length: float) -> float:
     """The grid length as a float, once n and length are checked."""
     if _count("n", n, 64) & (n - 1):
         raise ValueError(f"n must be a power of two >= 64, got {n}")
+    if n > sys.float_info.max:
+        raise ValueError(f"n = 2**{n.bit_length() - 1} overflows double precision")
     length = _real("length", length)
     if length <= 0.0:
         raise ValueError(f"length must be positive and finite, got {length}")
@@ -194,8 +196,7 @@ def init_gaussian(
     `width` is the standard deviation of the amplitude envelope, so the
     position density has spread width/sqrt(2).  Unit norm.
     """
-    if _count("branch", branch, -1) not in (+1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch}")
+    branch = _branch(branch)
     length = _check_grid(n, length)
     x0, k0, width = _real("x0", x0), _real("k0", k0), _real("width", width)
     if width <= 0.0:
@@ -462,8 +463,12 @@ def trajectory(
     returns or raises.
     """
     steps = _count("steps", steps, 1)
-    _count("sample_every", sample_every, 1)
+    if _count("sample_every", sample_every, 1) > sys.float_info.max:
+        raise ValueError("sample_every overflows double precision: it exceeds 1.8e308")
     dt = _check_span(packet.time, dt, steps)
+    # Every sample_every >= steps gives rows 0 and steps; clamped, the
+    # sample indices below stay int64 for any steps below 2**62.
+    sample_every = min(sample_every, steps)
     spectrum = _Spectrum(packet, params)
     moments = _Moments(packet)
 

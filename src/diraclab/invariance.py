@@ -3,8 +3,9 @@
 The constant matrix of the equation has the form B = a*I + vector_contract(c).
 Under a rotation or boost it fails to be invariant unless the wavefunction
 absorbs an affine phase; the phase gradient that restores invariance is a
-closed-form function of c and the transform parameter (zeta_rotation and
-zeta_boost below).  bc_condition_residual evaluates the defect
+closed-form function of c and the transform's kind, axis and parameter
+(zeta_for below; zeta_rotation and zeta_boost build the transform for it).
+bc_condition_residual evaluates the defect
 
     B - S B S^{-1} - i * vector_contract(zeta)
 
@@ -14,11 +15,11 @@ every spinor representation, so the standard equation needs no phase.
 
 verify_phi0_uniqueness runs the zero-phase uniqueness suite over every
 4-tuple of 4x4 matrices, with no ansatz: the covariant tuples are exactly
-span{gamma^mu, gamma5 gamma^mu}, and the matrices commuting with every even
-generator product (every Lorentz generator) are exactly span{I, gamma5}.  It
-assumes the fixed spinor representation and proper orthochronous transforms
-only; parity, which is left out, is what would tell gamma5 gamma^mu from
-gamma^mu.
+span{gamma^mu, gamma5 gamma^mu}, and the matrices commuting with every
+Lorentz generator (poincare's _ROTATION_GEN and _BOOST_GEN, the only
+generator tables) are exactly span{I, gamma5}.  It assumes the fixed spinor
+representation and proper orthochronous transforms only; parity, which is
+left out, is what would tell gamma5 gamma^mu from gamma^mu.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .clifford import (
     GAMMA5,
     _as_k3,
     _count,
+    _finite,
     _real,
     anticommutator,
     basis_matrices,
@@ -43,9 +45,10 @@ from .clifford import (
     vector_contract,
 )
 from .poincare import (
+    _BOOST_GEN,
     _PLANES,
+    _ROTATION_GEN,
     PoincareTransform,
-    _checked,
     _covariance_defects,
     _covariance_residuals,
     _reps,
@@ -110,7 +113,13 @@ class GeneralizedParams:
         c = np.array(self.c, dtype=np.complex128)
         if c.shape != (4,):
             raise ValueError(f"c must have 4 components, got shape {c.shape}")
-        _check_ac(a, c)
+        for name, x in (("a", a), ("c", c)):
+            if not np.isfinite(x).all():
+                raise ValueError(f"{name} must be finite, got {x!r}")
+        if abs(a.real) > _IMAG_TOL or np.any(np.abs(c.real) > _IMAG_TOL):
+            raise ValueError("a and c must be purely imaginary for Hermiticity")
+        if (-1j * a).real < 0.0:
+            raise ValueError("rest mass -i*a must be nonnegative")
         c.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
@@ -144,18 +153,6 @@ class GeneralizedParams:
         return (-1j * self.c[1:]).real.copy()
 
 
-def _check_ac(a, c) -> None:
-    """GeneralizedParams' checks on a (...) and c (..., 4): every entry
-    finite, purely imaginary, and a nonnegative rest mass."""
-    for name, x in (("a", a), ("c", c)):
-        if not np.isfinite(x).all():
-            raise ValueError(f"{name} must be finite, got {x!r}")
-    if np.any(np.abs(np.real(a)) > _IMAG_TOL) or np.any(np.abs(np.real(c)) > _IMAG_TOL):
-        raise ValueError("a and c must be purely imaginary for Hermiticity")
-    if np.any((-1j * np.asarray(a)).real < 0.0):
-        raise ValueError("rest mass -i*a must be nonnegative")
-
-
 class _ParamStack(NamedTuple):
     """The physical fields of many GeneralizedParams at once: m0 and
     eps_tilde of shape (...), p_tilde of shape (..., 3).  The operators
@@ -164,18 +161,6 @@ class _ParamStack(NamedTuple):
     m0: np.ndarray
     eps_tilde: np.ndarray
     p_tilde: np.ndarray
-
-
-def _param_stack(m0, eps_tilde, p_tilde) -> _ParamStack:
-    """GeneralizedParams.from_physical for (...) stacks of masses and
-    shifts: the same a and c, the same checks, the same fields read back."""
-    m0, eps_tilde, p_tilde = (np.asarray(x, dtype=float) for x in (m0, eps_tilde, p_tilde))
-    with np.errstate(invalid="ignore"):  # 1j * inf has a NaN real part; rejected below
-        a = 1j * m0
-        c = np.stack([-1j * eps_tilde, *(1j * np.moveaxis(p_tilde, -1, 0))], axis=-1)
-    _check_ac(a, c)
-    fields = (-1j * a).real, (1j * c[..., 0]).real, (-1j * c[..., 1:]).real
-    return _ParamStack(*(np.ascontiguousarray(x) for x in fields))
 
 
 def zeta_rotation(c, axis: int, theta: float) -> PhaseFunction:
@@ -190,7 +175,7 @@ def zeta_rotation(c, axis: int, theta: float) -> PhaseFunction:
     bc_condition_residual to vanish for the half-angle rotation matrices;
     see the module tests for the closure property.
     """
-    return PhaseFunction(_zeta(c, "rotation", axis, _checked("rotation", axis, theta)))
+    return zeta_for(c, PoincareTransform.rotation(axis, theta))
 
 
 def zeta_boost(c, axis: int, eta: float) -> PhaseFunction:
@@ -201,14 +186,20 @@ def zeta_boost(c, axis: int, eta: float) -> PhaseFunction:
         zeta_0 = 2i*c_0*sinh^2(e/2) + 2*c_a*sinh(e/2)cosh(e/2)
         zeta_a = 2i*c_a*sinh^2(e/2) - 2*c_0*sinh(e/2)cosh(e/2)
     """
-    return PhaseFunction(_zeta(c, "boost", axis, _checked("boost", axis, eta)))
+    return zeta_for(c, PoincareTransform.boost(axis, eta))
 
 
 def zeta_for(c, transform: PoincareTransform) -> PhaseFunction:
-    """The matching phase gradient for an arbitrary single-axis transform."""
-    if transform.kind == "rotation":
-        return zeta_rotation(c, transform.axis, transform.parameter)
-    return zeta_boost(c, transform.axis, transform.parameter)
+    """The matching phase gradient for an arbitrary single-axis transform.
+    c must be finite; a gradient that overflows double precision raises
+    ValueError."""
+    c = np.asarray(c, dtype=np.complex128)
+    if not np.isfinite(c).all():
+        raise ValueError(f"c must be finite, got {c!r}")
+    # an overflow gives inf or NaN quietly, and _finite rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        zeta = _zeta(c, transform.kind, transform.axis, transform.parameter)
+    return PhaseFunction(_finite(zeta, "zeta"))
 
 
 def _zeta(c, kind, axis, par) -> np.ndarray:
@@ -242,9 +233,8 @@ def bc_condition_residual(a, c, transform: PoincareTransform, phase: PhaseFuncti
     Arbitrary complex a and c are accepted here so that negative controls
     can probe non-Hermitian candidates.
     """
-    return float(
-        _bc_residuals(a, c, transform.spinor_rep, transform.spinor_inverse(), phase.zeta)
-    )
+    S, Sinv, _ = _reps(transform.kind, transform.axis, transform.parameter)
+    return float(_bc_residuals(a, c, S, Sinv, phase.zeta))
 
 
 def _bc_residuals(a, c, S, Sinv, zeta) -> np.ndarray:
@@ -309,16 +299,16 @@ def _blockwise(residuals, rng, trials: int) -> np.ndarray:
 def _listed_constraint_residual(bset):
     """The boost (anti)commutation constraints of the zero-phase analysis.
 
-    For each boost axis b with generator X = gamma(b)gamma(0): the time
-    matrix and the matrix along b anticommute with X, the transverse
-    matrices commute with X.  Each constraint reads one matrix, so they
-    are insensitive to a scale on each matrix of the tuple.  One max-norm
+    For each boost axis b with generator X (poincare's _BOOST_GEN, a unit
+    multiple of gamma(b)gamma(0)): the time matrix and the matrix along b
+    anticommute with X, the transverse matrices commute with X.  Each
+    constraint reads one matrix, so they are insensitive to a scale on each
+    matrix of the tuple.  One max-norm
     residual per 4-tuple of a (..., 4, 4, 4) stack.
     """
     bset = np.asarray(bset, dtype=np.complex128)
     defects = []
-    for b in (1, 2, 3):
-        X = gamma(b) @ gamma(0)
+    for b, X in zip((1, 2, 3), _BOOST_GEN):
         defects.append(anticommutator(bset[..., 0, :, :], X))
         defects.append(anticommutator(bset[..., b, :, :], X))
         defects.extend(commutator(bset[..., j, :, :], X) for j in (1, 2, 3) if j != b)
@@ -361,16 +351,11 @@ def _containment_residual(basis: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.norm(v - proj))
 
 
-_EVEN_GENERATORS = tuple(
-    gamma(k) @ gamma(l) for (k, l) in ((1, 2), (1, 3), (2, 3))
-) + tuple(gamma(k) @ gamma(0) for k in (1, 2, 3))
-
-
 def _commutant_matrix() -> np.ndarray:
     """Linear map from the 16 basis coefficients of a 4x4 matrix to its
-    commutators with the even generator products."""
+    commutators with the six Lorentz generators."""
     cols = [
-        np.concatenate([commutator(m, g).ravel() for g in _EVEN_GENERATORS])
+        np.concatenate([commutator(m, g).ravel() for g in (*_ROTATION_GEN, *_BOOST_GEN)])
         for m in basis_matrices()
     ]
     return np.stack(cols, axis=1)
@@ -402,8 +387,8 @@ def verify_phi0_uniqueness(trials: int = 100, seed: int = 0) -> list[CheckResult
       is covariant at a second parameter;
     * phi0_random_violation: seeded random complex 4-tuples each violate
       at least one constraint;
-    * phi0_bc_commutant: the matrices commuting with all even generator
-      products are exactly span{I, gamma5}, over all 16 basis elements;
+    * phi0_bc_commutant: the matrices commuting with all six Lorentz
+      generators are exactly span{I, gamma5}, over all 16 basis elements;
     * phi0_bc_negative: a bare generator used as the constant matrix
       violates the commutation constraints outright.
 
@@ -436,6 +421,7 @@ def verify_phi0_uniqueness(trials: int = 100, seed: int = 0) -> list[CheckResult
     results.append(_reduce("phi0_bc_commutant", stats, _PHI0_TOL, "bound"))
 
     # The violation is the largest of the six commutators; one residual.
-    worst_gamma1 = np.max(np.abs([commutator(gamma(1), g) for g in _EVEN_GENERATORS]))
+    generators = (*_ROTATION_GEN, *_BOOST_GEN)
+    worst_gamma1 = np.max(np.abs([commutator(gamma(1), g) for g in generators]))
     results.append(_reduce("phi0_bc_negative", worst_gamma1, _VIOLATION_FLOOR, "floor"))
     return results

@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import _as_float, _as_k3, _count, _real
-from .operators import _finite, _k2, _sigma_dot, _value, _w
+from .clifford import _as_k3, _finite, _real
+from .operators import _branch, _k2, _sigma_dot, _value, _w
 
 __all__ = [
     "NonRelParams",
@@ -79,18 +79,6 @@ class _NonRelStack(NamedTuple):
     eps_tilde: np.ndarray
     c_tilde: np.ndarray
     c_light: float = 1.0
-
-
-def _nonrel_stack(m0, eps_tilde, c_tilde) -> _NonRelStack:
-    """NonRelParams for (T,) stacks of masses and shifts: every entry
-    finite, every mass positive, and (T, 3) shifts."""
-    stack = _NonRelStack(
-        _as_float("m0", m0), _as_float("eps_tilde", eps_tilde), _as_float("c_tilde", c_tilde)
-    )
-    if np.any(stack.m0 <= 0.0):
-        raise ValueError(f"m0 must be positive, got {m0!r}")
-    _as_k3("c_tilde", stack.c_tilde, stack=True)  # the shape check
-    return stack
 
 
 def pauli_energy(k, params: NonRelParams) -> float | np.ndarray:
@@ -146,8 +134,7 @@ def _levy_leblond_spinors(k, params):
 def dirac_energy(k, params: NonRelParams, branch: int = +1) -> float | np.ndarray:
     """Relativistic branch energy in physical units:
     +/- sqrt(m0^2 c^4 + c^2 |k+shift|^2) - eps_tilde."""
-    if _count("branch", branch, -1) not in (+1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch}")
+    branch = _branch(branch)
     w = _w(_k2(k, params.c_tilde), params.m0, params.c_light)
     return _value(branch * w - params.eps_tilde)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import GAMMA, I4, _as_k3, _count
+from .clifford import GAMMA, I4, _as_k3, _count, _finite, _real
 from .invariance import GeneralizedParams
 
 __all__ = [
@@ -72,17 +72,17 @@ def _w(k2, m0, c: float = 1.0):
         return _finite(np.sqrt(rest * rest + c2 * k2))
 
 
-def _finite(x, what: str = "energy"):
-    """x itself; ValueError if any entry of `what` overflowed to a non-finite value."""
-    if not np.isfinite(x).all():
-        raise ValueError(f"{what} is not finite: the inputs overflow double precision")
-    return x
-
-
 def _finite_call(core, *args):
     """core(*args), an overflow giving inf or NaN quietly, checked by _finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite(core(*args))
+
+
+def _branch(branch: int) -> int:
+    """branch, once it is the integer +1 or -1."""
+    if _count("branch", branch, -1) not in (+1, -1):
+        raise ValueError(f"branch must be +1 or -1, got {branch}")
+    return branch
 
 
 def _value(x):
@@ -124,15 +124,16 @@ def hamiltonian_matrix(k, params: GeneralizedParams) -> np.ndarray:
 def dispersion(k, params: GeneralizedParams, branch: int = +1) -> float | np.ndarray:
     """Plane-wave energy on the given branch: +/- sqrt(m0^2+|k+p|^2) - eps;
     a float for one momentum k, an array for a (..., 3) stack of momenta."""
-    if _count("branch", branch, -1) not in (+1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch}")
+    branch = _branch(branch)
     w = _w(_k2(k, params.p_tilde), params.m0)
     return _value(branch * w - params.eps_tilde)
 
 
 @dataclass(frozen=True)
 class PlaneWaveSolution:
-    """One normalized momentum eigenstate of the Hamiltonian."""
+    """One normalized momentum eigenstate of the Hamiltonian: a finite
+    momentum (a scalar lies along z), energy and 4-spinor, and the branch
+    +1 or -1."""
 
     k: np.ndarray
     energy: float
@@ -140,11 +141,15 @@ class PlaneWaveSolution:
     spinor: np.ndarray
 
     def __post_init__(self):
-        k = np.array(self.k, dtype=float)
+        k = _as_k3("k", self.k).copy()
         s = np.array(self.spinor, dtype=np.complex128)
+        if s.shape != (4,) or not np.isfinite(s).all():
+            raise ValueError(f"spinor must be a finite (4,) array, got {self.spinor!r}")
         k.flags.writeable = False
         s.flags.writeable = False
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "energy", _real("energy", self.energy))
+        object.__setattr__(self, "branch", _branch(self.branch))
         object.__setattr__(self, "spinor", s)
 
 

@@ -1,9 +1,11 @@
 """Spinor and index representations of rotations and boosts.
 
-PoincareTransform.make(kind, axis, parameter) is the one builder: it checks
-its arguments and pairs the two representations, each written once.  The
-private formulas (_spinor, _vector, _covariance_residuals) also take (T,)
-stacks of transforms, row for row bit-identical to one transform.
+A PoincareTransform is its kind, axis and parameter, checked when it is
+built; its two representations are computed from these three, each formula
+written once.  The tables _ROTATION_GEN and _BOOST_GEN below are the
+package's one definition of the six Lorentz generators.  The private
+formulas (_spinor, _vector, _covariance_residuals) also take (T,) stacks of
+transforms, row for row bit-identical to one transform.
 
 Rotations about axis a act in the plane of the other two axes through the
 half-angle single-product form cos(t/2)*I - gamma(k)gamma(l)*sin(t/2) with
@@ -12,7 +14,8 @@ built from the covariant generator pair, cosh(e/2)*I + i*gl(a)gl(0)*sinh(e/2)
 with gl(0) = gamma(0) and gl(a) = -gamma(a), which is what makes the index
 transformation below (cosh/sinh rows carrying explicit factors of i)
 conjugate correctly.  The spinor inverse is the same formula at the negated
-parameter.
+parameter.  A rapidity beyond _MAX_RAPIDITY, where cosh overflows double
+precision, is rejected.
 
 The index ("vector") representation acts on a 4-tuple of matrices B^mu and
 is complex for boosts: the time row mixes as (cosh, -i sinh) and the boosted
@@ -22,6 +25,8 @@ matrix 4-tuple is from transforming covariantly under a given transform.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +48,8 @@ _ROTATION_GEN = np.stack([GAMMA[k] @ GAMMA[l] for k, l in ROTATION_PLANES.values
 _BOOST_GEN = np.stack([1j * (-GAMMA[a] @ GAMMA[0]) for a in ROTATION_PLANES])
 _PLANES = np.array(list(ROTATION_PLANES.values()))
 
-
-def _checked(kind: str, axis: int, parameter: float) -> float:
-    """The parameter as a float, once kind, axis and parameter are checked."""
-    if kind not in ("rotation", "boost"):
-        raise ValueError(f"kind must be 'rotation' or 'boost', got {kind!r}")
-    _index("axis", axis, 1, 3)
-    return _real(f"{kind} parameter", parameter)
+# The largest rapidity whose cosh is finite in double precision.
+_MAX_RAPIDITY = math.acosh(sys.float_info.max)
 
 
 def _split(kind, axis, par):
@@ -102,32 +102,45 @@ def _reps(kind, axis, par) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PoincareTransform:
-    """Paired spinor and index representations of one rotation or boost."""
+    """A rotation about, or a boost along, axis 1, 2 or 3 by a finite angle
+    or rapidity (|rapidity| <= _MAX_RAPIDITY).  Transforms compare and hash
+    by these three fields; each representation is computed on access."""
 
     kind: str
     axis: int
     parameter: float
-    spinor_rep: np.ndarray
-    vector_rep: np.ndarray
 
-    @classmethod
-    def make(cls, kind: str, axis: int, parameter: float) -> "PoincareTransform":
-        """The transform of the given kind about (rotation) or along (boost)
-        axis 1, 2 or 3; the angle or rapidity must be finite."""
-        par = _checked(kind, axis, parameter)
-        return cls(kind, axis, par, _spinor(kind, axis, par), _vector(kind, axis, par))
+    def __post_init__(self):
+        if self.kind not in ("rotation", "boost"):
+            raise ValueError(f"kind must be 'rotation' or 'boost', got {self.kind!r}")
+        _index("axis", self.axis, 1, 3)
+        par = _real(f"{self.kind} parameter", self.parameter)
+        if self.kind == "boost" and abs(par) > _MAX_RAPIDITY:
+            raise ValueError(
+                f"boost parameter {par} overflows double precision: "
+                f"cosh is finite only for |rapidity| <= {_MAX_RAPIDITY}"
+            )
+        object.__setattr__(self, "parameter", par)
 
     @classmethod
     def rotation(cls, axis: int, theta: float) -> "PoincareTransform":
-        return cls.make("rotation", axis, theta)
+        return cls("rotation", axis, theta)
 
     @classmethod
     def boost(cls, axis: int, eta: float) -> "PoincareTransform":
-        return cls.make("boost", axis, eta)
+        return cls("boost", axis, eta)
 
     @classmethod
     def identity(cls) -> "PoincareTransform":
-        return cls.make("rotation", 3, 0.0)
+        return cls("rotation", 3, 0.0)
+
+    @property
+    def spinor_rep(self) -> np.ndarray:
+        return _spinor(self.kind, self.axis, self.parameter)
+
+    @property
+    def vector_rep(self) -> np.ndarray:
+        return _vector(self.kind, self.axis, self.parameter)
 
     def spinor_inverse(self) -> np.ndarray:
         """Exact inverse: the same formula at the negated parameter."""
@@ -145,8 +158,8 @@ def covariance_residual(bset, transform: PoincareTransform) -> float:
     bset = np.asarray(bset, dtype=np.complex128)
     if len(bset) != 4:
         raise ValueError(f"expected a 4-tuple of matrices, got {len(bset)}")
-    S = transform.spinor_rep
-    return float(_covariance_residuals(bset, S, transform.spinor_inverse(), transform.vector_rep))
+    reps = _reps(transform.kind, transform.axis, transform.parameter)
+    return float(_covariance_residuals(bset, *reps))
 
 
 def _covariance_residuals(bset, S, Sinv, L) -> np.ndarray:
@@ -159,10 +172,6 @@ def _covariance_residuals(bset, S, Sinv, L) -> np.ndarray:
 
 def _covariance_defects(bset, S, Sinv, L) -> np.ndarray:
     """The (..., 4, 4, 4) defects sum_mu L[beta, mu] B^mu - S B^beta S^-1."""
-    if np.any(np.max(np.abs(S @ Sinv - I4), axis=(-2, -1)) > 1e-8):
-        # Unreachable for finite parameters; kept as a guard against
-        # a corrupted transform object.
-        raise RuntimeError("spinor representation is not invertible")
     B = np.moveaxis(bset, -3, 0)  # B[mu] is the (..., 4, 4) stack of B^mu
     defects = [
         L[..., beta, 0, None, None] * B[0]

@@ -23,14 +23,13 @@ from .clifford import GAMMA, GAMMA5, I4, _compose, _count, _decompose, _real, an
 from .invariance import (
     CheckResult,
     _bc_residuals,
-    _param_stack,
     _blockwise,
     _ParamStack,
     _reduce,
     _zeta,
     verify_phi0_uniqueness,
 )
-from .nonrel import _levy_leblond_spinors, _nonrel_stack
+from .nonrel import _levy_leblond_spinors, _NonRelStack
 from .operators import (
     _dirac_square_residuals,
     _hamiltonian,
@@ -81,8 +80,9 @@ def _signed(u: np.ndarray) -> np.ndarray:
 
 
 def _params(u: np.ndarray) -> _ParamStack:
-    """The GeneralizedParams of (trials, 5) draws (m0, eps_tilde, p_tilde)."""
-    return _param_stack(u[:, 0], u[:, 1], u[:, 2:5])
+    """The GeneralizedParams of (trials, 5) draws (m0, eps_tilde, p_tilde),
+    which the _PARAMS bounds keep in the public parameter domain."""
+    return _ParamStack(u[:, 0], u[:, 1], u[:, 2:5])
 
 
 def _check_clifford(threshold: float = 1e-14) -> CheckResult:
@@ -195,7 +195,7 @@ def _gauge_map(rng, n):
 def _levy_leblond(rng, n):
     # Per trial: m0, eps_tilde, c_tilde, then k.
     u = _uniform(rng, n, ((0.2, 4.0), (-1.0, 1.0)) + ((-1.0, 1.0),) * 6)
-    params = _nonrel_stack(u[:, 0], u[:, 1], u[:, 2:5])
+    params = _NonRelStack(u[:, 0], u[:, 1], u[:, 2:5])
     k = np.ascontiguousarray(u[:, 5:])
     energy, phi, chi = _levy_leblond_spinors(k, params)
     # The first linked equation, (e + eps_tilde) phi = sigma.K chi with

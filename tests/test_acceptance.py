@@ -42,7 +42,7 @@ def _random_transform(rng, bounded=False):
         par = float(rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0)))
     else:
         par = float(rng.uniform(-2.0, 2.0))
-    return PoincareTransform.make(kind, int(rng.integers(1, 4)), par)
+    return PoincareTransform(kind, int(rng.integers(1, 4)), par)
 
 
 def _random_params(rng):
@@ -79,7 +79,7 @@ def test_criterion_02_covariance_suite():
     for _ in range(20):
         par = float(rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0)))
         control = max(
-            covariance_residual(perturbed, PoincareTransform.make(kind, axis, par))
+            covariance_residual(perturbed, PoincareTransform(kind, axis, par))
             for kind in ("rotation", "boost")
             for axis in (1, 2, 3)
         )

@@ -114,6 +114,7 @@ _STD = dl.GeneralizedParams.standard(1.0)
 _PACKET = dl.init_gaussian(128, 100.0, 50.0, 0.5, 8.0, params=_STD)
 _GAUSSIAN = dict(n=128, length=100.0, x0=50.0, k0=0.5, width=8.0)
 _C = 1j * np.array([0.3, -0.7, 0.2, 0.9])
+_SPINOR = np.eye(4)[0]
 
 ENTRY_POINTS = [
     ("trials", lambda v: dl.run_verification(v, 1)),
@@ -143,13 +144,15 @@ ENTRY_POINTS = [
     ("axis", lambda v: dl.PoincareTransform.rotation(v, 0.3)),
     ("axis", lambda v: dl.zeta_boost(_C, v, 0.3)),
     ("rotation parameter", lambda v: dl.PoincareTransform.rotation(1, v)),
-    ("boost parameter", lambda v: dl.PoincareTransform.make("boost", 2, v)),
+    ("boost parameter", lambda v: dl.PoincareTransform("boost", 2, v)),
     ("rotation parameter", lambda v: dl.zeta_rotation(_C, 3, v)),
     ("mu", lambda v: dl.gamma(v)),
     ("j", lambda v: dl.pauli(v)),
     ("mu", lambda v: dl.sigma_pair(v, 2)),
     ("nu", lambda v: dl.sigma_pair(1, v)),
     ("mu", lambda v: dl.gamma5_gamma(v)),
+    ("energy", lambda v: dl.PlaneWaveSolution(np.zeros(3), v, 1, _SPINOR)),
+    ("branch", lambda v: dl.PlaneWaveSolution(np.zeros(3), 1.0, v, _SPINOR)),
 ]
 
 
@@ -205,6 +208,10 @@ def test_indices_out_of_range_are_rejected_by_name(name, call):
 
 # A value of the wrong shape or a non-finite coefficient is rejected by the
 # name of the field that holds it.
+def _solution(k=np.zeros(3), energy=1.0, branch=1, spinor=_SPINOR):
+    return dl.PlaneWaveSolution(k, energy, branch, spinor)
+
+
 FIELD_ERRORS = {
     "NonRelParams.c_tilde": ("c_tilde", lambda: dl.NonRelParams(1.0, c_tilde=[1.0, 2.0])),
     "dispersion.k": ("k", lambda: dl.dispersion([1.0, 2.0], _STD)),
@@ -213,6 +220,11 @@ FIELD_ERRORS = {
     "levy_leblond_solve.k": ("k", lambda: dl.levy_leblond_solve([1.0, 2.0], dl.NonRelParams(1.0))),
     "GeneralizedParams.a": ("a", lambda: dl.GeneralizedParams(a=np.nan, c=np.zeros(4))),
     "GeneralizedParams.c": ("c", lambda: dl.GeneralizedParams(a=1j, c=[0.0, np.inf, 0.0, 0.0])),
+    "PlaneWaveSolution.k": ("k", lambda: _solution(k=[0, 0, np.nan])),
+    "PlaneWaveSolution.energy": ("energy", lambda: _solution(energy=np.inf)),
+    "PlaneWaveSolution.branch": ("branch", lambda: _solution(branch=7)),
+    "PlaneWaveSolution.spinor": ("spinor", lambda: _solution(spinor=[1.0, 0.0])),
+    "zeta_for.c": ("c", lambda: dl.zeta_for([0, np.nan, 0, 0], dl.PoincareTransform.identity())),
 }
 
 
@@ -247,6 +259,11 @@ OVERFLOWS = {
     "evolve-m0": lambda: dl.evolve(_PACKET, _HEAVY, 0.1),
     "observables": lambda: dl.observables(_HUGE),
     "trajectory-packet": lambda: dl.trajectory(_HUGE, _STD, 0.1, 2),
+    "PoincareTransform.boost": lambda: dl.PoincareTransform.boost(3, 800.0),
+    "zeta_boost-eta": lambda: dl.zeta_boost(_C, 3, 800.0),
+    "zeta_boost-c": lambda: dl.zeta_boost(1e300 * _C, 3, 700.0),
+    "init_gaussian-n": lambda: dl.init_gaussian(**{**_GAUSSIAN, "n": 2**1100}, params=_STD),
+    "trajectory-sample_every": lambda: dl.trajectory(_PACKET, _STD, 0.1, 4, sample_every=10**400),
 }
 
 
@@ -255,3 +272,10 @@ OVERFLOWS = {
 def test_overflow_is_a_value_error_without_warning(call):
     with pytest.raises(ValueError, match="overflow"):
         call()
+
+
+@pytest.mark.parametrize("name, case", [("n", "init_gaussian-n"),
+                                        ("sample_every", "trajectory-sample_every")])
+def test_counts_beyond_double_precision_name_the_count(name, case):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        OVERFLOWS[case]()

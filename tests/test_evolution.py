@@ -154,6 +154,19 @@ def test_trajectory_sampling_layout():
     assert evolve(packet, STD, 0.1, np.int64(10)).time == result.packet.time
 
 
+def test_sample_every_past_steps_gives_the_first_and_last_rows():
+    # Any sample_every >= steps samples t = 0 and t = dt * steps, whatever
+    # its size; one of 2**63 once lost the last row.
+    packet = init_gaussian(128, 100.0, 50.0, 0.5, width=8.0, params=STD)
+    ends = trajectory(packet, STD, 0.1, 4, sample_every=4)
+    for sample_every in (5, 2**62, 2**63, 10**300):
+        result = trajectory(packet, STD, 0.1, 4, sample_every=sample_every)
+        for name in ("times", "norms", "mean_x", "spreads", "mean_k"):
+            np.testing.assert_array_equal(getattr(result, name), getattr(ends, name))
+        np.testing.assert_array_equal(result.packet.values, ends.packet.values)
+        assert result.packet.time == ends.packet.time
+
+
 def fitted_velocity(params, k0, t_total, n, length, width):
     """Packet velocity: the slope of a linear fit of the mean position at
     12 equal steps over t_total, from x0 = 0.3 * length.  Compare with

@@ -17,7 +17,6 @@ from diraclab.invariance import (
     _covariance_system_matrix,
     _listed_constraint_residual,
     _nullspace,
-    _param_stack,
     _zeta,
     bc_condition_residual,
     bc_matrix,
@@ -166,7 +165,7 @@ class TestInvarianceCondition:
             c = 1j * rng.uniform(-1, 1, 4)
             a = 1j * rng.uniform(0, 1)
             kind = "rotation" if rng.random() < 0.5 else "boost"
-            t = PoincareTransform.make(kind, int(rng.integers(1, 4)), rng.uniform(-2, 2))
+            t = PoincareTransform(kind, int(rng.integers(1, 4)), rng.uniform(-2, 2))
             worst = max(worst, bc_condition_residual(a, c, t, zeta_for(c, t)))
         assert worst <= 1e-10
 
@@ -177,7 +176,7 @@ class TestInvarianceCondition:
         c = np.zeros(4, dtype=complex)
         for _ in range(50):
             kind = "rotation" if rng.random() < 0.5 else "boost"
-            t = PoincareTransform.make(kind, int(rng.integers(1, 4)), rng.uniform(-2, 2))
+            t = PoincareTransform(kind, int(rng.integers(1, 4)), rng.uniform(-2, 2))
             assert bc_condition_residual(0.7j, c, t, PhaseFunction.zero()) <= 1e-12
 
     def test_bc_matrix_structure(self):
@@ -277,22 +276,8 @@ def test_stacked_zeta_and_bc_rows_equal_one_transform(draws):
     z = _zeta(c, kinds, axes, pars)
     residuals = _bc_residuals(a, c, S, Sinv, z)
     for i, (kind, axis, par, _, _) in enumerate(draws):
-        t = PoincareTransform.make(kind, axis, par)
+        t = PoincareTransform(kind, axis, par)
         phase = zeta_for(c[i], t)
         np.testing.assert_array_equal(bits(z[i]), bits(phase.zeta))
         assert residuals[i] == bc_condition_residual(a[i], c[i], t, phase)
 
-
-def test_param_stack_keeps_the_generalized_params_checks():
-    m0, eps, p = np.array([1.0, 0.5]), np.array([0.2, -0.3]), np.array([[0.1, 0, 0], [0, 0.2, 0]])
-    stack = _param_stack(m0, eps, p)
-    for i in range(2):
-        one = GeneralizedParams.from_physical(m0[i], eps[i], p[i])
-        assert (stack.m0[i], stack.eps_tilde[i]) == (one.m0, one.eps_tilde)
-        np.testing.assert_array_equal(stack.p_tilde[i], one.p_tilde)
-    with pytest.raises(ValueError, match="finite"):
-        _param_stack(np.array([1.0, np.nan]), eps, p)
-    with pytest.raises(ValueError, match="finite"):
-        _param_stack(m0, eps, np.array([[0.1, 0, 0], [0, np.inf, 0]]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        _param_stack(np.array([1.0, -0.5]), eps, p)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from diraclab.clifford import max_abs, pauli
-from diraclab.invariance import GeneralizedParams, _param_stack
+from diraclab.invariance import GeneralizedParams, _ParamStack
 from diraclab.operators import (
     ALPHA,
     BETA,
@@ -292,12 +292,15 @@ class TestGaugeMap:
             gauge_map_to_standard(bad, GEN)
 
     def test_rejects_non_finite_spinor(self):
-        # a NaN defect is no eigenstate: it fails the tolerance, not passes it
+        # A NaN spinor is no solution: the constructor rejects it, and the
+        # shift behind both gauge maps fails a NaN defect, not passes it.
         sol = plane_wave_solve(np.zeros(3), GEN)[0]
-        bad = type(sol)(k=sol.k, energy=sol.energy, branch=sol.branch, spinor=[np.nan, 0, 0, 0])
-        for shift in (gauge_map_to_standard, gauge_map_from_standard):
+        nan_spinor = np.array([np.nan, 0, 0, 0], dtype=complex)
+        with pytest.raises(ValueError, match="^spinor must be"):
+            type(sol)(k=sol.k, energy=sol.energy, branch=sol.branch, spinor=nan_spinor)
+        for sign in (+1, -1):
             with pytest.raises(ValueError, match=r"eigenstate .*\(residual nan\)"):
-                shift(bad, GEN)
+                _shift(sol.k, np.asarray(sol.energy), nan_spinor, GEN, GEN, sign)
 
 
 def reals(lo, hi):
@@ -375,8 +378,9 @@ class TestSpectralCoreProperties:
         is set: at m0 = 0 that row takes the massless zero-momentum branch."""
         params = [p for p, _, _ in rows]
         ks = np.array([-p.p_tilde if at_rest else k for p, k, at_rest in rows])
-        stack = _param_stack(
-            [p.m0 for p in params], [p.eps_tilde for p in params], [p.p_tilde for p in params]
+        stack = _ParamStack(
+            np.array([p.m0 for p in params]), np.array([p.eps_tilde for p in params]),
+            np.array([p.p_tilde for p in params]),
         )
         energies, spinors = _plane_waves(ks, stack)
         hams, squares = _hamiltonian(ks, stack), _dirac_square_residuals(ks, stack)
@@ -391,7 +395,8 @@ class TestSpectralCoreProperties:
                 np.testing.assert_array_equal(energies[i], -p.eps_tilde)
 
     def test_stacked_shift_rejects_one_bad_row(self):
-        stack = _param_stack([1.0, 2.0], [0.3, -0.1], [[0.0, 0.0, 0.2], [0.1, 0.0, 0.0]])
+        p_tilde = np.array([[0.0, 0.0, 0.2], [0.1, 0.0, 0.0]])
+        stack = _ParamStack(np.array([1.0, 2.0]), np.array([0.3, -0.1]), p_tilde)
         ks = np.array([[0.3, 0.1, -0.2], [0.0, 0.5, 0.0]])
         energies, spinors = _plane_waves(ks, stack)
         energy, spinor = energies[:, 0], spinors[:, 0]

@@ -1,5 +1,7 @@
 """Rotation/boost representations and the covariance condition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from diraclab.clifford import GAMMA, I4, max_abs
 from diraclab.poincare import (
+    _MAX_RAPIDITY,
     PoincareTransform,
     _covariance_residuals,
     _reps,
@@ -17,11 +20,11 @@ from diraclab.poincare import (
 
 
 def spinor(kind, axis, par):
-    return PoincareTransform.make(kind, axis, par).spinor_rep
+    return PoincareTransform(kind, axis, par).spinor_rep
 
 
 def vector(kind, axis, par):
-    return PoincareTransform.make(kind, axis, par).vector_rep
+    return PoincareTransform(kind, axis, par).vector_rep
 
 
 def test_zero_parameter_is_identity():
@@ -43,7 +46,7 @@ def test_invalid_axis_and_parameter():
         ("boost", 1, float("nan")),
     ]:
         with pytest.raises(ValueError):
-            PoincareTransform.make(kind, axis, par)
+            PoincareTransform(kind, axis, par)
     with pytest.raises(ValueError):
         PoincareTransform.rotation(1, float("nan"))
     # an axis must be the integer 1, 2 or 3: a float or a bool is rejected
@@ -141,7 +144,7 @@ def test_covariance_random_transforms():
     worst = 0.0
     for _ in range(200):
         kind = "rotation" if rng.random() < 0.5 else "boost"
-        t = PoincareTransform.make(kind, int(rng.integers(1, 4)), rng.uniform(-2, 2))
+        t = PoincareTransform(kind, int(rng.integers(1, 4)), rng.uniform(-2, 2))
         worst = max(worst, covariance_residual(GAMMA, t))
     assert worst <= 1e-10
 
@@ -149,6 +152,44 @@ def test_covariance_random_transforms():
 def test_covariance_detects_perturbation():
     perturbed = [GAMMA[0], GAMMA[1] + 0.1 * I4, GAMMA[2], GAMMA[3]]
     assert covariance_residual(perturbed, PoincareTransform.boost(1, 0.8)) > 0.01
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("axis", [1, 2, 3])
+@pytest.mark.parametrize("eta", [20.0, 30.0, 40.0, -40.0])
+def test_large_boosts_stay_covariant(axis, eta):
+    # The residual is relative to the boost's own scale, cosh(eta).
+    r = covariance_residual(GAMMA, PoincareTransform.boost(axis, eta))
+    assert np.isfinite(r) and r <= 1e-15 * np.cosh(eta)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rapidity_bound_is_where_cosh_overflows():
+    bound = _MAX_RAPIDITY
+    assert np.isfinite(np.cosh(bound))
+    with np.errstate(over="ignore"):
+        assert np.cosh(np.nextafter(bound, np.inf)) == np.inf
+    for eta in (bound, -bound):
+        assert np.isfinite(covariance_residual(GAMMA, PoincareTransform.boost(3, eta)))
+    for eta in (np.nextafter(bound, np.inf), -800.0, 1e300):
+        with pytest.raises(ValueError, match="^boost parameter .* overflows"):
+            PoincareTransform.boost(1, eta)
+    # an angle has no such bound: its sine and cosine are always finite
+    assert PoincareTransform.rotation(1, 1e300).parameter == 1e300
+
+
+def test_transform_is_its_kind_axis_and_parameter():
+    assert [f.name for f in dataclasses.fields(PoincareTransform)] == ["kind", "axis", "parameter"]
+    t = PoincareTransform.boost(1, 0.7)
+    assert t == PoincareTransform("boost", np.int64(1), np.float64(0.7))
+    assert hash(t) == hash(PoincareTransform("boost", 1, 0.7))
+    assert len({t, PoincareTransform.boost(1, 0.7), PoincareTransform.rotation(1, 0.7)}) == 2
+    assert PoincareTransform.identity() == PoincareTransform.rotation(3, 0)
+    # each representation is computed from the triple: a write into one
+    # returned array does not reach the transform
+    t.spinor_rep[0, 0] = np.nan
+    t.vector_rep[0, 0] = np.nan
+    assert covariance_residual(GAMMA, t) <= 1e-12
 
 
 def test_covariance_input_validation():
@@ -165,15 +206,13 @@ def test_covariance_residual_does_not_hide_nan():
         assert not r <= 1e-10
     # A NaN confined to one row of the index matrix must not be outranked
     # by the finite defects of the other rows.
-    t = PoincareTransform.boost(1, 0.7)
-    L = t.vector_rep.copy()
+    S, Sinv, L = _reps("boost", 1, 0.7)
     L[2, 2] = np.nan
-    one_bad_row = PoincareTransform(t.kind, t.axis, t.parameter, t.spinor_rep, L)
-    assert not covariance_residual(GAMMA, one_bad_row) <= 1e-10
+    assert not _covariance_residuals(np.array(GAMMA), S, Sinv, L) <= 1e-10
 
 
 transforms = st.builds(
-    PoincareTransform.make,
+    PoincareTransform,
     st.sampled_from(("rotation", "boost")),
     st.integers(1, 3),
     st.floats(-2.0, 2.0),
@@ -216,14 +255,14 @@ def bits(a):
 )
 def test_stacked_reps_rows_equal_one_transform(draws):
     """The stacked formulas give every row of a (T,) stack, signed zeros
-    included, exactly as PoincareTransform.make gives one transform."""
+    included, exactly as PoincareTransform gives one transform."""
     kinds, axes, pars = (list(col) for col in zip(*draws))
     S, Sinv, L = _reps(kinds, axes, pars)
     np.testing.assert_array_equal(bits(_spinor(kinds, axes, pars)), bits(S))
     np.testing.assert_array_equal(bits(_vector(kinds, axes, pars)), bits(L))
     residuals = _covariance_residuals(np.array(GAMMA), S, Sinv, L)
     for i, (kind, axis, par) in enumerate(draws):
-        t = PoincareTransform.make(kind, axis, par)
+        t = PoincareTransform(kind, axis, par)
         np.testing.assert_array_equal(bits(S[i]), bits(t.spinor_rep))
         np.testing.assert_array_equal(bits(Sinv[i]), bits(t.spinor_inverse()))
         np.testing.assert_array_equal(bits(L[i]), bits(t.vector_rep))

@@ -7,7 +7,8 @@ import pytest
 import diraclab.invariance as invariance
 import diraclab.nonrel as nonrel
 import diraclab.verify as verify
-from diraclab.invariance import _reduce
+from diraclab.invariance import GeneralizedParams, _reduce
+from diraclab.nonrel import NonRelParams
 from diraclab.verify import format_report, report_header, run_verification
 
 # `verify --trials 500` at seeds 1, 7 and 42, with every check drawing its
@@ -243,6 +244,36 @@ def test_extreme_draws_floor_below_the_upper_bound():
     bottom = np.array([[lo for lo, _ in verify._KIND_AXIS + verify._MAGNITUDE]])
     assert verify._floor(bottom[:, [0, 1, 3]]).tolist() == [[0, 1, 0]]
     assert verify._signed(bottom[:, 2:]).tolist() == [-0.5]
+
+
+class _Edge:
+    """A generator stand-in whose every uniform draw is one end of its bounds."""
+
+    def __init__(self, top: bool):
+        self.top = top
+
+    def uniform(self, lo, hi, size):
+        return np.broadcast_to(hi if self.top else lo, size).copy()
+
+
+@pytest.mark.parametrize("top", [False, True], ids=["low", "high"])
+def test_draw_bounds_lie_in_the_public_parameter_domain(monkeypatch, top):
+    # verify builds its parameter stacks from its draws with no check of its
+    # own, so every row it can draw, up to either end of the draw bounds,
+    # must be a parameter set the public constructors accept, with the same
+    # fields read back.
+    generalized = _record(monkeypatch, "_ParamStack")
+    limits = _record(monkeypatch, "_NonRelStack")
+    for check in ("_hermiticity", "_dispersion", "_dirac_square", "_gauge_map", "_levy_leblond"):
+        getattr(verify, check)(_Edge(top), 3)
+    assert len(generalized) == 5 and len(limits) == 1
+    for (m0, eps, p), _ in generalized:
+        for i in range(len(m0)):
+            one = GeneralizedParams.from_physical(m0[i], eps[i], p[i])
+            assert (one.m0, one.eps_tilde, *one.p_tilde) == (m0[i], eps[i], *p[i])
+    for (m0, eps, c), _ in limits:
+        for i in range(len(m0)):
+            NonRelParams(m0[i], eps[i], c[i])
 
 
 def test_blocks_draw_and_check_like_one_stack(monkeypatch):
