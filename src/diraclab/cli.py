@@ -116,6 +116,15 @@ def _write_csv(path, header: str, columns) -> None:
             stream.write("\n".join(lines) + "\n")
 
 
+def _sweep_rows(flag: str, count) -> int:
+    """A sweep's row count, once it is an integer >= 2 that one float64
+    array can hold: numpy allocates no array of more than sys.maxsize bytes."""
+    if _count(flag, count, 2) > sys.maxsize // 8:
+        raise ValueError(f"{flag} must be at most {sys.maxsize // 8}, the most float64 values "
+                         "one array can hold")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diraclab",
@@ -176,7 +185,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dispersion(args) -> int:
-    _count("--steps", args.steps, 2)
+    _sweep_rows("--steps", args.steps)
     k_min, k_max = _real("--k-min", args.k_min), _real("--k-max", args.k_max)
     if not np.isfinite(k_max - k_min):
         raise ValueError(
@@ -214,7 +223,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    _count("--points", args.points, 2)
+    _sweep_rows("--points", args.points)
     if _real("--k-max", args.k_max) <= 0.0:
         raise ValueError("--k-max must be positive and finite")
     nr = NonRelParams(m0=args.m0, c_light=args.c_light)

@@ -18,7 +18,7 @@ _as_float and _as_k3, and the overflow check _finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -95,6 +95,15 @@ def _finite(x, what: str = "energy"):
     if not np.isfinite(x).all():
         raise ValueError(f"{what} is not finite: the inputs overflow double precision")
     return x
+
+
+def _equal_fields(self, other):
+    """Value equality for a dataclass with array fields: the same class and
+    np.array_equal on each field.  The generated __eq__ compares the fields
+    as one tuple, and an array cannot answer that comparison."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -240,6 +249,8 @@ class BasisCoefficients:
     c: np.ndarray  # (4,) vector coefficients, signed contraction
     d: np.ndarray  # (4,) chiral-vector coefficients, signed contraction
     e5: complex
+
+    __eq__ = _equal_fields
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate(

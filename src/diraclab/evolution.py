@@ -40,13 +40,14 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import _count, _finite, _real
+from .clifford import _count, _equal_fields, _finite, _real
 from .invariance import GeneralizedParams
 from .operators import ALPHA, _branch, _h0, _k2, _w, plane_wave_solve
 
@@ -82,6 +83,8 @@ class WavePacket:
     length: float
     values: np.ndarray  # (n, 4) complex
     time: float = 0.0
+
+    __eq__ = _equal_fields
 
     def __post_init__(self):
         object.__setattr__(self, "length", _check_grid(self.n, self.length))
@@ -328,11 +331,12 @@ class TrajectoryResult:
     mean_k: np.ndarray
     packet: WavePacket
 
+    __eq__ = _equal_fields
 
-# trajectory's sampler (_sample): spinor rows per block, and workers.
+
+# trajectory's sampler (_sample): spinor rows per block.
 _BLOCK_ROWS = 8
-_WORKERS = 2
-# Samples between two exact evaluations of the phase chain (_sample_blocks).
+# Samples between two exact evaluations of the phase chain (_sample).
 _REFRESH = 32
 # numpy's ufunc buffer size in elements in the sampler and _Spectrum.at.
 _BUFSIZE = 1024
@@ -345,45 +349,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sample_blocks(spectrum, moments, tau, step, blocks, table, buffers) -> None:
-    """One worker: table[j] for the samples j of each block b in `blocks`,
-    j = b*size + i for i < size and 0 < j < last, in its own buffers, whose
-    length is the block size.
-
-    z_j = exp(i w tau j) is one np.exp of its own argument where j is a
-    multiple of _REFRESH and z_{j-1} * step otherwise, step = exp(i w tau):
-    at most _REFRESH roundings however large j is, where a recurrence
-    from z_0 would add one per j.  Every z_j comes from the same chain
-    whichever worker computes it.  z, spent once a block's states are
-    formed, is the reductions' scratch."""
-    z, values, carry = buffers
-    size = len(z)
-    w, last = spectrum.w, len(table) - 1
-    # errstate is per thread; a phase w*t that overflows gives NaN samples,
-    # rejected by the caller
+def _inverse_ffts(requests, replies) -> None:
+    """The helper thread: each block of spectral coefficients taken from
+    `requests` is inverse-transformed in place into its samples, and
+    answered on `replies` with None or the exception it raised, until
+    None arrives.  errstate is per thread; an overflowed phase gives NaN
+    samples, rejected by trajectory."""
     with np.errstate(over="ignore", invalid="ignore"):
-        # no call here needs ufunc buffers (there is no cast), yet numpy
-        # allocates them at this size for every broadcast or strided
-        # operand; the setting ends with the errstate block
-        np.setbufsize(_BUFSIZE)
-        # carry holds z_{j-1} for the next j: follow the chain from its refresh
-        first = blocks.start * size
-        if first % _REFRESH:
-            _unit_phase(w, tau * (first - first % _REFRESH), carry)
-            for _ in range(first % _REFRESH - 1):
-                np.multiply(carry, step, out=carry)
-        for b in blocks:
-            base = b * size
-            for i in range(size):
-                if (base + i) % _REFRESH:
-                    np.multiply(z[i - 1] if i else carry, step, out=z[i])
-                else:
-                    _unit_phase(w, tau * (base + i), z[i])
-            np.copyto(carry, z[-1])
-            rows = slice(max(base, 1) - base, min(base + size, last) - base)
-            m = rows.stop - rows.start
-            spectrum.state(z[rows, None], values[:m])
-            moments.sample(values[:m], z[:m], table[base + rows.start : base + rows.stop])
+        while (values := requests.get()) is not None:
+            try:
+                np.fft.ifft(values, norm="forward", out=values)
+            except BaseException as exc:  # re-raised in the calling thread
+                replies.put(exc)
+            else:
+                replies.put(None)
 
 
 def _sample(spectrum, moments, tau: float, table) -> None:
@@ -391,51 +370,83 @@ def _sample(spectrum, moments, tau: float, table) -> None:
 
     A packet on r rows runs blocks of size = max(1, _BLOCK_ROWS // r)
     samples, 4 on two rows and 2 on four: block b holds the samples
-    b*size .. (b+1)*size - 1 in that range whatever the worker count.  A
-    block's states take a few whole-block numpy calls (_Spectrum.state,
-    _Moments.sample), each long enough to pay for handing the GIL to
-    another worker.  The workers are the calling thread and at most
-    _WORKERS - 1 helper threads, no more than the usable CPUs; each takes
-    a contiguous range of blocks, the calling thread the first.  Each
-    holds one block's buffers, (r + 1) n complex numbers per sample of the
-    block and n more, all allocated before any worker starts.  Every
-    operation on a sample is elementwise or per row, so what a sample
-    computes depends neither on its block nor on its worker.  A helper's
-    exception is raised here, after every helper ended."""
+    b*size .. (b+1)*size - 1 in that range.  z_j = exp(i w tau j) is one
+    np.exp of its own argument where j is a multiple of _REFRESH and
+    z_{j-1} * step otherwise, step = exp(i w tau): at most _REFRESH
+    roundings however large j is, where a recurrence from z_0 would add
+    one per j.
+
+    The calling thread runs the phase chain, forms each block's states and
+    reduces their mean_k.  With two usable CPUs and two blocks or more, a
+    helper thread then takes the block's inverse FFT, one numpy call that
+    needs the GIL only to start and to end, while this thread reduces the
+    position moments of the block before and forms the next: two (size,
+    r, n) block buffers, used in turn.  Otherwise the FFT runs inline on
+    one.  z, spent once a block's states are formed, is the reductions'
+    scratch.  Every operation on a sample is elementwise or per row, so
+    its bits depend neither on its block nor on the thread.  The helper
+    answers every block and is joined before _sample returns or raises;
+    an exception it raised is raised here."""
     last = len(table) - 1
     if last < 2:
         return
     r, n = spectrum.plus.shape
     size = max(1, _BLOCK_ROWS // r)
     blocks = -(-last // size)
-    workers = min(_WORKERS, _usable_cpus(), blocks)
-    step = _unit_phase(spectrum.w, tau, np.empty(n, dtype=np.complex128))
-    bounds = [blocks * i // workers for i in range(workers + 1)]
-    work = []
-    for start, stop in zip(bounds, bounds[1:]):
-        buffers = (np.empty((size, n), dtype=np.complex128),
-                   np.empty((size, r, n), dtype=np.complex128),
-                   np.empty(n, dtype=np.complex128))
-        work.append((spectrum, moments, tau, step, range(start, stop), table, buffers))
-    errors = []
+    w = spectrum.w
+    step = _unit_phase(w, tau, np.empty(n, dtype=np.complex128))
+    z = np.empty((size, n), dtype=np.complex128)
+    carry = np.empty(n, dtype=np.complex128)  # z_{j-1} for the next block's first j
+    helper = None
+    if blocks > 1 and _usable_cpus() > 1:
+        requests, replies = queue.SimpleQueue(), queue.SimpleQueue()
+        helper = threading.Thread(target=_inverse_ffts, args=(requests, replies))
+    buffers = [np.empty((size, r, n), dtype=np.complex128) for _ in range(2 if helper else 1)]
+    pending = None  # the block whose inverse FFT the helper runs
 
-    def helper(*args):
+    def finish(values, out) -> None:
+        error = replies.get()
+        if error is not None:
+            raise error
+        moments.position(values, z[: len(values)], out)
+
+    # the caller's error state: a phase w*t that overflows gives NaN
+    # samples, rejected by trajectory
+    with np.errstate(over="ignore", invalid="ignore"):
+        # no call here needs ufunc buffers (there is no cast), yet numpy
+        # allocates them at this size for every broadcast or strided
+        # operand; the setting ends with the errstate block
+        np.setbufsize(_BUFSIZE)
         try:
-            _sample_blocks(*args)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=helper, args=args) for args in work[1:]]
-    try:
-        for thread in helpers:
-            thread.start()
-        _sample_blocks(*work[0])
-    finally:
-        for thread in helpers:
-            if thread.ident is not None:
-                thread.join()
-    if errors:
-        raise errors[0]
+            if helper:
+                helper.start()
+            for b in range(blocks):
+                base = b * size
+                for i in range(size):
+                    if (base + i) % _REFRESH:
+                        np.multiply(z[i - 1] if i else carry, step, out=z[i])
+                    else:
+                        _unit_phase(w, tau * (base + i), z[i])
+                np.copyto(carry, z[-1])
+                rows = slice(max(base, 1) - base, min(base + size, last) - base)
+                m = rows.stop - rows.start
+                values = buffers[b % len(buffers)][:m]
+                out = table[base + rows.start : base + rows.stop]
+                spectrum.state(z[rows, None], values)
+                if not helper:
+                    moments.sample(values, z[:m], out)
+                    continue
+                moments.momentum(values, z[:m], out)
+                requests.put(values)
+                if pending:
+                    finish(*pending)
+                pending = values, out
+            if pending:
+                finish(*pending)
+        finally:
+            if helper and helper.ident is not None:
+                requests.put(None)
+                helper.join()
 
 
 def trajectory(
@@ -457,10 +468,11 @@ def trajectory(
     within a few ulp of the initial one.  The last row and the returned
     packet come from _Spectrum.at and .spinors, as evolve's packet does, so
     that packet equals evolve(packet, params, dt, steps) bit for bit.
-    Beyond the returned arrays, memory does not grow with the row count,
-    and the rows do not depend on how _sample splits them into blocks and
-    threads, bit for bit; a helper thread is joined before trajectory
-    returns or raises.
+    Beyond the returned arrays, memory does not grow with the row count.
+    With two usable CPUs, a helper thread takes each block's inverse FFT
+    while this thread reduces and forms the others (_sample); it is joined
+    before trajectory returns or raises.  The rows depend neither on the
+    block size nor on the helper, bit for bit.
     """
     steps = _count("steps", steps, 1)
     if _count("sample_every", sample_every, 1) > sys.float_info.max:

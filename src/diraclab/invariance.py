@@ -36,6 +36,7 @@ from .clifford import (
     GAMMA5,
     _as_k3,
     _count,
+    _equal_fields,
     _finite,
     _real,
     anticommutator,
@@ -78,6 +79,8 @@ class PhaseFunction:
 
     zeta: np.ndarray
 
+    __eq__ = _equal_fields
+
     def __post_init__(self):
         z = np.array(self.zeta, dtype=np.complex128)
         if z.shape != (4,):
@@ -105,6 +108,8 @@ class GeneralizedParams:
 
     a: complex
     c: np.ndarray
+
+    __eq__ = _equal_fields
 
     def __post_init__(self):
         if isinstance(self.a, bool) or not isinstance(self.a, numbers.Complex):
@@ -335,12 +340,15 @@ def _covariance_system_matrix() -> np.ndarray:
 
 
 def _nullspace(mat: np.ndarray):
-    # Tall matrices: the reduced SVD has the same vh and skips the unused square U.
-    _, s, vh = np.linalg.svd(mat, full_matrices=False)
-    cutoff = 1e-10 * s[0]
-    dim = int(np.sum(s < cutoff))
-    basis = vh[mat.shape[1] - dim:].conj().T if dim else np.zeros((mat.shape[1], 0))
-    return dim, basis
+    """The dimension and an orthonormal basis (columns) of mat's kernel,
+    from eigh of the Gram matrix mat^H mat.  Rounding leaves its kernel
+    eigenvalues near 1e-16 of the largest, and the others are at least 0.2
+    of it for both maps here, so a cut at 1e-8 sits mid-gap.  The small
+    eigensystem rounds the same on one BLAS thread and on two; an SVD of
+    the tall mat did not."""
+    values, vectors = np.linalg.eigh(mat.conj().T @ mat)  # ascending
+    dim = int(np.sum(values < 1e-8 * values[-1]))
+    return dim, vectors[:, :dim]
 
 
 def _containment_residual(basis: np.ndarray, v: np.ndarray) -> float:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import _as_k3, _finite, _real
+from .clifford import _as_k3, _equal_fields, _finite, _real
 from .operators import _branch, _k2, _sigma_dot, _value, _w
 
 __all__ = [
@@ -55,6 +55,8 @@ class NonRelParams:
     eps_tilde: float = 0.0
     c_tilde: np.ndarray = field(default_factory=lambda: np.zeros(3))
     c_light: float = 1.0
+
+    __eq__ = _equal_fields
 
     def __post_init__(self):
         m0, c_light = _real("m0", self.m0), _real("c_light", self.c_light)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import GAMMA, I4, _as_k3, _count, _finite, _real
+from .clifford import GAMMA, I4, _as_k3, _count, _equal_fields, _finite, _real
 from .invariance import GeneralizedParams
 
 __all__ = [
@@ -139,6 +139,8 @@ class PlaneWaveSolution:
     energy: float
     branch: int
     spinor: np.ndarray
+
+    __eq__ = _equal_fields
 
     def __post_init__(self):
         k = _as_k3("k", self.k).copy()

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import diraclab as dl
+from diraclab.clifford import _equal_fields
 
 # The whole public surface of `diraclab`, submodules aside.  An added,
 # removed or leaked name changes this set and must be reviewed here.
@@ -104,6 +105,33 @@ def test_stored_arrays_are_read_only_copies(build, field, array):
     assert array.flags.writeable
     array[...] = 0
     assert np.all(stored != 0)
+
+
+# Value equality (clifford._equal_fields): two separately built values with
+# equal fields compare equal, and a change in an array field or a scalar
+# field makes them differ.  The generated dataclass __eq__ raised ValueError
+# on the array fields.
+EQUAL_VALUES = {
+    "GeneralizedParams": lambda shift: dl.GeneralizedParams.from_physical(1.0, 0.2, shift),
+    "NonRelParams": lambda shift: dl.NonRelParams(1.0, c_tilde=(0.0, 0.0, shift)),
+    "WavePacket": lambda shift: dl.init_gaussian(128, 100.0, 50.0 + shift, 0.5, 8.0, params=_STD),
+    "PhaseFunction": lambda shift: dl.PhaseFunction([0.3j, shift, 0.0, 0.1j]),
+    "PlaneWaveSolution": lambda shift: dl.plane_wave_solve((0.0, shift, 0.4), _STD)[0],
+    "BasisCoefficients": lambda shift: dl.basis_decompose(dl.gamma(1) + shift * dl.GAMMA5),
+    "TrajectoryResult": lambda shift: dl.trajectory(
+        dl.init_gaussian(64, 32.0, 16.0, 0.5, 4.0, params=_STD), _STD, 0.1 + shift, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUAL_VALUES))
+def test_values_compare_by_their_fields(name):
+    build = EQUAL_VALUES[name]
+    a, same, other = build(0.0), build(0.0), build(0.5)
+    assert type(a).__name__ == name and a is not same
+    assert a == same and not (a != same)
+    assert a != other and not (a == other)
+    assert a != object() and a != 1.0
+    assert type(a).__eq__ is type(same).__eq__ is _equal_fields
 
 
 # Every scalar entry point checks its input with one of two rules in

@@ -669,17 +669,18 @@ EVOLVE_ARGV = [
 ]
 
 
-def run_module(*argv):
+def run_module(*argv, **env):
     """Run `python -m diraclab` in a child process that imports the same
-    diraclab as this one, installed or not.  A numpy RuntimeWarning is an
-    error there, as it is in this process."""
+    diraclab as this one, installed or not, with `env` added to this
+    process's environment.  A numpy RuntimeWarning is an error there, as it
+    is in this process."""
     src = str(Path(diraclab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "diraclab", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
@@ -688,6 +689,21 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert proc.stdout.startswith("# diraclab verify trials=10 seed=1")
     assert "CHECK clifford_anticommutators" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--trials", "500", "--seed", "42"], GOLDEN_TRAJECTORIES["evolve_dense.csv"]],
+    ids=["verify", "evolve_dense"],
+)
+def test_output_does_not_depend_on_the_blas_thread_count(argv):
+    # The benchmark runs with one BLAS thread; a default run may use more.
+    outputs = set()
+    for threads in ("1", "2"):
+        proc = run_module(*argv, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 @pytest.mark.parametrize(
@@ -707,3 +723,25 @@ def test_overflow_prints_one_error_line(argv):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit", "--m0", "1", "--k-max", "0.5", "--points", str(2**1100)],
+        ["limit", "--m0", "1", "--k-max", "0.5", "--points", str(2**62)],
+        ["dispersion", "--m0", "1", "--k-min", "0", "--k-max", "1", "--steps", str(2**1100)],
+        ["dispersion", "--m0", "1", "--k-min", "0", "--k-max", "1", "--steps", str(2**62)],
+    ],
+    ids=["points-2**1100", "points-2**62", "steps-2**1100", "steps-2**62"],
+)
+def test_a_sweep_count_no_array_holds_is_rejected_by_name(capsys, tmp_path, argv):
+    # These reached exit 2 through an OverflowError, "Maximum allowed size
+    # exceeded" or "array is too big", none of which named the flag.
+    path = tmp_path / "sweep.csv"
+    code, out, err = run_main(capsys, [*argv, "-o", str(path)])
+    assert code == 2 and out == "" and not path.exists()
+    most = sys.maxsize // 8
+    assert err == (f"error: {argv[-2]} must be at most {most}, the most float64 values one "
+                   "array can hold\n")
+    assert run_main(capsys, [*argv[:-1], str(most + 1)])[2] == err

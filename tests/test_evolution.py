@@ -449,8 +449,8 @@ def test_phase_chain_rows_match_evolve_across_blocks():
     # Several refreshes of the phase chain, several steps per sample and a
     # partial last step: rows on both sides of each refresh (z_j is one
     # np.exp there and a product with exp(i w tau) after it), of each block
-    # boundary and of the boundary between the two workers' ranges, and
-    # the last row, match evolve.
+    # boundary and of a block boundary mid-run, and the last row, match
+    # evolve.
     params = GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6))
     packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, params=params)
     refresh, sample_every = evolution._REFRESH, 3
@@ -461,9 +461,9 @@ def test_phase_chain_rows_match_evolve_across_blocks():
     assert last == 2 * refresh + 6
     size = max(1, evolution._BLOCK_ROWS // len(evolution._Spectrum(packet, params).rows))
     blocks = -(-last // size)
-    split = blocks // 2 * size
+    middle = blocks // 2 * size
     rows = [1, 2, 3, refresh - 1, refresh, refresh + 1, 2 * refresh - 1, 2 * refresh,
-            2 * refresh + 1, split - 1, split, last - 1, last]
+            2 * refresh + 1, middle - 1, middle, last - 1, last]
     assert_rows_match_evolve(result, packet, params, dt, steps, sample_every, rows)
     np.testing.assert_array_equal(result.packet.values, evolve(packet, params, dt, steps).values)
 
@@ -716,11 +716,11 @@ def test_single_branch_packet_moves_at_its_mean_group_velocity(m0, eps, p_tilde,
 
 
 # The sampler: trajectory's samples between the first and the last run in
-# fixed blocks, split between the calling thread and one helper thread.
-def with_workers(monkeypatch, workers):
-    """Run trajectory's sampler on `workers` workers, whatever the host has."""
-    monkeypatch.setattr(evolution, "_WORKERS", workers)
-    monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+# fixed blocks; with two usable CPUs a helper thread takes each block's
+# inverse FFT.
+def with_cpus(monkeypatch, cpus):
+    """Run trajectory's sampler as on `cpus` usable CPUs, whatever the host has."""
+    monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
 
 
 @pytest.mark.parametrize(
@@ -739,14 +739,16 @@ def test_one_worker_and_two_give_the_same_bits(monkeypatch, m0, p_tilde, rows, s
                                                sample_every):
     # Blocks of 2, 6, 8 and 16 spinor rows: on two rows, blocks of 1, 3, 4
     # and 8 samples (3 does not divide _REFRESH); on four, of 1, 1, 2 and 4.
+    # One CPU runs every stage in the calling thread on one buffer; two
+    # hand each block's inverse FFT to the helper.
     params = GeneralizedParams.from_physical(m0, 0.31, p_tilde)
     packet = init_gaussian(512, 100.0, 40.0, 0.55, width=8.0, params=params)
     assert evolution._Spectrum(packet, params).rows.tolist() == rows
     results = []
     for block_rows in (2, 6, 8, 16):
         monkeypatch.setattr(evolution, "_BLOCK_ROWS", block_rows)
-        for workers in (1, 2):
-            with_workers(monkeypatch, workers)
+        for cpus in (1, 2):
+            with_cpus(monkeypatch, cpus)
             results.append(trajectory(packet, params, 0.45, steps, sample_every))
     first = results[0]
     for result in results[1:]:
@@ -757,15 +759,15 @@ def test_one_worker_and_two_give_the_same_bits(monkeypatch, m0, p_tilde, rows, s
 
 
 def test_more_workers_than_cores_under_fast_switching(monkeypatch):
-    # Six workers share the spectrum, the phase step and the table, each
-    # writing only its own rows, while the interpreter hands the GIL over
-    # as often as it can: the bits match one worker's.
+    # The helper shares the two block buffers with the calling thread,
+    # which writes the table, on more CPUs than the host may have, while
+    # the interpreter hands the GIL over as often as it can: the bits
+    # match one CPU's.
     params = GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6))
     packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, params=params)
-    with_workers(monkeypatch, 1)
+    with_cpus(monkeypatch, 1)
     one = trajectory(packet, params, 0.37, 90)
-    monkeypatch.setattr(evolution, "_WORKERS", 6)
-    monkeypatch.setattr(evolution, "_usable_cpus", lambda: 6)
+    with_cpus(monkeypatch, 6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -791,36 +793,64 @@ def test_usable_cpus_without_affinity(monkeypatch):
     assert evolution._usable_cpus() == 1
 
 
+@pytest.mark.parametrize(
+    "cpus, steps, helpers",
+    # two rows run blocks of four samples: 40 steps make ten blocks, 4
+    # make one (samples 1 to 3)
+    [(1, 40, 0), (2, 40, 1), (6, 40, 1), (2, 4, 0)],
+)
+def test_the_helper_runs_on_two_cpus_and_two_blocks(monkeypatch, cpus, steps, helpers):
+    # The threads alive while the position moments are reduced: one more
+    # than before trajectory only where a helper runs, and none after it.
+    with_cpus(monkeypatch, cpus)
+    position = evolution._Moments.position
+    alive = []
+
+    def counting(self, *args):
+        alive.append(threading.active_count())
+        position(self, *args)
+
+    monkeypatch.setattr(evolution._Moments, "position", counting)
+    packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, params=STD)
+    before = threading.active_count()
+    trajectory(packet, STD, 0.1, steps)
+    assert max(alive) == before + helpers
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("failing", ["helper", "caller"])
 def test_a_worker_exception_reaches_the_caller(monkeypatch, failing):
-    # The helper runs the blocks after the caller's; whichever worker
-    # raises, trajectory raises that exception after the helper ended.
-    with_workers(monkeypatch, 2)
-    sample_blocks = evolution._sample_blocks
-    seen = []
+    # The third inverse FFT in the helper, or the third position reduction
+    # in the calling thread, raises while the helper runs: trajectory
+    # raises that exception after the helper ended.
+    with_cpus(monkeypatch, 2)
+    target = (np.fft, "ifft") if failing == "helper" else (evolution._Moments, "position")
+    original = getattr(*target)
+    calls = []
 
-    def fail_in_one_range(*args):
-        blocks = args[4]
-        seen.append(threading.current_thread() is threading.main_thread())
-        if (blocks.start > 0) == (failing == "helper"):
-            raise RuntimeError(f"{failing} failed")
-        sample_blocks(*args)
+    def fail_on_the_third(*args, **kwargs):
+        if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
+            calls.append(threading.active_count())
+            if len(calls) == 3:
+                raise RuntimeError(f"{failing} failed")
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(evolution, "_sample_blocks", fail_in_one_range)
+    monkeypatch.setattr(*target, fail_on_the_third)
     packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, params=STD)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"{failing} failed"):
         trajectory(packet, STD, 0.1, 40)
-    assert sorted(seen) == [False, True]
+    # the helper may take one more block before the caller reads its error
+    assert len(calls) >= 3 and calls[2] == before + 1
     assert threading.active_count() == before
 
 
 def test_overflow_raises_with_no_warning_from_either_worker(monkeypatch):
-    # The helper's first sample, j = 8, is a refresh of the phase chain
-    # whose argument w*t overflows.  Every worker ignores the overflow of
-    # its own phases (numpy's error state is per thread), and the caller
-    # rejects the NaN samples.
-    with_workers(monkeypatch, 2)
+    # Sample 8 is a refresh of the phase chain whose argument w*t
+    # overflows.  The calling thread ignores the overflow of its phases and
+    # the helper the NaN in its inverse FFTs (numpy's error state is per
+    # thread), and trajectory rejects the NaN samples.
+    with_cpus(monkeypatch, 2)
     monkeypatch.setattr(evolution, "_REFRESH", 4)
     packet = init_gaussian(128, 100.0, 50.0, 0.5, width=8.0, params=STD)
     with warnings.catch_warnings():

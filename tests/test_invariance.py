@@ -226,6 +226,14 @@ class TestPhi0Uniqueness:
         for bset in (gammas, GAMMA5 @ gammas):
             assert _containment_residual(basis, bset.ravel()) <= 1e-14
 
+    def test_the_kernel_is_cut_at_the_gram_gap(self):
+        # _nullspace cuts the Gram eigenvalues at 1e-8 of the largest: the
+        # kernel ones lie far below it and the next ones far above.
+        for mat in (_covariance_system_matrix(), _commutant_matrix()):
+            values = np.linalg.eigvalsh(mat.conj().T @ mat)
+            assert values[1] <= 1e-14 * values[-1]
+            assert values[2] >= 0.2 * values[-1]
+
     def test_perturbed_tuple_is_not_covariant(self):
         _, basis = _nullspace(_covariance_system_matrix())
         bset = np.array(GAMMA)

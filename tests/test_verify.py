@@ -18,6 +18,8 @@ from diraclab.verify import format_report, report_header, run_verification
 # it read exactly 0 while it compared two copies of one energy formula.
 # basis_roundtrip reads the closed-form decomposition (T^H vec m) / 4; it read
 # 1.110223e-15, 1.110223e-15 and 9.485750e-16 while each matrix took an LU solve.
+# phi0_ansatz_nullspace reads the kernel from eigh of the Gram matrix; it read
+# 1.018307e-15 from an SVD, whose bits followed the BLAS thread count.
 GOLDEN = {
     1: """\
 # diraclab verify trials=500 seed=1
@@ -29,7 +31,7 @@ CHECK covariance_negative_control max_residual=5.320239e-02 PASS
 CHECK zeta_condition max_residual=9.930137e-16 PASS
 CHECK zeta_negative_control max_residual=1.707708e-01 PASS
 CHECK phi0_gamma_structure max_residual=0.000000e+00 PASS
-CHECK phi0_ansatz_nullspace max_residual=1.018307e-15 PASS
+CHECK phi0_ansatz_nullspace max_residual=1.911229e-15 PASS
 CHECK phi0_random_violation max_residual=1.823354e+00 PASS
 CHECK phi0_bc_commutant max_residual=0.000000e+00 PASS
 CHECK phi0_bc_negative max_residual=2.000000e+00 PASS
@@ -49,7 +51,7 @@ CHECK covariance_negative_control max_residual=5.554033e-02 PASS
 CHECK zeta_condition max_residual=9.930137e-16 PASS
 CHECK zeta_negative_control max_residual=1.811275e-01 PASS
 CHECK phi0_gamma_structure max_residual=0.000000e+00 PASS
-CHECK phi0_ansatz_nullspace max_residual=1.018307e-15 PASS
+CHECK phi0_ansatz_nullspace max_residual=1.911229e-15 PASS
 CHECK phi0_random_violation max_residual=1.804402e+00 PASS
 CHECK phi0_bc_commutant max_residual=0.000000e+00 PASS
 CHECK phi0_bc_negative max_residual=2.000000e+00 PASS
@@ -69,7 +71,7 @@ CHECK covariance_negative_control max_residual=5.254612e-02 PASS
 CHECK zeta_condition max_residual=1.332268e-15 PASS
 CHECK zeta_negative_control max_residual=1.999365e-01 PASS
 CHECK phi0_gamma_structure max_residual=0.000000e+00 PASS
-CHECK phi0_ansatz_nullspace max_residual=1.018307e-15 PASS
+CHECK phi0_ansatz_nullspace max_residual=1.911229e-15 PASS
 CHECK phi0_random_violation max_residual=1.783380e+00 PASS
 CHECK phi0_bc_commutant max_residual=0.000000e+00 PASS
 CHECK phi0_bc_negative max_residual=2.000000e+00 PASS
