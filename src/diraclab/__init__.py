@@ -51,7 +51,6 @@ from .operators import (
 from .nonrel import (
     LevyLeblondSolution,
     NonRelError,
-    NonRelParams,
     dirac_energy,
     kinetic_minus_rest,
     levy_leblond_solve,

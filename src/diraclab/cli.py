@@ -19,7 +19,7 @@ from .clifford import _count, _real, basis_decompose, basis_labels
 from .evolution import init_gaussian, trajectory, write_trajectory_csv
 from .invariance import GeneralizedParams
 from .nonrel import (
-    NonRelParams,
+    _limit_domain,
     dirac_energy,
     kinetic_minus_rest,
     nonrel_abs_error,
@@ -192,16 +192,15 @@ def _cmd_dispersion(args) -> int:
             "the span from --k-min to --k-max is not finite: "
             "the inputs overflow double precision"
         )
-    nr = NonRelParams(
-        m0=args.m0,
-        eps_tilde=args.eps_tilde,
-        c_tilde=(0.0, 0.0, args.p_tilde),
-        c_light=args.c_light,
+    _limit_domain(args.m0, args.c_light)  # before from_physical, whose m0 rule is m0 >= 0
+    params = GeneralizedParams.from_physical(
+        args.m0, args.eps_tilde, (0.0, 0.0, args.p_tilde)
     )
     ks = np.linspace(k_min, k_max, args.steps)
     k3 = ks[:, None] * (0.0, 0.0, 1.0)  # the sweep runs along z
-    pauli = pauli_energy(k3, nr)
-    columns = (ks, dirac_energy(k3, nr, +1), dirac_energy(k3, nr, -1), pauli, pauli)
+    pauli = pauli_energy(k3, params)
+    plus, minus = (dirac_energy(k3, params, b, c_light=args.c_light) for b in (+1, -1))
+    columns = (ks, plus, minus, pauli, pauli)
     _write_csv(args.output, "k,eps_plus,eps_minus,eps_pauli,eps_ll", columns)
     return 0
 
@@ -224,17 +223,22 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_limit(args) -> int:
     _sweep_rows("--points", args.points)
-    if _real("--k-max", args.k_max) <= 0.0:
+    k_max = _real("--k-max", args.k_max)
+    if k_max <= 0.0:
         raise ValueError("--k-max must be positive and finite")
-    nr = NonRelParams(m0=args.m0, c_light=args.c_light)
+    if k_max * 1e-3 == 0.0:
+        raise ValueError(f"--k-max is too small: the grid's first point, --k-max/1000, "
+                         f"underflows to zero, got {args.k_max!r}")
+    _limit_domain(args.m0, args.c_light)
+    params = GeneralizedParams.from_physical(args.m0)
     ks = np.geomspace(args.k_max * 1e-3, args.k_max, args.points)
     k3 = ks[:, None] * (0.0, 0.0, 1.0)
-    err = nonrel_error(k3, nr)
+    err = nonrel_error(k3, params, c_light=args.c_light)
     columns = (
         ks,
-        kinetic_minus_rest(k3, nr),
-        pauli_energy(k3, nr),
-        nonrel_abs_error(k3, nr),
+        kinetic_minus_rest(k3, params, c_light=args.c_light),
+        pauli_energy(k3, params),
+        nonrel_abs_error(k3, params, c_light=args.c_light),
         np.where(err.relative, err.value, np.nan),
     )
     _write_csv(args.output, "k,dirac_kinetic,pauli_kinetic,abs_error,rel_error", columns)
@@ -267,6 +271,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.subcommand](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: the inputs need more memory than is available: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:
         print(f"error: the inputs overflow double precision: {exc}", file=sys.stderr)

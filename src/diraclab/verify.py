@@ -29,7 +29,7 @@ from .invariance import (
     _zeta,
     verify_phi0_uniqueness,
 )
-from .nonrel import _levy_leblond_spinors, _NonRelStack
+from .nonrel import _levy_leblond_spinors
 from .operators import (
     _dirac_square_residuals,
     _hamiltonian,
@@ -81,7 +81,8 @@ def _signed(u: np.ndarray) -> np.ndarray:
 
 def _params(u: np.ndarray) -> _ParamStack:
     """The GeneralizedParams of (trials, 5) draws (m0, eps_tilde, p_tilde),
-    which the _PARAMS bounds keep in the public parameter domain."""
+    which the bounds of each check keep in the public parameter domain
+    (m0 > 0 for the limit forms)."""
     return _ParamStack(u[:, 0], u[:, 1], u[:, 2:5])
 
 
@@ -193,15 +194,14 @@ def _gauge_map(rng, n):
 
 
 def _levy_leblond(rng, n):
-    # Per trial: m0, eps_tilde, c_tilde, then k.
+    # Per trial: m0, eps_tilde, p_tilde, then k.
     u = _uniform(rng, n, ((0.2, 4.0), (-1.0, 1.0)) + ((-1.0, 1.0),) * 6)
-    params = _NonRelStack(u[:, 0], u[:, 1], u[:, 2:5])
-    k = np.ascontiguousarray(u[:, 5:])
+    params, k = _params(u[:, :5]), np.ascontiguousarray(u[:, 5:])
     energy, phi, chi = _levy_leblond_spinors(k, params)
     # The first linked equation, (e + eps_tilde) phi = sigma.K chi with
     # chi = sigma.K phi / 2m0: it holds when (sigma.K)^2 = K^2 agrees with
     # the energy formula e = K^2 / 2m0 - eps_tilde, the Pauli energy.
-    sigma_k_chi = (_sigma_dot(k + params.c_tilde) @ chi[..., None])[..., 0]
+    sigma_k_chi = (_sigma_dot(k + params.p_tilde) @ chi[..., None])[..., 0]
     return _per_trial(np.abs((energy + params.eps_tilde)[:, None] * phi - sigma_k_chi))
 
 

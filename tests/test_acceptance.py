@@ -19,7 +19,7 @@ from diraclab.invariance import (
     verify_phi0_uniqueness,
     zeta_for,
 )
-from diraclab.nonrel import NonRelParams, levy_leblond_solve, nonrel_abs_error, pauli_energy
+from diraclab.nonrel import levy_leblond_solve, nonrel_abs_error, pauli_energy
 from diraclab.operators import (
     dispersion,
     dirac_square_equals_kg,
@@ -181,10 +181,8 @@ def test_criterion_08_nonrelativistic_limit():
     rng = np.random.default_rng(208)
     worst = 0.0
     for _ in range(100):
-        p = NonRelParams(
-            m0=float(rng.uniform(0.2, 4.0)),
-            eps_tilde=float(rng.uniform(-1.0, 1.0)),
-            c_tilde=rng.uniform(-1.0, 1.0, 3),
+        p = GeneralizedParams.from_physical(
+            float(rng.uniform(0.2, 4.0)), float(rng.uniform(-1.0, 1.0)), rng.uniform(-1.0, 1.0, 3)
         )
         k = rng.uniform(-1.0, 1.0, 3)
         worst = max(worst, abs(levy_leblond_solve(k, p).energy - pauli_energy(k, p)))
@@ -192,12 +190,12 @@ def test_criterion_08_nonrelativistic_limit():
 
     m0 = 1.0
     ks = np.geomspace(1e-3, 1e-1, 25) * m0
-    errs = np.array([nonrel_abs_error([0, 0, k], NonRelParams(m0=m0)) for k in ks])
+    errs = np.array([nonrel_abs_error([0, 0, k], GeneralizedParams.from_physical(m0)) for k in ks])
     slope = float(np.polyfit(np.log(ks), np.log(errs), 1)[0])
     assert abs(slope - 4.0) <= 0.1
 
     # generalized forms reduce to the standard ones exactly at zero shifts
-    plain = NonRelParams(m0=1.7)
+    plain = GeneralizedParams.from_physical(1.7)
     for kz in (0.0, 0.05, 0.3):
         k = np.array([0.1, -0.2, kz])
         assert pauli_energy(k, plain) == float(k @ k) / (2 * 1.7)

@@ -34,7 +34,7 @@ PUBLIC = {
     "PlaneWaveSolution", "kg_rhs_matrix", "dirac_square_equals_kg",
     "gauge_map_to_standard", "gauge_map_from_standard",
     # limits
-    "NonRelParams", "pauli_energy", "LevyLeblondSolution", "levy_leblond_solve",
+    "pauli_energy", "LevyLeblondSolution", "levy_leblond_solve",
     "dirac_energy", "kinetic_minus_rest", "nonrel_abs_error", "NonRelError",
     "nonrel_error",
     # evolution
@@ -91,11 +91,10 @@ def test_readme_quickstart_runs():
         (lambda a: dl.PlaneWaveSolution(np.ones(3), 1.0, 1, a), "spinor",
          np.ones(4, dtype=complex)),
         (lambda a: dl.GeneralizedParams(1j, a), "c", 1j * np.ones(4)),
-        (lambda a: dl.NonRelParams(1.0, c_tilde=a), "c_tilde", np.ones(3)),
         (lambda a: dl.PhaseFunction(a), "zeta", np.ones(4, dtype=complex)),
     ],
     ids=["WavePacket", "PlaneWaveSolution.k", "PlaneWaveSolution.spinor",
-         "GeneralizedParams", "NonRelParams", "PhaseFunction"],
+         "GeneralizedParams", "PhaseFunction"],
 )
 def test_stored_arrays_are_read_only_copies(build, field, array):
     # The array already has the stored dtype and layout, so only an explicit
@@ -113,7 +112,6 @@ def test_stored_arrays_are_read_only_copies(build, field, array):
 # on the array fields.
 EQUAL_VALUES = {
     "GeneralizedParams": lambda shift: dl.GeneralizedParams.from_physical(1.0, 0.2, shift),
-    "NonRelParams": lambda shift: dl.NonRelParams(1.0, c_tilde=(0.0, 0.0, shift)),
     "WavePacket": lambda shift: dl.init_gaussian(128, 100.0, 50.0 + shift, 0.5, 8.0, params=_STD),
     "PhaseFunction": lambda shift: dl.PhaseFunction([0.3j, shift, 0.0, 0.1j]),
     "PlaneWaveSolution": lambda shift: dl.plane_wave_solve((0.0, shift, 0.4), _STD)[0],
@@ -166,9 +164,10 @@ ENTRY_POINTS = [
     ("eps_tilde", lambda v: dl.GeneralizedParams.from_physical(1.0, v)),
     ("p_tilde", lambda v: dl.GeneralizedParams.from_physical(1.0, 0.0, v)),
     ("a", lambda v: dl.GeneralizedParams(a=v, c=np.zeros(4))),
-    ("m0", lambda v: dl.NonRelParams(m0=v)),
-    ("eps_tilde", lambda v: dl.NonRelParams(1.0, eps_tilde=v)),
-    ("c_light", lambda v: dl.NonRelParams(1.0, c_light=v)),
+    # the limit functions' parameters, built as their callers build them
+    ("m0", lambda v: dl.pauli_energy(0.5, dl.GeneralizedParams.from_physical(v))),
+    ("eps_tilde", lambda v: dl.levy_leblond_solve(0.5, dl.GeneralizedParams.from_physical(1.0, v))),
+    ("c_light", lambda v: dl.dirac_energy(0.5, _STD, c_light=v)),
     ("axis", lambda v: dl.PoincareTransform.rotation(v, 0.3)),
     ("axis", lambda v: dl.zeta_boost(_C, v, 0.3)),
     ("rotation parameter", lambda v: dl.PoincareTransform.rotation(1, v)),
@@ -181,6 +180,9 @@ ENTRY_POINTS = [
     ("mu", lambda v: dl.gamma5_gamma(v)),
     ("energy", lambda v: dl.PlaneWaveSolution(np.zeros(3), v, 1, _SPINOR)),
     ("branch", lambda v: dl.PlaneWaveSolution(np.zeros(3), 1.0, v, _SPINOR)),
+    ("c_light", lambda v: dl.kinetic_minus_rest(0.5, _STD, c_light=v)),
+    ("c_light", lambda v: dl.nonrel_abs_error(0.5, _STD, c_light=v)),
+    ("c_light", lambda v: dl.nonrel_error(0.5, _STD, c_light=v)),
 ]
 
 
@@ -218,6 +220,18 @@ def test_one_count_rule():
     assert text.count("np.integer") == 1
 
 
+def test_one_parameter_set_for_the_limits():
+    # The limit forms take the generalized equation's GeneralizedParams, so
+    # the momentum shift has one name, p_tilde: no second parameter type,
+    # stack or name for it in the package or the README.
+    package = Path(dl.__file__).parent
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    texts["README.md"] = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    found = [(name, word) for name, text in texts.items()
+             for word in ("NonRelParams", "_NonRelStack", "c_tilde") if word in text]
+    assert found == []
+
+
 @pytest.mark.parametrize(
     "name, call",
     [
@@ -241,11 +255,12 @@ def _solution(k=np.zeros(3), energy=1.0, branch=1, spinor=_SPINOR):
 
 
 FIELD_ERRORS = {
-    "NonRelParams.c_tilde": ("c_tilde", lambda: dl.NonRelParams(1.0, c_tilde=[1.0, 2.0])),
+    "GeneralizedParams.from_physical.p_tilde": (
+        "p_tilde", lambda: dl.GeneralizedParams.from_physical(1.0, 0.0, [1.0, 2.0])),
     "dispersion.k": ("k", lambda: dl.dispersion([1.0, 2.0], _STD)),
     "hamiltonian_matrix.k": ("k", lambda: dl.hamiltonian_matrix(np.zeros((2, 3)), _STD)),
-    "pauli_energy.k": ("k", lambda: dl.pauli_energy(np.zeros(4), dl.NonRelParams(1.0))),
-    "levy_leblond_solve.k": ("k", lambda: dl.levy_leblond_solve([1.0, 2.0], dl.NonRelParams(1.0))),
+    "pauli_energy.k": ("k", lambda: dl.pauli_energy(np.zeros(4), _STD)),
+    "levy_leblond_solve.k": ("k", lambda: dl.levy_leblond_solve([1.0, 2.0], _STD)),
     "GeneralizedParams.a": ("a", lambda: dl.GeneralizedParams(a=np.nan, c=np.zeros(4))),
     "GeneralizedParams.c": ("c", lambda: dl.GeneralizedParams(a=1j, c=[0.0, np.inf, 0.0, 0.0])),
     "PlaneWaveSolution.k": ("k", lambda: _solution(k=[0, 0, np.nan])),
@@ -278,8 +293,8 @@ OVERFLOWS = {
     "plane_wave_solve": lambda: dl.plane_wave_solve(1e308, _FAR),
     "gauge_map_to_standard": lambda: dl.gauge_map_to_standard(
         dl.PlaneWaveSolution([0.0, 0.0, 1e308], 1.0, 1, [1.0, 0.0, 0.0, 0.0]), _FAR),
-    "dirac_energy": lambda: dl.dirac_energy(0.5, dl.NonRelParams(1e200)),
-    "levy_leblond_solve": lambda: dl.levy_leblond_solve(1e200, dl.NonRelParams(1.0)),
+    "dirac_energy": lambda: dl.dirac_energy(0.5, _HEAVY),
+    "levy_leblond_solve": lambda: dl.levy_leblond_solve(1e200, _STD),
     "init_gaussian-width": lambda: dl.init_gaussian(**{**_GAUSSIAN, "width": 1e200}, params=_STD),
     "init_gaussian-m0": lambda: dl.init_gaussian(**_GAUSSIAN, params=_HEAVY),
     "evolve-steps": lambda: dl.evolve(_PACKET, _STD, 0.1, 10**400),

@@ -17,7 +17,6 @@ from diraclab.cli import _CHUNK_ROWS, _write_csv, main, parse_matrix_file, write
 from diraclab.clifford import GAMMA5, random_matrix
 from diraclab.invariance import GeneralizedParams
 from diraclab.nonrel import (
-    NonRelParams,
     kinetic_minus_rest,
     nonrel_abs_error,
     nonrel_error,
@@ -36,31 +35,30 @@ def run_main(capsys, argv):
 # before they became single array calls, one scalar call per value.
 def reference_dispersion_csv(m0, eps, p, k_min, k_max, steps, c_light=1.0):
     params = GeneralizedParams.from_physical(m0, eps, (0.0, 0.0, p))
-    nr = NonRelParams(m0=m0, eps_tilde=eps, c_tilde=(0.0, 0.0, p), c_light=c_light)
     lines = ["k,eps_plus,eps_minus,eps_pauli,eps_ll"]
     for k in np.linspace(k_min, k_max, steps):
         if c_light == 1.0:
             plus = dispersion(float(k), params, +1)
             minus = dispersion(float(k), params, -1)
         else:
-            w = kinetic_minus_rest(float(k), nr) + m0 * c_light ** 2
+            w = kinetic_minus_rest(float(k), params, c_light=c_light) + m0 * c_light ** 2
             plus = w - eps
             minus = -w - eps
-        pauli = pauli_energy(float(k), nr)
+        pauli = pauli_energy(float(k), params)
         row = (float(k), plus, minus, pauli, pauli)
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 
 def reference_limit_csv(m0, k_max, points, c_light=1.0):
-    nr = NonRelParams(m0=m0, c_light=c_light)
+    params = GeneralizedParams.from_physical(m0)
     lines = ["k,dirac_kinetic,pauli_kinetic,abs_error,rel_error"]
     for k in np.geomspace(k_max * 1e-3, k_max, points):
-        kin = kinetic_minus_rest(float(k), nr)
-        pauli = pauli_energy(float(k), nr)
-        err = nonrel_error(float(k), nr)
+        kin = kinetic_minus_rest(float(k), params, c_light=c_light)
+        pauli = pauli_energy(float(k), params)
+        err = nonrel_error(float(k), params, c_light=c_light)
         rel = err.value if err.relative else float("nan")
-        row = (float(k), kin, pauli, nonrel_abs_error(float(k), nr), rel)
+        row = (float(k), kin, pauli, nonrel_abs_error(float(k), params, c_light=c_light), rel)
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -365,6 +363,8 @@ class TestEvolveCommand:
             ("--x0", "1e6", "vanishes"),
             ("--x0", "-300", "vanishes"),
             ("--x0", "1e200", "vanishes"),
+            # a step count no array holds: numpy's ValueError, not MemoryError
+            ("--steps", str(2**61), "array is too big"),
         ],
     )
     def test_out_of_range_input_exits_2_without_output(
@@ -414,6 +414,21 @@ class TestLimitCommand:
     def test_bad_points(self, capsys):
         code, _, err = run_main(capsys, ["limit", "--m0", "1", "--k-max", "0.1", "--points", "1"])
         assert code == 2
+
+    def test_k_max_whose_first_point_underflows_names_the_flag(self, capsys, tmp_path):
+        # The grid starts at --k-max/1000, which is zero for the smallest
+        # doubles, and numpy's geomspace cannot start at zero.  A first
+        # point that is subnormal but not zero still gives a table.
+        argv = ["limit", "--m0", "1", "--k-max", "5e-324", "--points", "3"]
+        path = tmp_path / "limit.csv"
+        for extra in ([], ["-o", str(path)]):
+            code, out, err = run_main(capsys, [*argv, *extra])
+            assert (code, out) == (2, "")
+            assert err == ("error: --k-max is too small: the grid's first point, --k-max/1000, "
+                           "underflows to zero, got 5e-324\n")
+        assert not path.exists()
+        code, out, _ = run_main(capsys, ["limit", "--m0", "1", "--k-max", "1e-320", "--points", "3"])
+        assert code == 0 and len(out.splitlines()) == 4
 
     @pytest.mark.parametrize(
         "m0, k_max, points, c_light",
@@ -745,3 +760,25 @@ def test_a_sweep_count_no_array_holds_is_rejected_by_name(capsys, tmp_path, argv
     assert err == (f"error: {argv[-2]} must be at most {most}, the most float64 values one "
                    "array can hold\n")
     assert run_main(capsys, [*argv[:-1], str(most + 1)])[2] == err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit", "--m0", "1", "--k-max", "0.5", "--points", str(2**59)],
+        ["dispersion", "--m0", "1", "--k-min", "0", "--k-max", "1", "--steps", str(2**59)],
+    ],
+    ids=["limit", "dispersion"],
+)
+def test_a_sweep_too_large_for_memory_exits_2(capsys, tmp_path, argv):
+    # 2**59 rows pass the count rule, but one column takes 4 EiB: numpy
+    # raises MemoryError (_ArrayMemoryError) at once, with no page touched.
+    # main reports it as one error line, exit 2, with no output to stdout
+    # or to -o.
+    path = tmp_path / "sweep.csv"
+    for extra in ([], ["-o", str(path)]):
+        code, out, err = run_main(capsys, [*argv, *extra])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the inputs need more memory than is available: ")
+        assert err.count("\n") == 1
+    assert not path.exists()

@@ -1,5 +1,7 @@
 """Non-relativistic limit forms and their approach to the full branch."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,11 +12,10 @@ from hypothesis.extra.numpy import arrays
 from diraclab import evolution
 from diraclab.clifford import pauli
 from diraclab.evolution import WavePacket, init_gaussian, observables, trajectory
-from diraclab.invariance import GeneralizedParams
+from diraclab.invariance import GeneralizedParams, _ParamStack
 from diraclab.nonrel import (
-    NonRelParams,
     _levy_leblond_spinors,
-    _NonRelStack,
+    _pauli_energy,
     dirac_energy,
     kinetic_minus_rest,
     levy_leblond_solve,
@@ -30,56 +31,82 @@ from diraclab.operators import (
     plane_wave_solve,
 )
 
-FREE = NonRelParams(m0=1.0)
+FREE = GeneralizedParams.from_physical(1.0)
 
 
-def random_nonrel(rng):
-    return NonRelParams(
-        m0=float(rng.uniform(0.2, 4.0)),
-        eps_tilde=float(rng.uniform(-1.0, 1.0)),
-        c_tilde=rng.uniform(-1.0, 1.0, 3),
+def random_params(rng):
+    return GeneralizedParams.from_physical(
+        float(rng.uniform(0.2, 4.0)), float(rng.uniform(-1.0, 1.0)), rng.uniform(-1.0, 1.0, 3)
     )
+
+
+# Every limit function, as (params, c_light) -> value at one momentum; the
+# four where the speed of light enters take it as a keyword.
+LIMIT_CALLS = {
+    "pauli_energy": lambda p, c: pauli_energy(0.1, p),
+    "levy_leblond_solve": lambda p, c: levy_leblond_solve(0.1, p),
+    "dirac_energy": lambda p, c: dirac_energy(0.1, p, c_light=c),
+    "kinetic_minus_rest": lambda p, c: kinetic_minus_rest(0.1, p, c_light=c),
+    "nonrel_abs_error": lambda p, c: nonrel_abs_error(0.1, p, c_light=c),
+    "nonrel_error": lambda p, c: nonrel_error(0.1, p, c_light=c),
+}
+C_LIGHT_CALLS = {name: LIMIT_CALLS[name] for name in
+                 ("dirac_energy", "kinetic_minus_rest", "nonrel_abs_error", "nonrel_error")}
 
 
 class TestParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            NonRelParams(m0=0.0)
-        with pytest.raises(ValueError):
-            NonRelParams(m0=1.0, c_light=0.0)
-        with pytest.raises(ValueError):
-            NonRelParams(m0=1.0, c_tilde=np.zeros(2))
-        with pytest.raises(ValueError, match=r"^c_tilde must be a real number, got \(0.0, 'b', 0.0\)"):
-            NonRelParams(m0=1.0, c_tilde=(0.0, "b", 0.0))
-        with pytest.raises(ValueError, match="^m0 must be a real number, got 'a'"):
-            NonRelParams(m0="a")
-        with pytest.raises(ValueError, match="^c_light must be a real number, got 'x'"):
-            NonRelParams(m0=1.0, c_light="x")
-        with pytest.raises(ValueError, match="^eps_tilde must be finite, got None$"):
-            NonRelParams(m0=1.0, eps_tilde=None)
+        # The limit forms' own rules, on top of GeneralizedParams': m0 > 0
+        # (the generalized equation allows m0 = 0) and c_light a positive
+        # real number; the messages show the value passed.
+        massless = GeneralizedParams.from_physical(0.0, 0.2, 0.3)
+        for name, call in LIMIT_CALLS.items():
+            with pytest.raises(ValueError, match=r"^m0 must be positive, got 0\.0$"):
+                call(massless, 1.0)
+        for name, call in C_LIGHT_CALLS.items():
+            for c, shown in ((0.0, "0.0"), (-2.0, "-2.0"), (np.float64(0.0), "np.float64(0.0)")):
+                with pytest.raises(ValueError, match=rf"^c_light must be positive, got {re.escape(shown)}$"):
+                    call(FREE, c)
+            with pytest.raises(ValueError, match="^c_light must be a real number, got 'x'"):
+                call(FREE, "x")
+            # the real rule on both values comes first, then m0's range rule
+            with pytest.raises(ValueError, match="^m0 must be positive"):
+                call(massless, 0.0)
+            with pytest.raises(ValueError, match="^c_light must be finite"):
+                call(massless, np.nan)
+            assert call(FREE, 2) == call(FREE, 2.0), name
 
-    @pytest.mark.parametrize("field", ["m0", "eps_tilde", "c_tilde", "c_light"])
+    @pytest.mark.parametrize("field", ["m0", "eps_tilde", "p_tilde", "c_light"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, None])
     def test_rejects_non_finite(self, field, value):
-        kwargs = {"m0": 1.0, field: (0.0, value, 0.0) if field == "c_tilde" else value}
-        # a non-finite shift is a parameter, not a momentum k; the message
-        # names the field and shows the value passed
-        with pytest.raises(ValueError, match=f"^{field} must be finite, got ") as info:
-            NonRelParams(**kwargs)
-        assert field in str(info.value) and repr(kwargs[field]) in str(info.value)
+        # The limit functions take the generalized equation's parameters, so
+        # a non-finite m0, shift or c_light is rejected where it is passed:
+        # by from_physical or by the c_light keyword.  A non-finite shift is
+        # a parameter, not a momentum k; the message names the field and
+        # shows the value passed.
+        physical = {"m0": 1.0, "eps_tilde": 0.0, "p_tilde": 0.0}
+        if field == "c_light":
+            calls = [lambda c=call: c(FREE, value) for call in C_LIGHT_CALLS.values()]
+            shown = value
+        else:
+            shown = (0.0, value, 0.0) if field == "p_tilde" else value
+            calls = [lambda: GeneralizedParams.from_physical(**{**physical, field: shown})]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{field} must be finite, got ") as info:
+                call()
+            assert str(info.value) == f"{field} must be finite, got {shown!r}"
 
     def test_overflowing_energy_raises_value_error(self):
         # finite inputs whose energy overflows: Python float ** raised
         # OverflowError here, and numpy arrays returned inf
         stack = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1e200]])
-        big_c = NonRelParams(m0=1.0, c_light=1e200)
-        tiny_m0 = NonRelParams(m0=1e-10)
+        tiny_m0 = GeneralizedParams.from_physical(1e-10)
         calls = [
             lambda: dispersion(0.0, GeneralizedParams.from_physical(1e200)),
-            lambda: dirac_energy(0.5, NonRelParams(m0=1e200)),
-            lambda: kinetic_minus_rest(0.5, big_c),
-            lambda: nonrel_abs_error(0.5, big_c),
-            lambda: nonrel_error(0.5, big_c),
+            lambda: dirac_energy(0.5, GeneralizedParams.from_physical(1e200)),
+            lambda: kinetic_minus_rest(0.5, FREE, c_light=1e200),
+            lambda: nonrel_abs_error(0.5, FREE, c_light=1e200),
+            lambda: nonrel_error(0.5, FREE, c_light=1e200),
             lambda: dirac_energy(stack, FREE),
             lambda: pauli_energy(stack, FREE),
             # |k|^2 finite, the division by a tiny 2 m0 or the square not
@@ -91,10 +118,6 @@ class TestParams:
             with pytest.raises(ValueError, match="finite"):
                 call()
 
-    def test_scalar_c_tilde_means_z(self):
-        p = NonRelParams(m0=1.0, c_tilde=0.2)
-        np.testing.assert_allclose(p.c_tilde, [0, 0, 0.2])
-
 
 class TestPauliEnergy:
     def test_free_rest(self):
@@ -104,13 +127,13 @@ class TestPauliEnergy:
         assert pauli_energy([0, 0, 0.1], FREE) == pytest.approx(0.005)
 
     def test_shifted_example(self):
-        p = NonRelParams(m0=1.0, eps_tilde=0.1, c_tilde=(0, 0, 0.2))
+        p = GeneralizedParams.from_physical(1.0, 0.1, (0, 0, 0.2))
         assert pauli_energy(np.zeros(3), p) == pytest.approx(-0.08)
 
 
 class TestLevyLeblond:
     def test_rest_case(self):
-        p = NonRelParams(m0=1.0, eps_tilde=0.4)
+        p = GeneralizedParams.from_physical(1.0, 0.4)
         sol = levy_leblond_solve(np.zeros(3), p)
         assert sol.energy == pytest.approx(-0.4)
         np.testing.assert_allclose(sol.chi, 0, atol=1e-15)
@@ -122,9 +145,9 @@ class TestLevyLeblond:
     def test_chi_elimination_relation(self):
         rng = np.random.default_rng(61)
         for _ in range(50):
-            p = random_nonrel(rng)
+            p = random_params(rng)
             k = rng.uniform(-1, 1, 3)
-            kk = k + p.c_tilde
+            kk = k + p.p_tilde
             sk = kk[0] * pauli(1) + kk[1] * pauli(2) + kk[2] * pauli(3)
             sol = levy_leblond_solve(k, p)
             np.testing.assert_allclose(
@@ -143,9 +166,9 @@ class TestLevyLeblond:
         rng = np.random.default_rng(62)
         i2, z2 = np.eye(2), np.zeros((2, 2))
         for _ in range(25):
-            p = random_nonrel(rng)
+            p = random_params(rng)
             k = rng.uniform(-1, 1, 3)
-            kk = k + p.c_tilde
+            kk = k + p.p_tilde
             sk = kk[0] * pauli(1) + kk[1] * pauli(2) + kk[2] * pauli(3)
             m = np.block([[p.eps_tilde * i2, -sk], [sk, -2 * p.m0 * i2]])
             n = np.block([[-i2, z2], [z2, z2]])
@@ -158,11 +181,7 @@ class TestLevyLeblond:
     def test_equals_pauli_at_zero_potential(self):
         rng = np.random.default_rng(63)
         for _ in range(100):
-            p = NonRelParams(
-                m0=float(rng.uniform(0.2, 4.0)),
-                eps_tilde=float(rng.uniform(-1.0, 1.0)),
-                c_tilde=rng.uniform(-1.0, 1.0, 3),
-            )
+            p = random_params(rng)
             k = rng.uniform(-1, 1, 3)
             assert abs(levy_leblond_solve(k, p).energy - pauli_energy(k, p)) <= 1e-13
 
@@ -184,10 +203,10 @@ class TestLevyLeblond:
         with pytest.raises(ValueError, match="overflow"):
             levy_leblond_solve(1e200, FREE)
         with pytest.raises(ValueError, match="overflow"):
-            levy_leblond_solve(1e145, NonRelParams(m0=1e-10))
+            levy_leblond_solve(1e145, GeneralizedParams.from_physical(1e-10))
         # |k|^2 finite, |k|^2 / 2m0 not: the energy division overflows
         with pytest.raises(ValueError, match="overflow"):
-            levy_leblond_solve(1e150, NonRelParams(m0=1e-10))
+            levy_leblond_solve(1e150, GeneralizedParams.from_physical(1e-10))
 
 
 class TestLimitError:
@@ -205,7 +224,7 @@ class TestLimitError:
             assert nonrel_abs_error([0, 0, kz], FREE) == pytest.approx(direct, rel=1e-9)
 
     def test_vanishes_at_rest(self):
-        p = NonRelParams(m0=1.0, eps_tilde=0.3)
+        p = GeneralizedParams.from_physical(1.0, 0.3)
         err = nonrel_error(np.zeros(3), p)
         assert err.relative
         assert err.value == 0.0
@@ -223,7 +242,7 @@ class TestLimitError:
         for _ in range(50):
             m0 = float(rng.uniform(0.2, 4.0))
             shift = rng.uniform(-0.5, 0.5, 3) * m0
-            p = NonRelParams(m0=m0, c_tilde=shift)
+            p = GeneralizedParams.from_physical(m0, 0.0, shift)
             direction = rng.normal(size=3)
             direction /= np.linalg.norm(direction)
             kinetic = float(rng.uniform(0.01, 0.1)) * m0
@@ -252,17 +271,16 @@ class TestLimitError:
     def test_overflowing_momentum_is_reported_as_overflow(self):
         # 1e199 < m0 * c_light = 1e200, but |k|^2 overflows to inf
         with pytest.raises(ValueError, match="overflow double precision"):
-            nonrel_error(1e199, NonRelParams(m0=1e200))
+            nonrel_error(1e199, GeneralizedParams.from_physical(1e200))
 
     def test_physical_units_consistency(self):
         # restoring the light speed: same physics, scaled error
-        p = NonRelParams(m0=1.0, c_light=137.0)
         kz = 0.5
         expected = kz ** 4 / (8 * 137.0 ** 2)
-        assert nonrel_abs_error([0, 0, kz], p) == pytest.approx(expected, rel=1e-3)
+        assert nonrel_abs_error([0, 0, kz], FREE, c_light=137.0) == pytest.approx(expected, rel=1e-3)
 
     def test_dirac_energy_branches(self):
-        p = NonRelParams(m0=1.0, eps_tilde=0.2)
+        p = GeneralizedParams.from_physical(1.0, 0.2)
         kz = 0.4
         w = np.sqrt(1 + kz ** 2)
         assert dirac_energy([0, 0, kz], p, +1) == pytest.approx(w - 0.2)
@@ -272,7 +290,7 @@ class TestLimitError:
                 dirac_energy(np.zeros(3), p, branch)
 
     def test_kinetic_consistency(self):
-        p = NonRelParams(m0=1.0, eps_tilde=0.2)
+        p = GeneralizedParams.from_physical(1.0, 0.2)
         kz = 0.4
         lhs = kinetic_minus_rest([0, 0, kz], p)
         rhs = dirac_energy([0, 0, kz], p, +1) - 1.0 + 0.2
@@ -280,7 +298,7 @@ class TestLimitError:
 
     def test_standard_reduction(self):
         # zero shifts recover the plain kinetic forms exactly
-        gen = NonRelParams(m0=1.7)
+        gen = GeneralizedParams.from_physical(1.7)
         k = np.array([0.1, 0.2, -0.3])
         assert pauli_energy(k, gen) == pytest.approx(float(k @ k) / (2 * 1.7), abs=1e-15)
         assert levy_leblond_solve(k, gen).energy == pytest.approx(
@@ -297,29 +315,28 @@ _unit = st.floats(-1.0, 1.0)
 
 
 @st.composite
-def nonrel_params(draw):
-    return NonRelParams(
-        m0=draw(st.floats(0.1, 4.0)),
-        eps_tilde=draw(_unit),
-        c_tilde=draw(arrays(float, 3, elements=_unit)),
-        c_light=draw(st.sampled_from([0.5, 3.0, 137.0])),
+def limit_cases(draw):
+    """A parameter set and a speed of light."""
+    params = GeneralizedParams.from_physical(
+        draw(st.floats(0.1, 4.0)), draw(_unit), draw(arrays(float, 3, elements=_unit))
     )
+    return params, draw(st.sampled_from([0.5, 3.0, 137.0]))
 
 
 def _rows(n):
     return arrays(float, (n, 3), elements=st.floats(-3.0, 3.0))
 
 
-def _energies(params):
-    """Every batched energy helper, as k -> value, for one parameter set."""
-    gen = GeneralizedParams.from_physical(params.m0, params.eps_tilde, params.c_tilde)
+def _energies(params, c_light=1.0):
+    """Every batched energy helper, as k -> value, for one parameter set
+    and speed of light."""
     return {
-        "dispersion+": lambda k: dispersion(k, gen, +1),
-        "dispersion-": lambda k: dispersion(k, gen, -1),
-        "dirac_energy+": lambda k: dirac_energy(k, params, +1),
-        "dirac_energy-": lambda k: dirac_energy(k, params, -1),
-        "kinetic_minus_rest": lambda k: kinetic_minus_rest(k, params),
-        "nonrel_abs_error": lambda k: nonrel_abs_error(k, params),
+        "dispersion+": lambda k: dispersion(k, params, +1),
+        "dispersion-": lambda k: dispersion(k, params, -1),
+        "dirac_energy+": lambda k: dirac_energy(k, params, +1, c_light=c_light),
+        "dirac_energy-": lambda k: dirac_energy(k, params, -1, c_light=c_light),
+        "kinetic_minus_rest": lambda k: kinetic_minus_rest(k, params, c_light=c_light),
+        "nonrel_abs_error": lambda k: nonrel_abs_error(k, params, c_light=c_light),
         "pauli_energy": lambda k: pauli_energy(k, params),
     }
 
@@ -328,24 +345,25 @@ class TestBatchedEnergies:
     """A (N, 3) stack of momenta gives the per-row results in one call."""
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), params=nonrel_params(), n=st.integers(1, 12))
-    def test_stack_equals_rows(self, data, params, n):
+    @given(data=st.data(), case=limit_cases(), n=st.integers(1, 12))
+    def test_stack_equals_rows(self, data, case, n):
         ks = data.draw(_rows(n))
-        for name, energy in _energies(params).items():
+        for name, energy in _energies(*case).items():
             batched = energy(ks)
             assert batched.shape == (n,), name
             rows = [energy(k) for k in ks]
             np.testing.assert_allclose(batched, rows, rtol=BATCH_RTOL, atol=0, err_msg=name)
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), params=nonrel_params(), n=st.integers(1, 12))
-    def test_nonrel_error_stack_equals_rows(self, data, params, n):
-        # kinetic momenta |k + shift| strictly inside m0 * c_light
+    @given(data=st.data(), case=limit_cases(), n=st.integers(1, 12))
+    def test_nonrel_error_stack_equals_rows(self, data, case, n):
+        # kinetic momenta |k + p_tilde| strictly inside m0 * c_light
+        params, c_light = case
         u = data.draw(_rows(n))
-        radius = 0.9 * params.m0 * params.c_light
-        ks = radius * u / (1.0 + np.linalg.norm(u, axis=1, keepdims=True)) - params.c_tilde
-        batched = nonrel_error(ks, params)
-        rows = [nonrel_error(k, params) for k in ks]
+        radius = 0.9 * params.m0 * c_light
+        ks = radius * u / (1.0 + np.linalg.norm(u, axis=1, keepdims=True)) - params.p_tilde
+        batched = nonrel_error(ks, params, c_light=c_light)
+        rows = [nonrel_error(k, params, c_light=c_light) for k in ks]
         np.testing.assert_array_equal(batched.relative, [r.relative for r in rows])
         np.testing.assert_allclose(
             batched.value, [r.value for r in rows], rtol=BATCH_RTOL, atol=0
@@ -353,23 +371,23 @@ class TestBatchedEnergies:
 
     @pytest.mark.parametrize("k", [0.3, np.float64(-0.2), [0.1, -0.2, 0.3], np.zeros(3)])
     def test_one_momentum_gives_float(self, k):
-        params = NonRelParams(m0=1.3, eps_tilde=0.2, c_tilde=(0.1, 0.0, -0.2), c_light=2.0)
-        for name, energy in _energies(params).items():
+        params = GeneralizedParams.from_physical(1.3, 0.2, (0.1, 0.0, -0.2))
+        for name, energy in _energies(params, 2.0).items():
             assert type(energy(k)) is float, name
-        err = nonrel_error(k, params)
+        err = nonrel_error(k, params, c_light=2.0)
         assert type(err.value) is float and type(err.relative) is bool
 
     def test_one_momentum_squares_exactly_like_k_dot_k(self):
         # criterion 08 compares pauli_energy with float(k @ k) / (2 m0)
         # bit for bit; 2 m0 = 1 here, so the energy is |k|^2 itself
         ks = np.random.default_rng(66).uniform(-3.0, 3.0, (300, 3))
-        half = NonRelParams(m0=0.5)
+        half = GeneralizedParams.from_physical(0.5)
         assert [pauli_energy(k, half) for k in ks] == [float(k @ k) for k in ks]
         np.testing.assert_array_equal(pauli_energy(ks, half), [k @ k for k in ks])
 
     def test_scalar_momentum_is_along_z(self):
-        params = NonRelParams(m0=1.3, eps_tilde=0.2, c_tilde=(0.1, 0.0, -0.2), c_light=2.0)
-        for name, energy in _energies(params).items():
+        params = GeneralizedParams.from_physical(1.3, 0.2, (0.1, 0.0, -0.2))
+        for name, energy in _energies(params, 2.0).items():
             assert energy(0.4) == energy([0.0, 0.0, 0.4]), name
 
     def test_nested_stack_keeps_leading_shape(self):
@@ -400,11 +418,11 @@ def test_stacked_params_rows_equal_one_parameter_set():
     rng = np.random.default_rng(41)
     m0, eps, c, k = (rng.uniform(0.2, 4.0, 9), rng.uniform(-1, 1, 9),
                      rng.uniform(-1, 1, (9, 3)), rng.uniform(-1, 1, (9, 3)))
-    stack = _NonRelStack(m0, eps, c)
-    pauli_stack = pauli_energy(k, stack)
+    stack = _ParamStack(m0, eps, c)
+    pauli_stack = _pauli_energy(k, stack)
     energy, phi, chi = _levy_leblond_spinors(k, stack)
     for i in range(9):
-        one = NonRelParams(m0=m0[i], eps_tilde=eps[i], c_tilde=c[i])
+        one = GeneralizedParams.from_physical(m0[i], eps[i], c[i])
         sol = levy_leblond_solve(k[i], one)
         assert pauli_stack[i] == energy[i] == sol.energy
         assert phi[i].tobytes() == sol.phi.tobytes() and chi[i].tobytes() == sol.chi.tobytes()
@@ -412,9 +430,13 @@ def test_stacked_params_rows_equal_one_parameter_set():
 
 
 def test_params_reject_stacked_scalars():
-    # One NonRelParams holds one set of parameters; stacks are private.
-    with pytest.raises(ValueError, match="scalars"):
-        NonRelParams(m0=np.array([1.0, 2.0]))
+    # One GeneralizedParams holds one set of parameters, and c_light is one
+    # number; stacks are private.
+    with pytest.raises(ValueError, match="^m0 must be one real number, not an array of scalars"):
+        GeneralizedParams.from_physical(np.array([1.0, 2.0]))
+    for name, call in C_LIGHT_CALLS.items():
+        with pytest.raises(ValueError, match="^c_light must be one real number, not an array"):
+            call(FREE, np.array([1.0, 2.0]))
 
 
 # Every public function that takes a momentum k, and whether it takes a
@@ -474,7 +496,7 @@ def test_positive_branch_packet_against_pauli_schroedinger_evolution(m0, eps, p,
 
     k = start.k
     rho = np.sum(np.abs(spectrum.plus) ** 2, axis=0)
-    energy = pauli_energy(k[:, None] * (0.0, 0.0, 1.0), NonRelParams(m0, eps, (0.0, 0.0, p)))
+    energy = pauli_energy(k[:, None] * (0.0, 0.0, 1.0), params)
     phi0 = np.sqrt(rho) * np.exp(-1j * k * x0)  # centred at x0
     values = np.zeros((n, 4), dtype=complex)
     schroedinger = []
@@ -490,3 +512,34 @@ def test_positive_branch_packet_against_pauli_schroedinger_evolution(m0, eps, p,
     ratio = gap[1:] / (-t[1:] * (rho @ kin ** 3) / (2 * m0 ** 3))
     window = 0.75 * (rho @ np.abs(kin) ** 5) / (m0 ** 2 * abs(rho @ kin ** 3))
     assert np.all(np.abs(ratio - 1.0) <= window) and np.all(ratio < 1.0)
+
+
+def test_levy_leblond_spinor_against_positive_branch_plane_wave():
+    # The Levy-Leblond link chi = sigma.K phi / 2m0 against the lower
+    # components of the positive-branch plane wave, sigma.K upper / (w + m0)
+    # with upper along (1, 0), K = k + p_tilde and w = sqrt(m0^2 + K^2).
+    # Both spinors start along (1, 0), so the gap between the lower pair
+    # over the first entry is |K| (w - m0) / (2 m0 (w + m0)), written
+    # without cancellation as |K|^3 / (2 m0 (w + m0)^2).  The gap is a
+    # difference of two vectors of size about |K| / 2m0, so the gate is
+    # 1e-12 of the gap plus 4 ulp of that size.  Over its leading term
+    # |K|^3 / 8m0^3 the gap is 4 m0^2 / (w + m0)^2, at most 1 and, as
+    # w - m0 <= K^2 / 2m0, at least 1 - K^2 / 2m0^2.
+    rng = np.random.default_rng(67)
+    for _ in range(200):
+        params = GeneralizedParams.from_physical(
+            float(rng.uniform(0.3, 3.0)), float(rng.uniform(-1.0, 1.0)), rng.uniform(-1.0, 1.0, 3)
+        )
+        k = rng.uniform(-1.0, 1.0, 3)
+        limit = levy_leblond_solve(k, params)
+        spinor = plane_wave_solve(k, params)[0].spinor
+        link = limit.chi / limit.phi[0]
+        gap = np.linalg.norm(link - spinor[2:] / spinor[0])
+
+        m0, kin = params.m0, k + params.p_tilde
+        k2 = float(kin @ kin)
+        w = np.sqrt(m0 * m0 + k2)
+        closed = k2 * np.sqrt(k2) / (2.0 * m0 * (w + m0) ** 2)
+        assert abs(gap - closed) <= 1e-12 * closed + 4 * np.finfo(float).eps * np.linalg.norm(link)
+        ratio = closed / (k2 * np.sqrt(k2) / (8.0 * m0 ** 3))
+        assert 1.0 - k2 / (2.0 * m0 * m0) <= ratio <= 1.0

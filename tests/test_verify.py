@@ -8,7 +8,6 @@ import diraclab.invariance as invariance
 import diraclab.nonrel as nonrel
 import diraclab.verify as verify
 from diraclab.invariance import GeneralizedParams, _reduce
-from diraclab.nonrel import NonRelParams
 from diraclab.verify import format_report, report_header, run_verification
 
 # `verify --trials 500` at seeds 1, 7 and 42, with every check drawing its
@@ -265,17 +264,18 @@ def test_draw_bounds_lie_in_the_public_parameter_domain(monkeypatch, top):
     # must be a parameter set the public constructors accept, with the same
     # fields read back.
     generalized = _record(monkeypatch, "_ParamStack")
-    limits = _record(monkeypatch, "_NonRelStack")
     for check in ("_hermiticity", "_dispersion", "_dirac_square", "_gauge_map", "_levy_leblond"):
         getattr(verify, check)(_Edge(top), 3)
-    assert len(generalized) == 5 and len(limits) == 1
+    assert len(generalized) == 6
     for (m0, eps, p), _ in generalized:
         for i in range(len(m0)):
             one = GeneralizedParams.from_physical(m0[i], eps[i], p[i])
             assert (one.m0, one.eps_tilde, *one.p_tilde) == (m0[i], eps[i], *p[i])
-    for (m0, eps, c), _ in limits:
-        for i in range(len(m0)):
-            NonRelParams(m0[i], eps[i], c[i])
+    # The last stack is the Levy-Leblond check's: the limit forms, which
+    # need m0 > 0, take its rows too.
+    (m0, eps, p), _ = generalized[-1]
+    for i in range(len(m0)):
+        nonrel.levy_leblond_solve(0.5, GeneralizedParams.from_physical(m0[i], eps[i], p[i]))
 
 
 def test_blocks_draw_and_check_like_one_stack(monkeypatch):
@@ -292,14 +292,14 @@ def test_blocks_draw_and_check_like_one_stack(monkeypatch):
 def test_levy_leblond_check_sees_a_wrong_energy_or_spinor(monkeypatch):
     # The linked-pair defect (e + eps_tilde) phi - sigma.K chi must read a
     # 1e-9 error in the energy, or in chi relative to phi, past the gate.
-    energy, spinors = nonrel.pauli_energy, verify._levy_leblond_spinors
+    energy, spinors = nonrel._pauli_energy, verify._levy_leblond_spinors
 
     def chi_off(k, p):
         e, phi, chi = spinors(k, p)
         return e, phi, chi * (1 + 1e-9)
 
     for target, name, wrong in (
-        (nonrel, "pauli_energy", lambda k, p: energy(k, p) + 1e-9),
+        (nonrel, "_pauli_energy", lambda k, p: energy(k, p) + 1e-9),
         (verify, "_levy_leblond_spinors", chi_off),
     ):
         with monkeypatch.context() as m:
