@@ -32,9 +32,7 @@ from .invariance import (
     bc_condition_residual,
     bc_matrix,
     verify_phi0_uniqueness,
-    zeta_boost,
     zeta_for,
-    zeta_rotation,
 )
 from .operators import (
     ALPHA,

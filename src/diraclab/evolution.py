@@ -484,9 +484,15 @@ def trajectory(
     spectrum = _Spectrum(packet, params)
     moments = _Moments(packet)
 
-    done = np.minimum(np.arange(0, steps + sample_every, sample_every), steps)
+    try:
+        done = np.minimum(np.arange(0, steps + sample_every, sample_every), steps)
+        table = np.empty((done.size, 4))
+    except ValueError as exc:  # numpy's size check, before any allocation
+        raise ValueError(
+            f"steps {steps} at sample_every {sample_every} gives more samples "
+            f"than an array can hold: {exc}"
+        ) from None
     times = packet.time + dt * done
-    table = np.empty((done.size, 4))
     table[0] = moments.of(packet.values.T[spectrum.rows])
     # a time whose phase w*t overflows gives NaN samples, rejected below
     with np.errstate(over="ignore", invalid="ignore"):

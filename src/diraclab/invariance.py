@@ -2,9 +2,14 @@
 
 The constant matrix of the equation has the form B = a*I + vector_contract(c).
 Under a rotation or boost it fails to be invariant unless the wavefunction
-absorbs an affine phase; the phase gradient that restores invariance is a
-closed-form function of c and the transform's kind, axis and parameter
-(zeta_for below; zeta_rotation and zeta_boost build the transform for it).
+absorbs an affine phase.  The phase gradient that restores invariance has
+one closed form for every transform,
+
+    zeta = -i * (c - L^dagger c),
+
+with L the transform's index matrix (zeta_for below).  It holds for
+products too, whose index matrix composes in the reverse order (S = S1 S2
+has L = L2 L1), and for parity (S = gamma0, L = diag(1, -1, -1, -1)).
 bc_condition_residual evaluates the defect
 
     B - S B S^{-1} - i * vector_contract(zeta)
@@ -47,20 +52,16 @@ from .clifford import (
 )
 from .poincare import (
     _BOOST_GEN,
-    _PLANES,
     _ROTATION_GEN,
     PoincareTransform,
     _covariance_defects,
     _covariance_residuals,
     _reps,
-    _split,
 )
 
 __all__ = [
     "PhaseFunction",
     "GeneralizedParams",
-    "zeta_rotation",
-    "zeta_boost",
     "zeta_for",
     "bc_matrix",
     "bc_condition_residual",
@@ -168,62 +169,43 @@ class _ParamStack(NamedTuple):
     p_tilde: np.ndarray
 
 
-def zeta_rotation(c, axis: int, theta: float) -> PhaseFunction:
-    """Phase gradient restoring invariance under a rotation.
+def zeta_for(c, transform: PoincareTransform) -> PhaseFunction:
+    """The phase gradient that restores invariance under a transform.
 
-    Only the two plane components are nonzero:
+    zeta = -i * (c - L^dagger c), with L the transform's index matrix
+    (vector_rep).  c must be finite; a gradient that overflows double
+    precision raises ValueError.  Written out, a rotation by t about axis a
+    has only the two plane components
 
         zeta_k = -i*c_k*(1 - cos t) - i*c_l*sin t
         zeta_l = -i*c_l*(1 - cos t) + i*c_k*sin t
 
-    with (axis, k, l) cyclic.  The signs are fixed by requiring
-    bc_condition_residual to vanish for the half-angle rotation matrices;
-    see the module tests for the closure property.
-    """
-    return zeta_for(c, PoincareTransform.rotation(axis, theta))
-
-
-def zeta_boost(c, axis: int, eta: float) -> PhaseFunction:
-    """Phase gradient restoring invariance under a boost.
-
-    Only the time component and the boosted component are nonzero:
+    with (a, k, l) cyclic, and a boost by e along axis a only the time and
+    the boosted component
 
         zeta_0 = 2i*c_0*sinh^2(e/2) + 2*c_a*sinh(e/2)cosh(e/2)
         zeta_a = 2i*c_a*sinh^2(e/2) - 2*c_0*sinh(e/2)cosh(e/2)
     """
-    return zeta_for(c, PoincareTransform.boost(axis, eta))
-
-
-def zeta_for(c, transform: PoincareTransform) -> PhaseFunction:
-    """The matching phase gradient for an arbitrary single-axis transform.
-    c must be finite; a gradient that overflows double precision raises
-    ValueError."""
     c = np.asarray(c, dtype=np.complex128)
     if not np.isfinite(c).all():
         raise ValueError(f"c must be finite, got {c!r}")
     # an overflow gives inf or NaN quietly, and _finite rejects it
     with np.errstate(over="ignore", invalid="ignore"):
-        zeta = _zeta(c, transform.kind, transform.axis, transform.parameter)
+        zeta = _zeta(c, transform.vector_rep)
     return PhaseFunction(_finite(zeta, "zeta"))
 
 
-def _zeta(c, kind, axis, par) -> np.ndarray:
-    """The zeta_rotation and zeta_boost formulas for checked transforms:
-    a (4,) gradient for one, (T, 4) for (T,) arrays of kinds, axes and
-    parameters with c of shape (4,) or (T, 4)."""
-    shape, r, b, axis, par = _split(kind, axis, par)
-    c = np.broadcast_to(np.asarray(c, dtype=np.complex128), shape + (4,)).reshape(-1, 4)
-    z = np.zeros((len(par), 4), dtype=np.complex128)
-    (k, l), theta = _PLANES[axis[r] - 1].T, par[r]
-    ck, cl = c[r, k], c[r, l]
-    z[r, k] = -1j * ck * (1 - np.cos(theta)) - 1j * cl * np.sin(theta)
-    z[r, l] = -1j * cl * (1 - np.cos(theta)) + 1j * ck * np.sin(theta)
-    a, eta = axis[b], par[b]
-    c0, ca = c[b, 0], c[b, a]
-    sh, ch = np.sinh(eta / 2), np.cosh(eta / 2)
-    z[b, 0] = 2j * c0 * sh * sh + 2 * ca * sh * ch
-    z[b, a] = 2j * ca * sh * sh - 2 * c0 * sh * ch
-    return z.reshape(shape + (4,))
+def _zeta(c, L) -> np.ndarray:
+    """-i * (c - L^dagger c) for index matrices L of shape (4, 4) or
+    (T, 4, 4), with c of shape (4,) or (T, 4).
+
+    In this package's convention S vector_contract(c) S^-1 =
+    vector_contract(L^dagger c), so B - S B S^-1 = vector_contract(c -
+    L^dagger c) for B = bc_matrix(a, c): the a*I term cancels, and this
+    zeta closes the invariance condition for any transform whose spinor
+    and index matrices are S and L.
+    """
+    return -1j * (c - (c[..., None, :] @ np.conj(L))[..., 0, :])
 
 
 def bc_matrix(a, c) -> np.ndarray:

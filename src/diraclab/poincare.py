@@ -34,19 +34,17 @@ import numpy as np
 from .clifford import GAMMA, I4, _index, _real
 
 __all__ = [
-    "ROTATION_PLANES",
     "PoincareTransform",
     "covariance_residual",
 ]
 
-# axis -> (k, l): rotation about the axis mixes the (k, l) plane.
-ROTATION_PLANES = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
+# Row a - 1 is the plane (k, l) that a rotation about axis a mixes.
+_PLANES = np.array([(2, 3), (3, 1), (1, 2)])
 
 # Generator products for axes 1, 2, 3: gamma(k)gamma(l) for the rotation
-# plane and i*gl(a)gl(0) for the boost; and the planes as an array.
-_ROTATION_GEN = np.stack([GAMMA[k] @ GAMMA[l] for k, l in ROTATION_PLANES.values()])
-_BOOST_GEN = np.stack([1j * (-GAMMA[a] @ GAMMA[0]) for a in ROTATION_PLANES])
-_PLANES = np.array(list(ROTATION_PLANES.values()))
+# plane and i*gl(a)gl(0) for the boost.
+_ROTATION_GEN = np.stack([GAMMA[k] @ GAMMA[l] for k, l in _PLANES])
+_BOOST_GEN = np.stack([1j * (-GAMMA[a] @ GAMMA[0]) for a in (1, 2, 3)])
 
 # The largest rapidity whose cosh is finite in double precision.
 _MAX_RAPIDITY = math.acosh(sys.float_info.max)

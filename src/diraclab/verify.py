@@ -138,8 +138,8 @@ def _zeta_condition(rng, n):
     # Per trial: c, a, kind, axis, parameter.
     u = _uniform(rng, n, ((-1.0, 1.0),) * 4 + ((0.0, 1.0),) + _KIND_AXIS + ((-2.0, 2.0),))
     c, (kinds, axes), pars = 1j * u[:, :4], _kinds_axes(u[:, 5:7]), u[:, 7]
-    S, Sinv, _ = _reps(kinds, axes, pars)
-    return _bc_residuals(1j * u[:, 4], c, S, Sinv, _zeta(c, kinds, axes, pars))
+    S, Sinv, L = _reps(kinds, axes, pars)
+    return _bc_residuals(1j * u[:, 4], c, S, Sinv, _zeta(c, L))
 
 
 def _zeta_negative(rng, n):

@@ -26,9 +26,8 @@ PUBLIC = {
     # transformations
     "PoincareTransform", "covariance_residual",
     # invariance
-    "PhaseFunction", "GeneralizedParams", "zeta_rotation", "zeta_boost",
-    "zeta_for", "bc_matrix", "bc_condition_residual", "verify_phi0_uniqueness",
-    "CheckResult",
+    "PhaseFunction", "GeneralizedParams", "zeta_for", "bc_matrix",
+    "bc_condition_residual", "verify_phi0_uniqueness", "CheckResult",
     # operators
     "ALPHA", "BETA", "hamiltonian_matrix", "dispersion", "plane_wave_solve",
     "PlaneWaveSolution", "kg_rhs_matrix", "dirac_square_equals_kg",
@@ -169,10 +168,10 @@ ENTRY_POINTS = [
     ("eps_tilde", lambda v: dl.levy_leblond_solve(0.5, dl.GeneralizedParams.from_physical(1.0, v))),
     ("c_light", lambda v: dl.dirac_energy(0.5, _STD, c_light=v)),
     ("axis", lambda v: dl.PoincareTransform.rotation(v, 0.3)),
-    ("axis", lambda v: dl.zeta_boost(_C, v, 0.3)),
+    ("axis", lambda v: dl.zeta_for(_C, dl.PoincareTransform("boost", v, 0.3))),
     ("rotation parameter", lambda v: dl.PoincareTransform.rotation(1, v)),
     ("boost parameter", lambda v: dl.PoincareTransform("boost", 2, v)),
-    ("rotation parameter", lambda v: dl.zeta_rotation(_C, 3, v)),
+    ("rotation parameter", lambda v: dl.zeta_for(_C, dl.PoincareTransform.rotation(3, v))),
     ("mu", lambda v: dl.gamma(v)),
     ("j", lambda v: dl.pauli(v)),
     ("mu", lambda v: dl.sigma_pair(v, 2)),
@@ -303,8 +302,8 @@ OVERFLOWS = {
     "observables": lambda: dl.observables(_HUGE),
     "trajectory-packet": lambda: dl.trajectory(_HUGE, _STD, 0.1, 2),
     "PoincareTransform.boost": lambda: dl.PoincareTransform.boost(3, 800.0),
-    "zeta_boost-eta": lambda: dl.zeta_boost(_C, 3, 800.0),
-    "zeta_boost-c": lambda: dl.zeta_boost(1e300 * _C, 3, 700.0),
+    "zeta_for-eta": lambda: dl.zeta_for(_C, dl.PoincareTransform.boost(3, 800.0)),
+    "zeta_for-c": lambda: dl.zeta_for(1e300 * _C, dl.PoincareTransform.boost(3, 700.0)),
     "init_gaussian-n": lambda: dl.init_gaussian(**{**_GAUSSIAN, "n": 2**1100}, params=_STD),
     "trajectory-sample_every": lambda: dl.trajectory(_PACKET, _STD, 0.1, 4, sample_every=10**400),
 }

@@ -396,6 +396,23 @@ class TestEvolveCommand:
         assert np.max(np.abs(norm - 1.0)) <= 1e-10
         assert np.polyfit(t, mean_x, 1)[0] == pytest.approx(1.0, rel=0.01)
 
+    @pytest.mark.parametrize("steps", [2**61, 2**100], ids=["2**61", "2**100"])
+    def test_steps_past_any_array_names_steps(self, capsys, tmp_path, steps):
+        # numpy's size check rejects the sample arrays before allocating
+        # anything: "array is too big" at 2**61, "Maximum allowed size
+        # exceeded" at 2**100.  The error line names steps.
+        argv = [
+            "evolve", "--n", "64", "--length", "64", "--dt", "0.5", "--steps", str(steps),
+            "--k0", "0.5", "--width", "6", "--m0", "1",
+        ]
+        path = tmp_path / "trajectory.csv"
+        for extra in ([], ["-o", str(path)]):
+            code, out, err = run_main(capsys, [*argv, *extra])
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: steps {steps} at sample_every 1 gives more samples ")
+            assert err.count("\n") == 1
+        assert not path.exists()
+
 
 class TestLimitCommand:
     def test_table_and_slope(self, capsys):

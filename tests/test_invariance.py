@@ -21,9 +21,7 @@ from diraclab.invariance import (
     bc_condition_residual,
     bc_matrix,
     verify_phi0_uniqueness,
-    zeta_boost,
     zeta_for,
-    zeta_rotation,
 )
 from diraclab.poincare import PoincareTransform, _reps
 
@@ -86,47 +84,84 @@ class TestGeneralizedParams:
         np.testing.assert_allclose(p.p_tilde, [0, 0, 0.4])
 
 
+def rotation_zeta(c, axis, theta):
+    return zeta_for(c, PoincareTransform.rotation(axis, theta)).zeta
+
+
+def boost_zeta(c, axis, eta):
+    return zeta_for(c, PoincareTransform.boost(axis, eta)).zeta
+
+
+def written_out_zeta(c, kind, axis, par):
+    """The component formulas of zeta_for's docstring: an independent
+    reference for single-axis transforms."""
+    z = np.zeros(4, dtype=complex)
+    if kind == "rotation":
+        k, l = {1: (2, 3), 2: (3, 1), 3: (1, 2)}[axis]
+        z[k] = -1j * c[k] * (1 - np.cos(par)) - 1j * c[l] * np.sin(par)
+        z[l] = -1j * c[l] * (1 - np.cos(par)) + 1j * c[k] * np.sin(par)
+    else:
+        sh, ch = np.sinh(par / 2), np.cosh(par / 2)
+        z[0] = 2j * c[0] * sh * sh + 2 * c[axis] * sh * ch
+        z[axis] = 2j * c[axis] * sh * sh - 2 * c[0] * sh * ch
+    return z
+
+
 class TestZetaFunctions:
     def test_identity_transform_gives_zero(self):
         c = 1j * np.array([0.3, -0.7, 0.2, 0.9])
-        assert np.max(np.abs(zeta_rotation(c, 3, 0.0).zeta)) == 0.0
-        assert np.max(np.abs(zeta_boost(c, 1, 0.0).zeta)) == 0.0
+        assert np.max(np.abs(rotation_zeta(c, 3, 0.0))) == 0.0
+        assert np.max(np.abs(boost_zeta(c, 1, 0.0))) == 0.0
 
     def test_rotation_leaves_axis_and_time_components(self):
         c = 1j * np.array([0.3, -0.7, 0.2, 0.9])
-        z = zeta_rotation(c, 3, 1.1).zeta
+        z = rotation_zeta(c, 3, 1.1)
         assert z[0] == 0.0 and z[3] == 0.0
 
     def test_rotation_example_value(self):
         # c2 = 0.3i, quarter turn about z.  The closure with the half-angle
         # rotation matrices fixes the overall sign; both plane components
         # come out +0.3 (see test_closure_* below for the defining check).
-        z = zeta_rotation(np.array([0, 0, 0.3j, 0]), 3, np.pi / 2).zeta
+        z = rotation_zeta(np.array([0, 0, 0.3j, 0]), 3, np.pi / 2)
         np.testing.assert_allclose(z[1], 0.3, atol=1e-15)
         np.testing.assert_allclose(z[2], 0.3, atol=1e-15)
 
     def test_rotation_vanishes_when_plane_components_vanish(self):
         c = 1j * np.array([0.4, 0, 0, -0.8])
         for th in (0.3, 1.2, 2.8):
-            assert np.max(np.abs(zeta_rotation(c, 3, th).zeta)) == 0.0
+            assert np.max(np.abs(rotation_zeta(c, 3, th))) == 0.0
 
     def test_boost_example_value(self):
-        z = zeta_boost(np.array([0.5j, 0, 0, 0]), 3, 1.0).zeta
+        z = boost_zeta(np.array([0.5j, 0, 0, 0]), 3, 1.0)
         np.testing.assert_allclose(z[0], -0.2715403174076219, atol=1e-15)
         np.testing.assert_allclose(z[3], -0.5876005968219007j, atol=1e-15)
         assert z[1] == 0.0 and z[2] == 0.0
 
     def test_boost_zero_c_gives_zero(self):
-        z = zeta_boost(np.zeros(4, dtype=complex), 3, 1.7).zeta
+        z = boost_zeta(np.zeros(4, dtype=complex), 3, 1.7)
         assert np.max(np.abs(z)) == 0.0
+
+    def test_matches_the_written_out_formulas(self):
+        # 300 seeded single-axis transforms with parameters in [-2, 2]:
+        # the one formula -i(c - L^dagger c) against the per-kind trig
+        # formulas, each rounding on its own.
+        rng = np.random.default_rng(26)
+        worst = 0.0
+        for _ in range(300):
+            c = 1j * rng.uniform(-1, 1, 4)
+            kind = ("rotation", "boost")[int(rng.integers(2))]
+            axis, par = int(rng.integers(1, 4)), rng.uniform(-2, 2)
+            z = zeta_for(c, PoincareTransform(kind, axis, par)).zeta
+            worst = max(worst, np.max(np.abs(z - written_out_zeta(c, kind, axis, par))))
+        assert worst <= 1e-14
 
     def test_invalid_axis(self):
         with pytest.raises(ValueError):
-            zeta_rotation(np.zeros(4), 0, 1.0)
+            rotation_zeta(np.zeros(4), 0, 1.0)
         with pytest.raises(ValueError):
-            zeta_boost(np.zeros(4), 5, 1.0)
+            boost_zeta(np.zeros(4), 5, 1.0)
         # True is not axis 1, nor is 1.0
-        for zeta, axis in [(zeta_boost, 1.0), (zeta_rotation, True), (zeta_boost, False)]:
+        for zeta, axis in [(boost_zeta, 1.0), (rotation_zeta, True), (boost_zeta, False)]:
             with pytest.raises(ValueError, match="^axis must be an integer >= 1"):
                 zeta(np.zeros(4), axis, 0.3)
 
@@ -134,9 +169,9 @@ class TestZetaFunctions:
     def test_non_finite_parameter(self, par):
         c = 1j * np.array([0.3, -0.7, 0.2, 0.9])
         with pytest.raises(ValueError, match="finite"):
-            zeta_rotation(c, 1, par)
+            rotation_zeta(c, 1, par)
         with pytest.raises(ValueError, match="finite"):
-            zeta_boost(c, 1, par)
+            boost_zeta(c, 1, par)
 
 
 class TestInvarianceCondition:
@@ -148,7 +183,7 @@ class TestInvarianceCondition:
     def test_boost_with_matching_zeta(self):
         c = np.array([0.5j, 0, 0, 0])
         t = PoincareTransform.boost(3, 1.0)
-        r = bc_condition_residual(0.0j, c, t, zeta_boost(c, 3, 1.0))
+        r = bc_condition_residual(0.0j, c, t, zeta_for(c, t))
         assert r <= 1e-12
 
     def test_boost_without_zeta_fails(self):
@@ -178,6 +213,31 @@ class TestInvarianceCondition:
             kind = "rotation" if rng.random() < 0.5 else "boost"
             t = PoincareTransform(kind, int(rng.integers(1, 4)), rng.uniform(-2, 2))
             assert bc_condition_residual(0.7j, c, t, PhaseFunction.zero()) <= 1e-12
+
+    def test_products_compose_the_index_matrix_in_reverse_order(self):
+        # S = S1 S2 S3 S4 has index matrix L = L4 L3 L2 L1, and one zeta
+        # closes the condition on the group, not only on one-parameter
+        # subgroups.  L composed in the written order gives no match.
+        rng = np.random.default_rng(27)
+        n = 300
+        kinds = np.array(["rotation", "boost"])[rng.integers(0, 2, (n, 4))]
+        S, Sinv, L = _reps(kinds, rng.integers(1, 4, (n, 4)), rng.uniform(-1.5, 1.5, (n, 4)))
+        S_prod = S[:, 0] @ S[:, 1] @ S[:, 2] @ S[:, 3]
+        Sinv_prod = Sinv[:, 3] @ Sinv[:, 2] @ Sinv[:, 1] @ Sinv[:, 0]
+        c, a = 1j * rng.uniform(-1, 1, (n, 4)), 1j * rng.uniform(0, 1, n)
+        reverse = L[:, 3] @ L[:, 2] @ L[:, 1] @ L[:, 0]
+        written = L[:, 0] @ L[:, 1] @ L[:, 2] @ L[:, 3]
+        assert np.max(_bc_residuals(a, c, S_prod, Sinv_prod, _zeta(c, reverse))) <= 1e-12
+        assert np.max(_bc_residuals(a, c, S_prod, Sinv_prod, _zeta(c, written))) > 1.0
+
+    def test_parity(self):
+        # S = S^-1 = gamma0 and L = diag(1, -1, -1, -1): the same formula
+        # gives zeta = (0, -2i c1, -2i c2, -2i c3), with a defect of exactly 0.
+        rng = np.random.default_rng(28)
+        c, a = 1j * rng.uniform(-1, 1, (50, 4)), 1j * rng.uniform(0, 1, 50)
+        z = _zeta(c, np.diag([1.0, -1.0, -1.0, -1.0]))
+        np.testing.assert_array_equal(z, np.column_stack([np.zeros(50), -2j * c[:, 1:]]))
+        assert np.max(_bc_residuals(a, c, GAMMA[0], GAMMA[0], z)) == 0.0
 
     def test_bc_matrix_structure(self):
         from diraclab.clifford import I4, gamma
@@ -280,8 +340,8 @@ def bits(a):
 def test_stacked_zeta_and_bc_rows_equal_one_transform(draws):
     kinds, axes, pars, cs, avals = (list(col) for col in zip(*draws))
     c, a = 1j * np.array(cs), 1j * np.array(avals)
-    S, Sinv, _ = _reps(kinds, axes, pars)
-    z = _zeta(c, kinds, axes, pars)
+    S, Sinv, L = _reps(kinds, axes, pars)
+    z = _zeta(c, L)
     residuals = _bc_residuals(a, c, S, Sinv, z)
     for i, (kind, axis, par, _, _) in enumerate(draws):
         t = PoincareTransform(kind, axis, par)

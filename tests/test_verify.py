@@ -19,6 +19,8 @@ from diraclab.verify import format_report, report_header, run_verification
 # 1.110223e-15, 1.110223e-15 and 9.485750e-16 while each matrix took an LU solve.
 # phi0_ansatz_nullspace reads the kernel from eigh of the Gram matrix; it read
 # 1.018307e-15 from an SVD, whose bits followed the BLAS thread count.
+# zeta_condition reads zeta = -i(c - L^dagger c); it read 9.930137e-16 at seed 1
+# and 1.332268e-15 at seed 42 from the per-kind trig formulas.
 GOLDEN = {
     1: """\
 # diraclab verify trials=500 seed=1
@@ -27,7 +29,7 @@ CHECK gamma5_identity max_residual=0.000000e+00 PASS
 CHECK basis_roundtrip max_residual=4.965068e-16 PASS
 CHECK covariance_gamma max_residual=6.661338e-16 PASS
 CHECK covariance_negative_control max_residual=5.320239e-02 PASS
-CHECK zeta_condition max_residual=9.930137e-16 PASS
+CHECK zeta_condition max_residual=1.404333e-15 PASS
 CHECK zeta_negative_control max_residual=1.707708e-01 PASS
 CHECK phi0_gamma_structure max_residual=0.000000e+00 PASS
 CHECK phi0_ansatz_nullspace max_residual=1.911229e-15 PASS
@@ -67,7 +69,7 @@ CHECK gamma5_identity max_residual=0.000000e+00 PASS
 CHECK basis_roundtrip max_residual=4.965068e-16 PASS
 CHECK covariance_gamma max_residual=8.881784e-16 PASS
 CHECK covariance_negative_control max_residual=5.254612e-02 PASS
-CHECK zeta_condition max_residual=1.332268e-15 PASS
+CHECK zeta_condition max_residual=1.110223e-15 PASS
 CHECK zeta_negative_control max_residual=1.999365e-01 PASS
 CHECK phi0_gamma_structure max_residual=0.000000e+00 PASS
 CHECK phi0_ansatz_nullspace max_residual=1.911229e-15 PASS
