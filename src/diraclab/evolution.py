@@ -125,7 +125,10 @@ class _Moments:
     the squares re^2 and im^2 of the entries give each moment as one
     product with k or x, summed over the rows and the pair.  `scratch`,
     m x n complex numbers, holds the squares of one row or the centred
-    positions."""
+    positions.  trajectory reduces mean_k for its first row (`of`) and its
+    last (`sample`) only, and its blocks with `position`: each mode evolves
+    under its own unitary exp(-iHt), so its weight sum_r |psi_r(k, t)|^2,
+    and with it mean_k, never changes."""
 
     def __init__(self, packet: WavePacket):
         self.x, self.k, self.dx = packet.x, packet.k, packet.dx
@@ -376,20 +379,25 @@ def _sample(spectrum, moments, tau: float, table) -> None:
     roundings however large j is, where a recurrence from z_0 would add
     one per j.
 
-    The calling thread runs the phase chain, forms each block's states and
-    reduces their mean_k.  With two usable CPUs and two blocks or more, a
-    helper thread then takes the block's inverse FFT, one numpy call that
-    needs the GIL only to start and to end, while this thread reduces the
-    position moments of the block before and forms the next: two (size,
-    r, n) block buffers, used in turn.  Otherwise the FFT runs inline on
-    one.  z, spent once a block's states are formed, is the reductions'
-    scratch.  Every operation on a sample is elementwise or per row, so
-    its bits depend neither on its block nor on the thread.  The helper
-    answers every block and is joined before _sample returns or raises;
-    an exception it raised is raised here."""
+    Every row's mean_k is row 0's, table[0, 3]: each mode's evolution is
+    unitary, so its weight, and with it the momentum distribution, is the
+    same at every t.  Only norm, mean_x and spread are reduced here.
+
+    The calling thread runs the phase chain and forms each block's states.
+    With two usable CPUs and two blocks or more, a helper thread then
+    takes the block's inverse FFT, one numpy call that needs the GIL only
+    to start and to end, while this thread reduces the position moments of
+    the block before and forms the next: two (size, r, n) block buffers,
+    used in turn.  Otherwise the FFT runs inline on one.  z, spent once a
+    block's states are formed, is the reduction's scratch.  Every
+    operation on a sample is elementwise or per row, so its bits depend
+    neither on its block nor on the thread.  The helper answers every
+    block and is joined before _sample returns or raises; an exception it
+    raised is raised here."""
     last = len(table) - 1
     if last < 2:
         return
+    table[1:last, 3] = table[0, 3]
     r, n = spectrum.plus.shape
     size = max(1, _BLOCK_ROWS // r)
     blocks = -(-last // size)
@@ -434,9 +442,9 @@ def _sample(spectrum, moments, tau: float, table) -> None:
                 out = table[base + rows.start : base + rows.stop]
                 spectrum.state(z[rows, None], values)
                 if not helper:
-                    moments.sample(values, z[:m], out)
+                    np.fft.ifft(values, norm="forward", out=values)
+                    moments.position(values, z[:m], out)
                     continue
-                moments.momentum(values, z[:m], out)
                 requests.put(values)
                 if pending:
                     finish(*pending)
@@ -465,9 +473,13 @@ def trajectory(
     out the global phase exp(i eps t), which no observable sees, and take
     exp(i w t_j) from a chain of products; they agree with the observables
     of evolve over the same span to 1e-13 relative, and a row's norm stays
-    within a few ulp of the initial one.  The last row and the returned
-    packet come from _Spectrum.at and .spinors, as evolve's packet does, so
-    that packet equals evolve(packet, params, dt, steps) bit for bit.
+    within a few ulp of the initial one.  Their mean_k is row 0's, not
+    reduced again: each mode's evolution is unitary, so the momentum
+    distribution never changes.  The last row and the returned packet come
+    from _Spectrum.at and .spinors, as evolve's packet does, so that packet
+    equals evolve(packet, params, dt, steps) bit for bit; the last row's
+    mean_k is still reduced from that state, so its difference from row 0's
+    is a computed drift.
     Beyond the returned arrays, memory does not grow with the row count.
     With two usable CPUs, a helper thread takes each block's inverse FFT
     while this thread reduces and forms the others (_sample); it is joined

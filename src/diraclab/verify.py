@@ -17,6 +17,8 @@ which makes every verdict NaN-safe.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .clifford import GAMMA, GAMMA5, I4, _compose, _count, _decompose, _real, anticommutator
@@ -217,11 +219,10 @@ def run_verification(trials: int = 200, seed: int = 42, tol: float | None = None
     _count("trials", trials, 1)
     rng = np.random.default_rng(_count("seed", seed, 0))
     if tol is not None:
-        try:
-            tol = _real("tol", tol)
-        except ValueError as exc:  # a NaN or infinite gate is out of range, as 0 is
-            raise ValueError(f"tol must be positive and finite: {exc}") from None
-        if tol <= 0.0:
+        # a NaN or infinite float is out of range as 0 is, with the same
+        # message; _real would reject it with its own
+        tol = float(tol) if isinstance(tol, (float, np.floating)) else _real("tol", tol)
+        if not 0.0 < tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {tol}")
 
     def gate(default: float) -> float:

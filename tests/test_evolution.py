@@ -857,3 +857,77 @@ def test_overflow_raises_with_no_warning_from_either_worker(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
             trajectory(packet, STD, 1e307, 16)
+
+
+# mean_k is conserved: each mode evolves under its own unitary exp(-iHt),
+# so its weight, and with it the momentum distribution, never changes.
+# trajectory reduces mean_k for its first and last rows only.
+def premise_packet(case):
+    if case == "two-rows":
+        return dense_packet()
+    if case == "four-rows":
+        params = GeneralizedParams.from_physical(1.23, 0.31, (0.05, -0.1, 0.12))
+        return init_gaussian(512, 100.0, 40.0, 0.55, width=8.0, params=params), params
+    if case == "massless-zero-mode":
+        n, length, m = 256, 64.0, 5
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+        params = GeneralizedParams.from_physical(0.0, 0.7, (0.0, 0.0, -k[m]))
+        return init_gaussian(n, length, 32.0, 0.3, width=4.0, params=params), params
+    params = GeneralizedParams.from_physical(0.9, -0.2, (0.0, 0.0, -0.3))
+    return init_gaussian(256, 100.0, 50.0, 0.45, width=6.0, branch=-1, params=params), params
+
+
+@pytest.mark.parametrize("case", ["two-rows", "four-rows", "massless-zero-mode", "branch-1"])
+def test_mean_k_of_every_sample_is_row_0s(case):
+    # States formed at samples on both sides of a refresh of the phase
+    # chain and of a block boundary reduce to row 0's mean_k within
+    # 1e-14 of the packet's rms momentum, a gate set before measuring.
+    packet, params = premise_packet(case)
+    spectrum = evolution._Spectrum(packet, params)
+    if case == "massless-zero-mode":
+        assert not spectrum.w.all()
+    r = len(spectrum.rows)
+    assert r == (4 if case == "four-rows" else 2)
+    size = max(1, evolution._BLOCK_ROWS // r)
+    refresh, tau = evolution._REFRESH, 0.45
+    steps = 2 * refresh + 3
+    result = trajectory(packet, params, tau, steps)
+    boundary = (refresh // size + 2) * size
+    samples = np.array([1, refresh - 1, refresh, refresh + 1, boundary - 1, boundary, steps - 1])
+    z = np.empty((samples.size, 1, packet.n), dtype=np.complex128)
+    for i, j in enumerate(samples):
+        evolution._unit_phase(spectrum.w, tau * j, z[i, 0])
+    states = spectrum.state(z, np.empty((samples.size, r, packet.n), dtype=np.complex128))
+    moments = evolution._Moments(packet)
+    out = np.empty((samples.size, 4))
+    moments.momentum(states, np.empty((samples.size, packet.n), dtype=np.complex128), out)
+
+    weight = np.sum(np.abs(np.fft.fft(packet.values, axis=0)) ** 2, axis=1)
+    k_rms = math.sqrt(np.sum(packet.k ** 2 * weight) / np.sum(weight))
+    assert np.max(np.abs(out[:, 3] - result.mean_k[0])) <= 1e-14 * k_rms
+    assert np.all(result.mean_k[1:-1] == result.mean_k[0])
+
+    # the last row is reduced from its own state, the one evolve's packet gives
+    final = spectrum.at(tau * steps)[None]
+    moments.momentum(final, np.empty((1, packet.n), dtype=np.complex128), out[:1])
+    assert result.mean_k[-1] == out[0, 3]
+    np.testing.assert_array_equal(result.packet.values, evolve(packet, params, tau, steps).values)
+    assert result.mean_k[-1] == pytest.approx(observables(result.packet).mean_k, rel=1e-13)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("steps", [1, 3, 1000])
+def test_mean_k_is_reduced_for_the_first_and_last_rows_only(monkeypatch, cpus, steps):
+    with_cpus(monkeypatch, cpus)
+    momentum = evolution._Moments.momentum
+    calls = []
+
+    def counting(self, values_k, *args):
+        calls.append(len(values_k))
+        momentum(self, values_k, *args)
+
+    monkeypatch.setattr(evolution._Moments, "momentum", counting)
+    packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, params=STD)
+    result = trajectory(packet, STD, 0.1, steps)
+    assert result.times.size == steps + 1
+    assert calls == [1, 1]

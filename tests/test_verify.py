@@ -160,8 +160,10 @@ def test_numpy_integer_seed_is_the_int_seed():
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1.0, 0.0])
 def test_run_verification_rejects_bad_tol(tol):
-    with pytest.raises(ValueError, match="tol"):
+    # one message for a NaN, an infinite, a zero and a negative gate
+    with pytest.raises(ValueError) as info:
         run_verification(5, 1, tol=tol)
+    assert str(info.value) == f"tol must be positive and finite, got {tol}"
 
 
 def test_stacked_uniform_draws_follow_the_per_trial_stream():
