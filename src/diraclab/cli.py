@@ -192,10 +192,8 @@ def _cmd_dispersion(args) -> int:
             "the span from --k-min to --k-max is not finite: "
             "the inputs overflow double precision"
         )
-    _limit_domain(args.m0, args.c_light)  # before from_physical, whose m0 rule is m0 >= 0
-    params = GeneralizedParams.from_physical(
-        args.m0, args.eps_tilde, (0.0, 0.0, args.p_tilde)
-    )
+    _limit_domain(args.m0, args.c_light)  # before GeneralizedParams, whose m0 rule is m0 >= 0
+    params = GeneralizedParams(args.m0, args.eps_tilde, (0.0, 0.0, args.p_tilde))
     ks = np.linspace(k_min, k_max, args.steps)
     k3 = ks[:, None] * (0.0, 0.0, 1.0)  # the sweep runs along z
     pauli = pauli_energy(k3, params)
@@ -206,9 +204,7 @@ def _cmd_dispersion(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    params = GeneralizedParams.from_physical(
-        args.m0, args.eps_tilde, (0.0, 0.0, args.p_tilde)
-    )
+    params = GeneralizedParams(args.m0, args.eps_tilde, (0.0, 0.0, args.p_tilde))
     x0 = args.x0 if args.x0 is not None else args.length / 2.0
     packet = init_gaussian(
         args.n, args.length, x0, args.k0, args.width, branch=args.branch, params=params
@@ -230,7 +226,7 @@ def _cmd_limit(args) -> int:
         raise ValueError(f"--k-max is too small: the grid's first point, --k-max/1000, "
                          f"underflows to zero, got {args.k_max!r}")
     _limit_domain(args.m0, args.c_light)
-    params = GeneralizedParams.from_physical(args.m0)
+    params = GeneralizedParams(args.m0)
     ks = np.geomspace(args.k_max * 1e-3, args.k_max, args.points)
     k3 = ks[:, None] * (0.0, 0.0, 1.0)
     err = nonrel_error(k3, params, c_light=args.c_light)

@@ -55,12 +55,13 @@ def _count(name: str, value, least: int):
 def _as_float(name: str, value) -> np.ndarray:
     """value as a float array of finite entries.  A bool, a value numpy
     cannot convert and a NaN or infinite entry raise ValueError naming the
-    field and showing the value passed (None converts to NaN)."""
+    field and showing the value passed (None converts to NaN; an int too
+    large for a float is one numpy cannot convert)."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a real number, not a bool, got {value!r}")
     try:
         x = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be a real number, got {value!r} ({exc})") from None
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite, got {value!r}")

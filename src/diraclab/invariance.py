@@ -29,7 +29,6 @@ left out, is what would tell gamma5 gamma^mu from gamma^mu.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -94,69 +93,39 @@ class PhaseFunction:
         return cls(np.zeros(4, dtype=np.complex128))
 
 
-_IMAG_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class GeneralizedParams:
-    """Free parameters of the generalized first-order equation.
-
-    a and the four c coefficients must be purely imaginary so that the
-    resulting Hamiltonian is Hermitian; the real physical quantities are
-    the rest mass m0 = -i*a, the energy shift = i*c0 and the momentum
-    shift components = -i*cj.
+    """Free parameters of the generalized first-order equation: the rest
+    mass m0 >= 0, the energy shift eps_tilde and the momentum shift p_tilde
+    (a read-only (3,) copy; a scalar lies along z), all finite.  The
+    paper's coefficients are a = i*m0 and c = i*(-eps_tilde, p_tilde);
+    real fields keep the Hamiltonian Hermitian.
     """
 
-    a: complex
-    c: np.ndarray
+    m0: float
+    eps_tilde: float = 0.0
+    p_tilde: np.ndarray = (0.0, 0.0, 0.0)
 
     __eq__ = _equal_fields
 
     def __post_init__(self):
-        if isinstance(self.a, bool) or not isinstance(self.a, numbers.Complex):
-            raise ValueError(f"a must be a complex number, got {self.a!r}")
-        a = complex(self.a)
-        c = np.array(self.c, dtype=np.complex128)
-        if c.shape != (4,):
-            raise ValueError(f"c must have 4 components, got shape {c.shape}")
-        for name, x in (("a", a), ("c", c)):
-            if not np.isfinite(x).all():
-                raise ValueError(f"{name} must be finite, got {x!r}")
-        if abs(a.real) > _IMAG_TOL or np.any(np.abs(c.real) > _IMAG_TOL):
-            raise ValueError("a and c must be purely imaginary for Hermiticity")
-        if (-1j * a).real < 0.0:
-            raise ValueError("rest mass -i*a must be nonnegative")
-        c.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
-
-    @classmethod
-    def from_physical(cls, m0: float, eps_tilde: float = 0.0, p_tilde=(0.0, 0.0, 0.0)) -> "GeneralizedParams":
-        """Build a and c from the rest mass, energy shift and momentum shift,
-        which must be finite, with m0 >= 0; a scalar p_tilde lies along z."""
-        mass, eps = _real("m0", m0), _real("eps_tilde", eps_tilde)
-        p = _as_k3("p_tilde", p_tilde)
-        if mass < 0.0:
-            raise ValueError(f"m0 must be nonnegative, got {m0!r}")
-        c = np.array([-1j * eps, 1j * p[0], 1j * p[1], 1j * p[2]], dtype=np.complex128)
-        return cls(a=1j * mass, c=c)
-
-    @classmethod
-    def standard(cls, m0: float) -> "GeneralizedParams":
-        """Zero-phase special case: mass only."""
-        return cls.from_physical(m0)
+        # + 0.0 stores a signed zero as +0.0: -0.0 and 0.0 give the same bits
+        m0, eps = _real("m0", self.m0) + 0.0, _real("eps_tilde", self.eps_tilde) + 0.0
+        p = _as_k3("p_tilde", self.p_tilde) + 0.0
+        if m0 < 0.0:
+            raise ValueError(f"m0 must be nonnegative, got {self.m0!r}")
+        p.flags.writeable = False
+        object.__setattr__(self, "m0", m0)
+        object.__setattr__(self, "eps_tilde", eps)
+        object.__setattr__(self, "p_tilde", p)
 
     @property
-    def m0(self) -> float:
-        return (-1j * self.a).real
+    def a(self) -> complex:
+        return 1j * self.m0
 
     @property
-    def eps_tilde(self) -> float:
-        return (1j * self.c[0]).real
-
-    @property
-    def p_tilde(self) -> np.ndarray:
-        return (-1j * self.c[1:]).real.copy()
+    def c(self) -> np.ndarray:
+        return 1j * np.array([-self.eps_tilde, *self.p_tilde])
 
 
 class _ParamStack(NamedTuple):

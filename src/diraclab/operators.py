@@ -213,24 +213,17 @@ def kg_rhs_matrix(k, params: GeneralizedParams) -> np.ndarray:
     """Momentum-space matrix of the second-order equation's right side.
 
     On a plane wave the second-order equation reads e^2 * psi = M psi with
+    M = H^2 = (H0 - eps_tilde)^2, H0 = alpha.(k + p_tilde) + m0*beta:
 
-        M = (k^2 + m0^2 + p^2 + eps^2 + 2 p.k) * I
-            - 2*m0*eps*beta - 2*eps*alpha.k - 2*eps*alpha.p
+        M = (|k + p_tilde|^2 + m0^2 + eps_tilde^2) * I - 2*eps_tilde*H0
     """
     return _finite_call(_kg_rhs, _as_k3("k", k), params)
 
 
 def _kg_rhs(k: np.ndarray, params) -> np.ndarray:
-    p = params.p_tilde
-    eps = params.eps_tilde
-    m0 = params.m0
-    scalar = _dot(k, k) + m0 * m0 + _dot(p, p) + eps * eps + 2.0 * _dot(p, k)
-    return (
-        _times(scalar, I4)
-        - _times(2.0 * m0 * eps, BETA)
-        - _times(2.0 * eps, _alpha_dot(k))
-        - _times(2.0 * eps, _alpha_dot(p))
-    )
+    kk, m0, eps = k + params.p_tilde, params.m0, params.eps_tilde
+    scalar = _dot(kk, kk) + m0 * m0 + eps * eps
+    return _times(scalar, I4) - _times(2.0 * eps, _h0(k, params))
 
 
 def dirac_square_equals_kg(k, params: GeneralizedParams) -> float:
@@ -271,7 +264,7 @@ def _shifted(
 ) -> PlaneWaveSolution:
     """_shift for one solution of the generalized Hamiltonian (sign = +1)
     or of the standard one (sign = -1)."""
-    source = params if sign > 0 else GeneralizedParams.standard(params.m0)
+    source = params if sign > 0 else GeneralizedParams(params.m0)
     k, energy, _ = _shift(
         solution.k, np.asarray(solution.energy), solution.spinor, params, source, sign
     )

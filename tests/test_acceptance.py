@@ -46,7 +46,7 @@ def _random_transform(rng, bounded=False):
 
 
 def _random_params(rng):
-    return GeneralizedParams.from_physical(
+    return GeneralizedParams(
         m0=float(rng.uniform(0.1, 5.0)),
         eps_tilde=float(rng.uniform(-1.0, 1.0)),
         p_tilde=rng.uniform(-1.0, 1.0, 3),
@@ -158,7 +158,7 @@ def test_criterion_07_gauge_map_equivalence():
     for _ in range(100):
         params = _random_params(rng)
         k = rng.uniform(-2.0, 2.0, 3)
-        std = GeneralizedParams.standard(params.m0)
+        std = GeneralizedParams(params.m0)
         for sol in plane_wave_solve(k, params):
             mapped = gauge_map_to_standard(sol, params)
             h = hamiltonian_matrix(mapped.k, std)
@@ -181,7 +181,7 @@ def test_criterion_08_nonrelativistic_limit():
     rng = np.random.default_rng(208)
     worst = 0.0
     for _ in range(100):
-        p = GeneralizedParams.from_physical(
+        p = GeneralizedParams(
             float(rng.uniform(0.2, 4.0)), float(rng.uniform(-1.0, 1.0)), rng.uniform(-1.0, 1.0, 3)
         )
         k = rng.uniform(-1.0, 1.0, 3)
@@ -190,12 +190,12 @@ def test_criterion_08_nonrelativistic_limit():
 
     m0 = 1.0
     ks = np.geomspace(1e-3, 1e-1, 25) * m0
-    errs = np.array([nonrel_abs_error([0, 0, k], GeneralizedParams.from_physical(m0)) for k in ks])
+    errs = np.array([nonrel_abs_error([0, 0, k], GeneralizedParams(m0)) for k in ks])
     slope = float(np.polyfit(np.log(ks), np.log(errs), 1)[0])
     assert abs(slope - 4.0) <= 0.1
 
     # generalized forms reduce to the standard ones exactly at zero shifts
-    plain = GeneralizedParams.from_physical(1.7)
+    plain = GeneralizedParams(1.7)
     for kz in (0.0, 0.05, 0.3):
         k = np.array([0.1, -0.2, kz])
         assert pauli_energy(k, plain) == float(k @ k) / (2 * 1.7)
@@ -211,7 +211,7 @@ def test_criterion_09_evolution():
     expected_v = 0.5 / np.sqrt(1.25)  # 0.44721...
 
     # case A: plain mass, moving packet
-    std = GeneralizedParams.standard(1.0)
+    std = GeneralizedParams(1.0)
     packet = init_gaussian(n, length, x0, 0.5, width, params=std)
     fwd = trajectory(packet, std, dt, steps, sample_every)
     assert np.max(np.abs(fwd.norms - 1.0)) <= 1e-10
@@ -222,7 +222,7 @@ def test_criterion_09_evolution():
 
     # case B: momentum shift moves the dispersion minimum; the packet
     # drifts at zero grid momentum
-    gen = GeneralizedParams.from_physical(1.0, 0.0, (0.0, 0.0, 0.5))
+    gen = GeneralizedParams(1.0, 0.0, (0.0, 0.0, 0.5))
     packet_b = init_gaussian(n, length, x0, 0.0, width, params=gen)
     fwd_b = trajectory(packet_b, gen, dt, steps, sample_every)
     assert np.max(np.abs(fwd_b.norms - 1.0)) <= 1e-10

@@ -89,7 +89,7 @@ def test_readme_quickstart_runs():
          np.ones(3)),
         (lambda a: dl.PlaneWaveSolution(np.ones(3), 1.0, 1, a), "spinor",
          np.ones(4, dtype=complex)),
-        (lambda a: dl.GeneralizedParams(1j, a), "c", 1j * np.ones(4)),
+        (lambda a: dl.GeneralizedParams(1.0, 0.0, a), "p_tilde", np.ones(3)),
         (lambda a: dl.PhaseFunction(a), "zeta", np.ones(4, dtype=complex)),
     ],
     ids=["WavePacket", "PlaneWaveSolution.k", "PlaneWaveSolution.spinor",
@@ -110,7 +110,7 @@ def test_stored_arrays_are_read_only_copies(build, field, array):
 # field makes them differ.  The generated dataclass __eq__ raised ValueError
 # on the array fields.
 EQUAL_VALUES = {
-    "GeneralizedParams": lambda shift: dl.GeneralizedParams.from_physical(1.0, 0.2, shift),
+    "GeneralizedParams": lambda shift: dl.GeneralizedParams(1.0, 0.2, shift),
     "WavePacket": lambda shift: dl.init_gaussian(128, 100.0, 50.0 + shift, 0.5, 8.0, params=_STD),
     "PhaseFunction": lambda shift: dl.PhaseFunction([0.3j, shift, 0.0, 0.1j]),
     "PlaneWaveSolution": lambda shift: dl.plane_wave_solve((0.0, shift, 0.4), _STD)[0],
@@ -135,7 +135,7 @@ def test_values_compare_by_their_fields(name):
 # diraclab.clifford: _count (an integer, not a bool, at least a bound) and
 # _real (one finite real number, not a bool).  A rejected value raises
 # ValueError whose message starts with the name of the field.
-_STD = dl.GeneralizedParams.standard(1.0)
+_STD = dl.GeneralizedParams(1.0)
 _PACKET = dl.init_gaussian(128, 100.0, 50.0, 0.5, 8.0, params=_STD)
 _GAUSSIAN = dict(n=128, length=100.0, x0=50.0, k0=0.5, width=8.0)
 _C = 1j * np.array([0.3, -0.7, 0.2, 0.9])
@@ -159,13 +159,13 @@ ENTRY_POINTS = [
       for name in _GAUSSIAN),
     ("branch", lambda v: dl.init_gaussian(**_GAUSSIAN, branch=v, params=_STD)),
     ("branch", lambda v: dl.dispersion(0.5, _STD, v)),
-    ("m0", lambda v: dl.GeneralizedParams.from_physical(v)),
-    ("eps_tilde", lambda v: dl.GeneralizedParams.from_physical(1.0, v)),
-    ("p_tilde", lambda v: dl.GeneralizedParams.from_physical(1.0, 0.0, v)),
-    ("a", lambda v: dl.GeneralizedParams(a=v, c=np.zeros(4))),
+    ("m0", lambda v: dl.GeneralizedParams(v)),
+    ("eps_tilde", lambda v: dl.GeneralizedParams(1.0, v)),
+    ("p_tilde", lambda v: dl.GeneralizedParams(1.0, 0.0, v)),
+    ("k", lambda v: dl.dispersion(v, _STD)),
     # the limit functions' parameters, built as their callers build them
-    ("m0", lambda v: dl.pauli_energy(0.5, dl.GeneralizedParams.from_physical(v))),
-    ("eps_tilde", lambda v: dl.levy_leblond_solve(0.5, dl.GeneralizedParams.from_physical(1.0, v))),
+    ("m0", lambda v: dl.pauli_energy(0.5, dl.GeneralizedParams(v))),
+    ("eps_tilde", lambda v: dl.levy_leblond_solve(0.5, dl.GeneralizedParams(1.0, v))),
     ("c_light", lambda v: dl.dirac_energy(0.5, _STD, c_light=v)),
     ("axis", lambda v: dl.PoincareTransform.rotation(v, 0.3)),
     ("axis", lambda v: dl.zeta_for(_C, dl.PoincareTransform("boost", v, 0.3))),
@@ -186,13 +186,17 @@ ENTRY_POINTS = [
 
 
 BAD_SCALARS = {"bool": True, "list": [1.0, 2.0], "str": "a", "None": None, "nan": np.nan}
+# An int too large for a float is a bad real number.  A count has its own
+# rule, and trials=10**400 just runs that many trials.
+BAD_REALS = {**BAD_SCALARS, "huge_int": 10**400}
+COUNTS = {"trials", "seed", "steps", "sample_every", "n", "branch", "axis", "mu", "j", "nu"}
 
 
 @pytest.mark.parametrize(
     "name, call, value",
     [pytest.param(name, call, value, id=f"{i}-{name}-{kind}")
      for i, (name, call) in enumerate(ENTRY_POINTS)
-     for kind, value in BAD_SCALARS.items()
+     for kind, value in (BAD_SCALARS if name in COUNTS else BAD_REALS).items()
      if not (name == "tol" and value is None)],  # tol=None is the default gate
 )
 def test_entry_points_reject_bad_scalars_by_name(name, call, value):
@@ -222,12 +226,15 @@ def test_one_count_rule():
 def test_one_parameter_set_for_the_limits():
     # The limit forms take the generalized equation's GeneralizedParams, so
     # the momentum shift has one name, p_tilde: no second parameter type,
-    # stack or name for it in the package or the README.
+    # stack or name for it in the package or the README.  GeneralizedParams
+    # stores its physical fields and is built by its own constructor: no
+    # builder classmethod and no Hermiticity tolerance on complex fields.
     package = Path(dl.__file__).parent
     texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
     texts["README.md"] = (package.parents[1] / "README.md").read_text(encoding="utf-8")
     found = [(name, word) for name, text in texts.items()
-             for word in ("NonRelParams", "_NonRelStack", "c_tilde") if word in text]
+             for word in ("NonRelParams", "_NonRelStack", "c_tilde", "from_physical",
+                          "GeneralizedParams.standard", "_IMAG_TOL") if word in text]
     assert found == []
 
 
@@ -255,13 +262,13 @@ def _solution(k=np.zeros(3), energy=1.0, branch=1, spinor=_SPINOR):
 
 FIELD_ERRORS = {
     "GeneralizedParams.from_physical.p_tilde": (
-        "p_tilde", lambda: dl.GeneralizedParams.from_physical(1.0, 0.0, [1.0, 2.0])),
+        "p_tilde", lambda: dl.GeneralizedParams(1.0, 0.0, [1.0, 2.0])),
     "dispersion.k": ("k", lambda: dl.dispersion([1.0, 2.0], _STD)),
     "hamiltonian_matrix.k": ("k", lambda: dl.hamiltonian_matrix(np.zeros((2, 3)), _STD)),
     "pauli_energy.k": ("k", lambda: dl.pauli_energy(np.zeros(4), _STD)),
     "levy_leblond_solve.k": ("k", lambda: dl.levy_leblond_solve([1.0, 2.0], _STD)),
-    "GeneralizedParams.a": ("a", lambda: dl.GeneralizedParams(a=np.nan, c=np.zeros(4))),
-    "GeneralizedParams.c": ("c", lambda: dl.GeneralizedParams(a=1j, c=[0.0, np.inf, 0.0, 0.0])),
+    "GeneralizedParams.m0": ("m0", lambda: dl.GeneralizedParams(np.nan)),
+    "GeneralizedParams.p_tilde": ("p_tilde", lambda: dl.GeneralizedParams(1.0, 0.0, [0.0, np.inf, 0.0])),
     "PlaneWaveSolution.k": ("k", lambda: _solution(k=[0, 0, np.nan])),
     "PlaneWaveSolution.energy": ("energy", lambda: _solution(energy=np.inf)),
     "PlaneWaveSolution.branch": ("branch", lambda: _solution(branch=7)),
@@ -280,12 +287,12 @@ def test_shape_and_finiteness_errors_name_the_field(name, call):
 # Finite inputs whose results overflow double precision, at every operators
 # and evolution entry point: a ValueError naming the overflow, and no numpy
 # RuntimeWarning on the way.
-_HEAVY = dl.GeneralizedParams.standard(1e200)
-_FAR = dl.GeneralizedParams.from_physical(1.0, 0.0, 1e308)
+_HEAVY = dl.GeneralizedParams(1e200)
+_FAR = dl.GeneralizedParams(1.0, 0.0, 1e308)
 _HUGE = dl.WavePacket(64, 10.0, np.full((64, 4), 1e200))
 OVERFLOWS = {
     "hamiltonian_matrix": lambda: dl.hamiltonian_matrix(1e308, _FAR),
-    "kg_rhs_matrix-eps_tilde": lambda: dl.kg_rhs_matrix(0.5, dl.GeneralizedParams.from_physical(1.0, 1e200)),
+    "kg_rhs_matrix-eps_tilde": lambda: dl.kg_rhs_matrix(0.5, dl.GeneralizedParams(1.0, 1e200)),
     "kg_rhs_matrix-m0": lambda: dl.kg_rhs_matrix(0.5, _HEAVY),
     "dirac_square_equals_kg": lambda: dl.dirac_square_equals_kg(0.5, _HEAVY),
     "dispersion": lambda: dl.dispersion(1e200, _STD),

@@ -34,7 +34,7 @@ def run_main(capsys, argv):
 # Reference sweeps: the per-row loops the dispersion and limit commands ran
 # before they became single array calls, one scalar call per value.
 def reference_dispersion_csv(m0, eps, p, k_min, k_max, steps, c_light=1.0):
-    params = GeneralizedParams.from_physical(m0, eps, (0.0, 0.0, p))
+    params = GeneralizedParams(m0, eps, (0.0, 0.0, p))
     lines = ["k,eps_plus,eps_minus,eps_pauli,eps_ll"]
     for k in np.linspace(k_min, k_max, steps):
         if c_light == 1.0:
@@ -51,7 +51,7 @@ def reference_dispersion_csv(m0, eps, p, k_min, k_max, steps, c_light=1.0):
 
 
 def reference_limit_csv(m0, k_max, points, c_light=1.0):
-    params = GeneralizedParams.from_physical(m0)
+    params = GeneralizedParams(m0)
     lines = ["k,dirac_kinetic,pauli_kinetic,abs_error,rel_error"]
     for k in np.geomspace(k_max * 1e-3, k_max, points):
         kin = kinetic_minus_rest(float(k), params, c_light=c_light)

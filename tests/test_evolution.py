@@ -24,7 +24,7 @@ from diraclab.evolution import (
 from diraclab.invariance import GeneralizedParams
 from diraclab.operators import ALPHA, BETA, dispersion, hamiltonian_matrix, plane_wave_solve
 
-STD = GeneralizedParams.standard(1.0)
+STD = GeneralizedParams(1.0)
 
 
 def test_packet_validation():
@@ -121,7 +121,7 @@ def test_plane_wave_mode_acquires_phase():
 
 def test_evolve_forward_backward():
     packet = init_gaussian(256, 100.0, 50.0, 0.6, width=7.0, params=STD)
-    params = GeneralizedParams.from_physical(1.0, 0.3, (0.0, 0.0, 0.2))
+    params = GeneralizedParams(1.0, 0.3, (0.0, 0.0, 0.2))
     out = evolve(evolve(packet, params, 2.5), params, -2.5)
     assert np.max(np.abs(out.values - packet.values)) <= 1e-10
     assert out.time == pytest.approx(0.0)
@@ -189,7 +189,7 @@ def test_group_velocity_rest_packet():
 
 
 def test_group_velocity_shifted_params():
-    params = GeneralizedParams.from_physical(1.0, 0.0, (0.0, 0.0, 0.5))
+    params = GeneralizedParams(1.0, 0.0, (0.0, 0.0, 0.5))
     v = fitted_velocity(params, k0=0.0, t_total=30.0, n=512, length=200.0, width=10.0)
     assert v == pytest.approx(0.5 / np.sqrt(1.25), rel=0.01)
 
@@ -203,8 +203,8 @@ def test_gauge_map_density_equivalence():
     n = 512
     p_shift = 0.5  # = 16 * (2*pi/length), exactly on the momentum lattice
     assert abs(p_shift * length / (2 * np.pi) - round(p_shift * length / (2 * np.pi))) < 1e-12
-    gen = GeneralizedParams.from_physical(1.0, 0.3, (0.0, 0.0, p_shift))
-    std = GeneralizedParams.standard(1.0)
+    gen = GeneralizedParams(1.0, 0.3, (0.0, 0.0, p_shift))
+    std = GeneralizedParams(1.0)
     k0 = 0.5
     pa = init_gaussian(n, length, length / 3, k0, width=9.0, params=gen)
     pb = init_gaussian(n, length, length / 3, k0 + p_shift, width=9.0, params=std)
@@ -228,15 +228,15 @@ class TestClosedFormPropagator:
     @pytest.mark.parametrize(
         "params, components, reached",
         [
-            (GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6)),
+            (GeneralizedParams(1.3, -0.4, (0.2, -0.1, 0.6)),
              (0, 1, 2, 3), (0, 1, 2, 3)),
             # massless, with the grid mode k = 0.25 at k + p = 0
-            (GeneralizedParams.from_physical(0.0, 0.7, (0.0, 0.0, -0.25)),
+            (GeneralizedParams(0.0, 0.7, (0.0, 0.0, -0.25)),
              (0, 1, 2, 3), (0, 1, 2, 3)),
             # along z, H0 takes component 0 to 2 and never to 1 or 3
-            (GeneralizedParams.from_physical(1.3, -0.4, (0.0, 0.0, 0.6)), (0,), (0, 2)),
+            (GeneralizedParams(1.3, -0.4, (0.0, 0.0, 0.6)), (0,), (0, 2)),
             # a transverse p_tilde couples {0, 2} to {1, 3}
-            (GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6)),
+            (GeneralizedParams(1.3, -0.4, (0.2, -0.1, 0.6)),
              (0, 2), (0, 1, 2, 3)),
         ],
         ids=["generalized", "massless", "z-directed-component-0", "transverse-components-0-2"],
@@ -257,9 +257,9 @@ class TestClosedFormPropagator:
     @pytest.mark.parametrize(
         "params",
         [
-            GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6)),
+            GeneralizedParams(1.3, -0.4, (0.2, -0.1, 0.6)),
             # massless, with w = 0 at the grid mode k = 0.25
-            GeneralizedParams.from_physical(0.0, 0.7, (0.0, 0.0, -0.25)),
+            GeneralizedParams(0.0, 0.7, (0.0, 0.0, -0.25)),
         ],
         ids=["generalized", "massless"],
     )
@@ -286,7 +286,7 @@ class TestClosedFormPropagator:
         # Re(z)^2 + Im(z)^2 = 1 to roundoff for z = exp(i w t), the phase
         # evolve and trajectory take their coefficients from, also where
         # w*t is in the hundreds
-        params = GeneralizedParams.from_physical(1.23, 0.31, (0.0, 0.0, 0.12))
+        params = GeneralizedParams(1.23, 0.31, (0.0, 0.0, 0.12))
         packet = init_gaussian(4096, 800.0, 100.0, 0.55, width=10.0, params=params)
         w = evolution._Spectrum(packet, params).w
         z = np.empty(w.size, dtype=complex)
@@ -296,7 +296,7 @@ class TestClosedFormPropagator:
             assert np.max(np.abs(defect)) <= 2e-15
 
     def test_composition(self):
-        params = GeneralizedParams.from_physical(0.8, 0.3, (0.1, 0.2, -0.5))
+        params = GeneralizedParams(0.8, 0.3, (0.1, 0.2, -0.5))
         packet = self.random_packet(92)
         two_steps = evolve(evolve(packet, params, 1.9), params, 3.4)
         np.testing.assert_allclose(
@@ -366,7 +366,7 @@ def test_packet_rejects_non_finite_values_and_time(bad):
 def test_propagator_rejects_overflowing_energy():
     # the grid energies come from operators._w, which raises on overflow
     packet = init_gaussian(128, 100.0, 50.0, 0.5, width=8.0, params=STD)
-    heavy = GeneralizedParams.standard(1e200)
+    heavy = GeneralizedParams(1e200)
     with pytest.raises(ValueError, match="finite"):
         evolve(packet, heavy, 0.1)
     with pytest.raises(ValueError, match="finite"):
@@ -400,11 +400,11 @@ def reference_trajectory(packet, params, dt, steps, sample_every):
 @pytest.mark.parametrize(
     "params, k0, dt, steps, sample_every, t0, branch",
     [
-        (GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6)), 0.5, -0.37, 23, 5, 2.5, +1),
-        (GeneralizedParams.from_physical(0.0, 0.7, (0.1, 0.0, -0.25)), 0.4, 0.45, 17, 4, -1.25, +1),
+        (GeneralizedParams(1.3, -0.4, (0.2, -0.1, 0.6)), 0.5, -0.37, 23, 5, 2.5, +1),
+        (GeneralizedParams(0.0, 0.7, (0.1, 0.0, -0.25)), 0.4, 0.45, 17, 4, -1.25, +1),
         # p_tilde along z: the packet occupies components 0 and 2 only
-        (GeneralizedParams.from_physical(1.23, 0.31, (0.0, 0.0, 0.12)), 0.55, 0.5, 19, 3, 0.75, +1),
-        (GeneralizedParams.from_physical(0.9, -0.2, (0.0, 0.0, -0.3)), 0.45, -0.6, 14, 5, 0.0, -1),
+        (GeneralizedParams(1.23, 0.31, (0.0, 0.0, 0.12)), 0.55, 0.5, 19, 3, 0.75, +1),
+        (GeneralizedParams(0.9, -0.2, (0.0, 0.0, -0.3)), 0.45, -0.6, 14, 5, 0.0, -1),
     ],
     ids=["generalized", "massless", "z-directed-branch+1", "z-directed-branch-1"],
 )
@@ -451,7 +451,7 @@ def test_phase_chain_rows_match_evolve_across_blocks():
     # np.exp there and a product with exp(i w tau) after it), of each block
     # boundary and of a block boundary mid-run, and the last row, match
     # evolve.
-    params = GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6))
+    params = GeneralizedParams(1.3, -0.4, (0.2, -0.1, 0.6))
     packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, params=params)
     refresh, sample_every = evolution._REFRESH, 3
     steps = sample_every * (2 * refresh + 5) + 2
@@ -473,7 +473,7 @@ def test_massless_zero_mode_on_the_phase_chain():
     # H0 = 0 and 1/w is read as 0, so both projectors are 1/2 there.
     n, length, m = 256, 64.0, 5
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
-    params = GeneralizedParams.from_physical(0.0, 0.7, (0.0, 0.0, -k[m]))
+    params = GeneralizedParams(0.0, 0.7, (0.0, 0.0, -k[m]))
     packet = init_gaussian(n, length, 32.0, 0.3, width=4.0, params=params)
     spectrum = evolution._Spectrum(packet, params)
     psi0 = np.fft.fft(packet.values, axis=0).T[spectrum.rows]
@@ -490,7 +490,7 @@ def test_massless_zero_mode_on_the_phase_chain():
 
 def dense_packet():
     # the evolve_dense benchmark's grid and packet
-    params = GeneralizedParams.from_physical(1.23, 0.31, (0.0, 0.0, 0.12))
+    params = GeneralizedParams(1.23, 0.31, (0.0, 0.0, 0.12))
     return init_gaussian(4096, 800.0, 100.0, 0.55, width=10.0, params=params), params
 
 
@@ -502,7 +502,7 @@ def test_spectrum_keeps_only_the_occupied_components():
     assert spectrum.rows.tolist() == [0, 2]
     assert spectrum.plus.shape == spectrum.minus.shape == (2, packet.n)
     assert not packet.values[:, [1, 3]].any()
-    transverse = GeneralizedParams.from_physical(1.23, 0.31, (0.05, 0.0, 0.12))
+    transverse = GeneralizedParams(1.23, 0.31, (0.05, 0.0, 0.12))
     assert evolution._Spectrum(packet, transverse).rows.tolist() == [0, 1, 2, 3]
 
 
@@ -591,8 +591,8 @@ def assert_close_to(got, expected):
 @pytest.mark.parametrize("m0, branch", [(1.3, +1), (0.9, -1), (0.0, +1)])
 def test_eps_tilde_is_a_global_phase(m0, branch):
     eps, p_tilde = 0.37, (0.2, -0.1, 0.6)
-    params = GeneralizedParams.from_physical(m0, eps, p_tilde)
-    plain = GeneralizedParams.from_physical(m0, 0.0, p_tilde)
+    params = GeneralizedParams(m0, eps, p_tilde)
+    plain = GeneralizedParams(m0, 0.0, p_tilde)
     packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, branch=branch, params=params)
     for t in (0.37, -2.9, 41.5):
         expected = np.exp(1j * eps * t) * evolve(packet, plain, t).values
@@ -609,12 +609,12 @@ def test_p_tilde_along_z_is_a_momentum_shift(m0, eps, m, branch):
     # shift wraps across the Nyquist bin carry no weight.
     n, length, dt, steps = 1024, 400.0, 0.5, 120
     p_tilde = 2.0 * np.pi * m / length
-    params = GeneralizedParams.from_physical(m0, eps, (0.0, 0.0, p_tilde))
+    params = GeneralizedParams(m0, eps, (0.0, 0.0, p_tilde))
     packet = init_gaussian(n, length, 200.0, 0.4, width=10.0, branch=branch, params=params)
     boost = np.exp(1j * p_tilde * packet.x)[:, None]
     got = trajectory(packet, params, dt, steps, sample_every=7)
     expected = trajectory(WavePacket(n, length, boost * packet.values),
-                          GeneralizedParams.standard(m0), dt, steps, sample_every=7)
+                          GeneralizedParams(m0), dt, steps, sample_every=7)
     shifted = columns(expected) - [0.0, 0.0, 0.0, p_tilde]
     np.testing.assert_allclose(columns(got), shifted, rtol=1e-13, atol=0)
     assert_close_to(got.packet.values, np.exp(1j * eps * dt * steps) / boost * expected.packet.values)
@@ -627,7 +627,7 @@ def mass_map(m0, p_perp):
     theta = math.atan2(size, m0)
     n_alpha = (p_perp[0] * ALPHA[0] + p_perp[1] * ALPHA[1]) / size
     u = math.cos(theta / 2) * np.eye(4) + math.sin(theta / 2) * (BETA @ n_alpha)
-    return u, GeneralizedParams.standard(math.hypot(m0, size))
+    return u, GeneralizedParams(math.hypot(m0, size))
 
 
 @pytest.mark.parametrize(
@@ -637,7 +637,7 @@ def test_transverse_p_tilde_is_extra_mass(m0, p_perp, branch):
     # U (mass_map) commutes with alpha_z and takes alpha.p_perp + m0 beta to
     # m_eff beta: psi evolves as the standard packet U psi at mass m_eff
     eps, dt, steps = 0.31, 0.45, 90
-    params = GeneralizedParams.from_physical(m0, eps, (*p_perp, 0.0))
+    params = GeneralizedParams(m0, eps, (*p_perp, 0.0))
     u, heavy = mass_map(m0, p_perp)
     h0 = hamiltonian_matrix(0.0, params) + eps * np.eye(4)
     np.testing.assert_allclose(u @ h0 @ u.conj().T, hamiltonian_matrix(0.0, heavy), atol=1e-15)
@@ -666,9 +666,9 @@ def test_generalized_evolution_is_mapped_standard_evolution(m0, eps, p_perp, bra
     # four spinor components.
     assume(math.hypot(*p_perp) >= 1e-3)
     dt, steps = 0.45, 90
-    params = GeneralizedParams.from_physical(m0, eps, (*p_perp, 0.0))
+    params = GeneralizedParams(m0, eps, (*p_perp, 0.0))
     packet = init_gaussian(256, 100.0, 40.0, 0.5, width=8.0, branch=branch, params=params)
-    plain = GeneralizedParams.from_physical(m0, 0.0, (*p_perp, 0.0))
+    plain = GeneralizedParams(m0, 0.0, (*p_perp, 0.0))
     expected = np.exp(1j * eps * dt * steps) * evolve(packet, plain, dt, steps).values
     assert_close_to(evolve(packet, params, dt, steps).values, expected)
 
@@ -696,7 +696,7 @@ def test_single_branch_packet_moves_at_its_mean_group_velocity(m0, eps, p_tilde,
     # and the projected packet, cut off sharply in k, has slowly decaying
     # tails in x that reach the periodic seam (2.3e-4 at m0 = 0, p_z = -0.3).
     n, length = 1024, 800.0
-    params = GeneralizedParams.from_physical(m0, eps, p_tilde)
+    params = GeneralizedParams(m0, eps, p_tilde)
     start = init_gaussian(n, length, 300.0, 0.55, width=10.0, branch=branch, params=params)
     spectrum = evolution._Spectrum(start, params)
     coefficients = spectrum.plus if branch == +1 else spectrum.minus
@@ -741,7 +741,7 @@ def test_one_worker_and_two_give_the_same_bits(monkeypatch, m0, p_tilde, rows, s
     # and 8 samples (3 does not divide _REFRESH); on four, of 1, 1, 2 and 4.
     # One CPU runs every stage in the calling thread on one buffer; two
     # hand each block's inverse FFT to the helper.
-    params = GeneralizedParams.from_physical(m0, 0.31, p_tilde)
+    params = GeneralizedParams(m0, 0.31, p_tilde)
     packet = init_gaussian(512, 100.0, 40.0, 0.55, width=8.0, params=params)
     assert evolution._Spectrum(packet, params).rows.tolist() == rows
     results = []
@@ -763,7 +763,7 @@ def test_more_workers_than_cores_under_fast_switching(monkeypatch):
     # which writes the table, on more CPUs than the host may have, while
     # the interpreter hands the GIL over as often as it can: the bits
     # match one CPU's.
-    params = GeneralizedParams.from_physical(1.3, -0.4, (0.2, -0.1, 0.6))
+    params = GeneralizedParams(1.3, -0.4, (0.2, -0.1, 0.6))
     packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, params=params)
     with_cpus(monkeypatch, 1)
     one = trajectory(packet, params, 0.37, 90)
@@ -781,7 +781,7 @@ def test_more_workers_than_cores_under_fast_switching(monkeypatch):
 def test_usable_cpus_without_affinity(monkeypatch):
     # Platforms without os.sched_getaffinity (macOS) count os.cpu_count(),
     # or one CPU where that is unknown; the samples keep their bits.
-    params = GeneralizedParams.from_physical(1.3, -0.4, (0.0, 0.0, 0.2))
+    params = GeneralizedParams(1.3, -0.4, (0.0, 0.0, 0.2))
     packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, params=params)
     with_affinity = trajectory(packet, params, 0.37, 90)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -866,14 +866,14 @@ def premise_packet(case):
     if case == "two-rows":
         return dense_packet()
     if case == "four-rows":
-        params = GeneralizedParams.from_physical(1.23, 0.31, (0.05, -0.1, 0.12))
+        params = GeneralizedParams(1.23, 0.31, (0.05, -0.1, 0.12))
         return init_gaussian(512, 100.0, 40.0, 0.55, width=8.0, params=params), params
     if case == "massless-zero-mode":
         n, length, m = 256, 64.0, 5
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
-        params = GeneralizedParams.from_physical(0.0, 0.7, (0.0, 0.0, -k[m]))
+        params = GeneralizedParams(0.0, 0.7, (0.0, 0.0, -k[m]))
         return init_gaussian(n, length, 32.0, 0.3, width=4.0, params=params), params
-    params = GeneralizedParams.from_physical(0.9, -0.2, (0.0, 0.0, -0.3))
+    params = GeneralizedParams(0.9, -0.2, (0.0, 0.0, -0.3))
     return init_gaussian(256, 100.0, 50.0, 0.45, width=6.0, branch=-1, params=params), params
 
 

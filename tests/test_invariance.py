@@ -23,25 +23,61 @@ from diraclab.invariance import (
     verify_phi0_uniqueness,
     zeta_for,
 )
+from diraclab.operators import dispersion, plane_wave_solve
 from diraclab.poincare import PoincareTransform, _reps
 
 
 class TestGeneralizedParams:
     def test_from_physical_roundtrip(self):
-        p = GeneralizedParams.from_physical(1.5, 0.25, (0.1, -0.2, 0.3))
-        assert p.m0 == pytest.approx(1.5)
-        assert p.eps_tilde == pytest.approx(0.25)
-        np.testing.assert_allclose(p.p_tilde, [0.1, -0.2, 0.3])
-
-    def test_rejects_real_coefficients(self):
-        with pytest.raises(ValueError):
-            GeneralizedParams(a=1.0, c=np.zeros(4))
-        with pytest.raises(ValueError):
-            GeneralizedParams(a=1j, c=np.array([0.5, 0, 0, 0], dtype=complex))
+        # The fields are stored as given; a and c are derived from them.
+        p = GeneralizedParams(1.5, 0.25, (0.1, -0.2, 0.3))
+        assert (p.m0, p.eps_tilde, p.p_tilde.tolist()) == (1.5, 0.25, [0.1, -0.2, 0.3])
+        assert p.a == 1.5j
+        np.testing.assert_array_equal(p.c, 1j * np.array([-0.25, 0.1, -0.2, 0.3]))
 
     def test_rejects_negative_mass(self):
-        with pytest.raises(ValueError):
-            GeneralizedParams(a=-1j, c=np.zeros(4, dtype=complex))
+        with pytest.raises(ValueError, match="^m0 must be nonnegative"):
+            GeneralizedParams(-1.0)
+
+    def test_signed_zeros_give_the_bits_of_zero(self):
+        # A signed zero is stored as +0.0, so it gives the bits that
+        # GeneralizedParams(0.0) gives; stored as -0.0, eps_tilde = -0.0
+        # would turn the lower branch's -0.0 at k = 0 into +0.0.
+        def bits(params):
+            sols = plane_wave_solve(0.0, params)
+            values = [dispersion(0.0, params, b) for b in (+1, -1)]
+            values += [s.energy for s in sols]
+            return np.array(values).tobytes(), np.array([s.spinor for s in sols]).tobytes()
+
+        zero = bits(GeneralizedParams(0.0))
+        assert bits(GeneralizedParams(0.0, -0.0, (-0.0,) * 3)) == zero
+        assert bits(GeneralizedParams(-0.0, -0.0, -0.0)) == zero
+
+    def test_fields_and_the_invariance_condition(self):
+        # a = i*m0 and c = i*(-eps_tilde, p_tilde) enter the invariance
+        # condition: zeta_for(c) closes it for every parameter set and
+        # transform, the zero phase closes it for the mass-only equation,
+        # and a boost along a nonzero shift leaves a zero-phase defect.
+        rng = np.random.default_rng(28)
+        closed, mass_only, defect = 0.0, 0.0, np.inf
+        for _ in range(300):
+            m0, eps, p_tilde = rng.uniform(0, 2), rng.uniform(-1, 1), rng.uniform(-1, 1, 3)
+            kind = ("rotation", "boost")[int(rng.integers(2))]
+            t = PoincareTransform(kind, int(rng.integers(1, 4)), rng.uniform(-2, 2))
+            p = GeneralizedParams(m0, eps, p_tilde)
+            closed = max(closed, bc_condition_residual(p.a, p.c, t, zeta_for(p.c, t)))
+            std = GeneralizedParams(m0)
+            mass_only = max(mass_only, bc_condition_residual(std.a, std.c, t, PhaseFunction.zero()))
+            # one shift of size 0.2 to 1, the time one or the one along the boost
+            axis, size = int(rng.integers(0, 4)), rng.uniform(0.2, 1) * rng.choice([-1, 1])
+            shift = np.zeros(4)
+            shift[axis] = size
+            p = GeneralizedParams(m0, shift[0], shift[1:])
+            boost = PoincareTransform.boost(max(axis, 1), rng.uniform(0.5, 2) * rng.choice([-1, 1]))
+            defect = min(defect, bc_condition_residual(p.a, p.c, boost, PhaseFunction.zero()))
+        assert closed <= 1e-12
+        assert mass_only <= 1e-12
+        assert defect >= 0.05
 
     @pytest.mark.parametrize(
         "m0, eps, p", [(np.inf, 0.0, 0.0), (np.nan, 0.0, 0.0), (1.0, np.nan, 0.0),
@@ -56,14 +92,14 @@ class TestGeneralizedParams:
             if not np.isfinite(np.asarray(x, dtype=float)).all()
         )
         with pytest.raises(ValueError, match="finite") as info:
-            GeneralizedParams.from_physical(m0, eps, p)
+            GeneralizedParams(m0, eps, p)
         assert str(info.value) == f"{name} must be finite, got {value!r}"
 
     @pytest.mark.parametrize("m0, eps", [("a", 0.0), (1.0, "x")])
     def test_rejects_non_numeric(self, m0, eps):
         name, value = ("m0", m0) if m0 == "a" else ("eps_tilde", eps)
         with pytest.raises(ValueError, match="could not convert") as info:
-            GeneralizedParams.from_physical(m0, eps)
+            GeneralizedParams(m0, eps)
         assert str(info.value).startswith(f"{name} must be a real number, got {value!r}")
 
     @pytest.mark.parametrize(
@@ -77,10 +113,10 @@ class TestGeneralizedParams:
     )
     def test_errors_name_the_physical_parameter(self, m0, eps, p, message):
         with pytest.raises(ValueError, match=message):
-            GeneralizedParams.from_physical(m0, eps, p)
+            GeneralizedParams(m0, eps, p)
 
     def test_scalar_p_tilde_means_z(self):
-        p = GeneralizedParams.from_physical(1.0, 0.0, 0.4)
+        p = GeneralizedParams(1.0, 0.0, 0.4)
         np.testing.assert_allclose(p.p_tilde, [0, 0, 0.4])
 
 

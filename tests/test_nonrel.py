@@ -31,11 +31,11 @@ from diraclab.operators import (
     plane_wave_solve,
 )
 
-FREE = GeneralizedParams.from_physical(1.0)
+FREE = GeneralizedParams(1.0)
 
 
 def random_params(rng):
-    return GeneralizedParams.from_physical(
+    return GeneralizedParams(
         float(rng.uniform(0.2, 4.0)), float(rng.uniform(-1.0, 1.0)), rng.uniform(-1.0, 1.0, 3)
     )
 
@@ -59,7 +59,7 @@ class TestParams:
         # The limit forms' own rules, on top of GeneralizedParams': m0 > 0
         # (the generalized equation allows m0 = 0) and c_light a positive
         # real number; the messages show the value passed.
-        massless = GeneralizedParams.from_physical(0.0, 0.2, 0.3)
+        massless = GeneralizedParams(0.0, 0.2, 0.3)
         for name, call in LIMIT_CALLS.items():
             with pytest.raises(ValueError, match=r"^m0 must be positive, got 0\.0$"):
                 call(massless, 1.0)
@@ -81,7 +81,7 @@ class TestParams:
     def test_rejects_non_finite(self, field, value):
         # The limit functions take the generalized equation's parameters, so
         # a non-finite m0, shift or c_light is rejected where it is passed:
-        # by from_physical or by the c_light keyword.  A non-finite shift is
+        # by GeneralizedParams or by the c_light keyword.  A non-finite shift is
         # a parameter, not a momentum k; the message names the field and
         # shows the value passed.
         physical = {"m0": 1.0, "eps_tilde": 0.0, "p_tilde": 0.0}
@@ -90,7 +90,7 @@ class TestParams:
             shown = value
         else:
             shown = (0.0, value, 0.0) if field == "p_tilde" else value
-            calls = [lambda: GeneralizedParams.from_physical(**{**physical, field: shown})]
+            calls = [lambda: GeneralizedParams(**{**physical, field: shown})]
         for call in calls:
             with pytest.raises(ValueError, match=f"^{field} must be finite, got ") as info:
                 call()
@@ -100,10 +100,10 @@ class TestParams:
         # finite inputs whose energy overflows: Python float ** raised
         # OverflowError here, and numpy arrays returned inf
         stack = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1e200]])
-        tiny_m0 = GeneralizedParams.from_physical(1e-10)
+        tiny_m0 = GeneralizedParams(1e-10)
         calls = [
-            lambda: dispersion(0.0, GeneralizedParams.from_physical(1e200)),
-            lambda: dirac_energy(0.5, GeneralizedParams.from_physical(1e200)),
+            lambda: dispersion(0.0, GeneralizedParams(1e200)),
+            lambda: dirac_energy(0.5, GeneralizedParams(1e200)),
             lambda: kinetic_minus_rest(0.5, FREE, c_light=1e200),
             lambda: nonrel_abs_error(0.5, FREE, c_light=1e200),
             lambda: nonrel_error(0.5, FREE, c_light=1e200),
@@ -127,13 +127,13 @@ class TestPauliEnergy:
         assert pauli_energy([0, 0, 0.1], FREE) == pytest.approx(0.005)
 
     def test_shifted_example(self):
-        p = GeneralizedParams.from_physical(1.0, 0.1, (0, 0, 0.2))
+        p = GeneralizedParams(1.0, 0.1, (0, 0, 0.2))
         assert pauli_energy(np.zeros(3), p) == pytest.approx(-0.08)
 
 
 class TestLevyLeblond:
     def test_rest_case(self):
-        p = GeneralizedParams.from_physical(1.0, 0.4)
+        p = GeneralizedParams(1.0, 0.4)
         sol = levy_leblond_solve(np.zeros(3), p)
         assert sol.energy == pytest.approx(-0.4)
         np.testing.assert_allclose(sol.chi, 0, atol=1e-15)
@@ -203,10 +203,10 @@ class TestLevyLeblond:
         with pytest.raises(ValueError, match="overflow"):
             levy_leblond_solve(1e200, FREE)
         with pytest.raises(ValueError, match="overflow"):
-            levy_leblond_solve(1e145, GeneralizedParams.from_physical(1e-10))
+            levy_leblond_solve(1e145, GeneralizedParams(1e-10))
         # |k|^2 finite, |k|^2 / 2m0 not: the energy division overflows
         with pytest.raises(ValueError, match="overflow"):
-            levy_leblond_solve(1e150, GeneralizedParams.from_physical(1e-10))
+            levy_leblond_solve(1e150, GeneralizedParams(1e-10))
 
 
 class TestLimitError:
@@ -224,7 +224,7 @@ class TestLimitError:
             assert nonrel_abs_error([0, 0, kz], FREE) == pytest.approx(direct, rel=1e-9)
 
     def test_vanishes_at_rest(self):
-        p = GeneralizedParams.from_physical(1.0, 0.3)
+        p = GeneralizedParams(1.0, 0.3)
         err = nonrel_error(np.zeros(3), p)
         assert err.relative
         assert err.value == 0.0
@@ -242,7 +242,7 @@ class TestLimitError:
         for _ in range(50):
             m0 = float(rng.uniform(0.2, 4.0))
             shift = rng.uniform(-0.5, 0.5, 3) * m0
-            p = GeneralizedParams.from_physical(m0, 0.0, shift)
+            p = GeneralizedParams(m0, 0.0, shift)
             direction = rng.normal(size=3)
             direction /= np.linalg.norm(direction)
             kinetic = float(rng.uniform(0.01, 0.1)) * m0
@@ -271,7 +271,7 @@ class TestLimitError:
     def test_overflowing_momentum_is_reported_as_overflow(self):
         # 1e199 < m0 * c_light = 1e200, but |k|^2 overflows to inf
         with pytest.raises(ValueError, match="overflow double precision"):
-            nonrel_error(1e199, GeneralizedParams.from_physical(1e200))
+            nonrel_error(1e199, GeneralizedParams(1e200))
 
     def test_physical_units_consistency(self):
         # restoring the light speed: same physics, scaled error
@@ -280,7 +280,7 @@ class TestLimitError:
         assert nonrel_abs_error([0, 0, kz], FREE, c_light=137.0) == pytest.approx(expected, rel=1e-3)
 
     def test_dirac_energy_branches(self):
-        p = GeneralizedParams.from_physical(1.0, 0.2)
+        p = GeneralizedParams(1.0, 0.2)
         kz = 0.4
         w = np.sqrt(1 + kz ** 2)
         assert dirac_energy([0, 0, kz], p, +1) == pytest.approx(w - 0.2)
@@ -290,7 +290,7 @@ class TestLimitError:
                 dirac_energy(np.zeros(3), p, branch)
 
     def test_kinetic_consistency(self):
-        p = GeneralizedParams.from_physical(1.0, 0.2)
+        p = GeneralizedParams(1.0, 0.2)
         kz = 0.4
         lhs = kinetic_minus_rest([0, 0, kz], p)
         rhs = dirac_energy([0, 0, kz], p, +1) - 1.0 + 0.2
@@ -298,7 +298,7 @@ class TestLimitError:
 
     def test_standard_reduction(self):
         # zero shifts recover the plain kinetic forms exactly
-        gen = GeneralizedParams.from_physical(1.7)
+        gen = GeneralizedParams(1.7)
         k = np.array([0.1, 0.2, -0.3])
         assert pauli_energy(k, gen) == pytest.approx(float(k @ k) / (2 * 1.7), abs=1e-15)
         assert levy_leblond_solve(k, gen).energy == pytest.approx(
@@ -317,7 +317,7 @@ _unit = st.floats(-1.0, 1.0)
 @st.composite
 def limit_cases(draw):
     """A parameter set and a speed of light."""
-    params = GeneralizedParams.from_physical(
+    params = GeneralizedParams(
         draw(st.floats(0.1, 4.0)), draw(_unit), draw(arrays(float, 3, elements=_unit))
     )
     return params, draw(st.sampled_from([0.5, 3.0, 137.0]))
@@ -371,7 +371,7 @@ class TestBatchedEnergies:
 
     @pytest.mark.parametrize("k", [0.3, np.float64(-0.2), [0.1, -0.2, 0.3], np.zeros(3)])
     def test_one_momentum_gives_float(self, k):
-        params = GeneralizedParams.from_physical(1.3, 0.2, (0.1, 0.0, -0.2))
+        params = GeneralizedParams(1.3, 0.2, (0.1, 0.0, -0.2))
         for name, energy in _energies(params, 2.0).items():
             assert type(energy(k)) is float, name
         err = nonrel_error(k, params, c_light=2.0)
@@ -381,12 +381,12 @@ class TestBatchedEnergies:
         # criterion 08 compares pauli_energy with float(k @ k) / (2 m0)
         # bit for bit; 2 m0 = 1 here, so the energy is |k|^2 itself
         ks = np.random.default_rng(66).uniform(-3.0, 3.0, (300, 3))
-        half = GeneralizedParams.from_physical(0.5)
+        half = GeneralizedParams(0.5)
         assert [pauli_energy(k, half) for k in ks] == [float(k @ k) for k in ks]
         np.testing.assert_array_equal(pauli_energy(ks, half), [k @ k for k in ks])
 
     def test_scalar_momentum_is_along_z(self):
-        params = GeneralizedParams.from_physical(1.3, 0.2, (0.1, 0.0, -0.2))
+        params = GeneralizedParams(1.3, 0.2, (0.1, 0.0, -0.2))
         for name, energy in _energies(params, 2.0).items():
             assert energy(0.4) == energy([0.0, 0.0, 0.4]), name
 
@@ -422,7 +422,7 @@ def test_stacked_params_rows_equal_one_parameter_set():
     pauli_stack = _pauli_energy(k, stack)
     energy, phi, chi = _levy_leblond_spinors(k, stack)
     for i in range(9):
-        one = GeneralizedParams.from_physical(m0[i], eps[i], c[i])
+        one = GeneralizedParams(m0[i], eps[i], c[i])
         sol = levy_leblond_solve(k[i], one)
         assert pauli_stack[i] == energy[i] == sol.energy
         assert phi[i].tobytes() == sol.phi.tobytes() and chi[i].tobytes() == sol.chi.tobytes()
@@ -433,7 +433,7 @@ def test_params_reject_stacked_scalars():
     # One GeneralizedParams holds one set of parameters, and c_light is one
     # number; stacks are private.
     with pytest.raises(ValueError, match="^m0 must be one real number, not an array of scalars"):
-        GeneralizedParams.from_physical(np.array([1.0, 2.0]))
+        GeneralizedParams(np.array([1.0, 2.0]))
     for name, call in C_LIGHT_CALLS.items():
         with pytest.raises(ValueError, match="^c_light must be one real number, not an array"):
             call(FREE, np.array([1.0, 2.0]))
@@ -441,7 +441,7 @@ def test_params_reject_stacked_scalars():
 
 # Every public function that takes a momentum k, and whether it takes a
 # (..., 3) stack of momenta.
-GEN = GeneralizedParams.from_physical(1.0, 0.5, (0.0, 0.0, 0.25))
+GEN = GeneralizedParams(1.0, 0.5, (0.0, 0.0, 0.25))
 MOMENTUM_CALLS = {
     "hamiltonian_matrix": (lambda k: hamiltonian_matrix(k, GEN), False),
     "dispersion": (lambda k: dispersion(k, GEN), True),
@@ -488,7 +488,7 @@ def test_positive_branch_packet_against_pauli_schroedinger_evolution(m0, eps, p,
     # approaches 1 as O(K^2): Taylor's bounds on 1/sqrt(1 + u) give
     # |ratio - 1| <= 3 <|K|^5> / (4 m0^2 |<K^3>|), and the Dirac packet lags.
     n, length, x0, width = 4096, 800.0, 300.0, 20.0
-    params = GeneralizedParams.from_physical(m0, eps, (0.0, 0.0, p))
+    params = GeneralizedParams(m0, eps, (0.0, 0.0, p))
     start = init_gaussian(n, length, x0, k0, width, params=params)
     spectrum = evolution._Spectrum(start, params)
     dirac = trajectory(WavePacket(n, length, spectrum.spinors(spectrum.plus)), params, 10.0, 40)
@@ -527,7 +527,7 @@ def test_levy_leblond_spinor_against_positive_branch_plane_wave():
     # w - m0 <= K^2 / 2m0, at least 1 - K^2 / 2m0^2.
     rng = np.random.default_rng(67)
     for _ in range(200):
-        params = GeneralizedParams.from_physical(
+        params = GeneralizedParams(
             float(rng.uniform(0.3, 3.0)), float(rng.uniform(-1.0, 1.0)), rng.uniform(-1.0, 1.0, 3)
         )
         k = rng.uniform(-1.0, 1.0, 3)

@@ -25,12 +25,12 @@ from diraclab.operators import (
     plane_wave_solve,
 )
 
-STD = GeneralizedParams.standard(1.0)
-GEN = GeneralizedParams.from_physical(1.0, 0.5, (0.0, 0.0, 0.25))
+STD = GeneralizedParams(1.0)
+GEN = GeneralizedParams(1.0, 0.5, (0.0, 0.0, 0.25))
 
 
 def random_params(rng):
-    return GeneralizedParams.from_physical(
+    return GeneralizedParams(
         m0=float(rng.uniform(0.1, 5.0)),
         eps_tilde=float(rng.uniform(-1.0, 1.0)),
         p_tilde=rng.uniform(-1.0, 1.0, 3),
@@ -214,7 +214,7 @@ class TestSecondOrder:
         rng = np.random.default_rng(50)
         for _ in range(20):
             m0 = float(rng.uniform(0.2, 3.0))
-            params = GeneralizedParams.standard(m0)
+            params = GeneralizedParams(m0)
             k = rng.uniform(-2, 2, 3)
             e = np.sqrt(m0 ** 2 + k @ k)
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -238,7 +238,7 @@ class TestSecondOrder:
     def test_momentum_shift_cross_term(self):
         # with only a momentum shift the matrix is scalar:
         # (|k + p|^2 + m0^2) I, the cross term appearing exactly
-        params = GeneralizedParams.from_physical(1.2, 0.0, (0.3, -0.4, 0.5))
+        params = GeneralizedParams(1.2, 0.0, (0.3, -0.4, 0.5))
         rng = np.random.default_rng(52)
         for _ in range(20):
             k = rng.uniform(-2, 2, 3)
@@ -266,7 +266,7 @@ class TestGaugeMap:
         for _ in range(100):
             params = random_params(rng)
             k = rng.uniform(-2, 2, 3)
-            std = GeneralizedParams.standard(params.m0)
+            std = GeneralizedParams(params.m0)
             for sol in plane_wave_solve(k, params):
                 mapped = gauge_map_to_standard(sol, params)
                 h = hamiltonian_matrix(mapped.k, std)
@@ -315,7 +315,7 @@ def momenta(shape=3):
 def generalized_params(draw):
     """m0 in [0, 5] with the massless case drawn explicitly, eps and a general p."""
     m0 = draw(st.one_of(st.just(0.0), reals(0.0, 5.0)))
-    return GeneralizedParams.from_physical(
+    return GeneralizedParams(
         m0, draw(reals(-1.0, 1.0)), draw(arrays(float, 3, elements=reals(-1.0, 1.0)))
     )
 
@@ -357,7 +357,7 @@ class TestSpectralCoreProperties:
     @settings(max_examples=100, deadline=None)
     @given(params=generalized_params(), k=momenta(), offset=reals(0.01, 3.0))
     def test_from_standard_rejects_non_eigenstate(self, params, k, offset):
-        std = GeneralizedParams.standard(params.m0)
+        std = GeneralizedParams(params.m0)
         for sol in plane_wave_solve(k, std):
             gauge_map_from_standard(sol, params)  # a standard eigenstate maps
             bad = type(sol)(
@@ -372,7 +372,7 @@ class TestSpectralCoreProperties:
             st.tuples(generalized_params(), momenta(), st.booleans()), min_size=1, max_size=8
         )
     )
-    @example(rows=[(GeneralizedParams.from_physical(0.0, 0.3, (0.1, -0.2, 0.4)), np.zeros(3), True)])
+    @example(rows=[(GeneralizedParams(0.0, 0.3, (0.1, -0.2, 0.4)), np.zeros(3), True)])
     def test_stacked_plane_waves_rows_equal_one_momentum(self, rows):
         """Per-row parameters and momenta, with k = -p_tilde where the flag
         is set: at m0 = 0 that row takes the massless zero-momentum branch."""

@@ -21,6 +21,9 @@ from diraclab.verify import format_report, report_header, run_verification
 # 1.018307e-15 from an SVD, whose bits followed the BLAS thread count.
 # zeta_condition reads zeta = -i(c - L^dagger c); it read 9.930137e-16 at seed 1
 # and 1.332268e-15 at seed 42 from the per-kind trig formulas.
+# dirac_square_kg reads M = (|k + p_tilde|^2 + m0^2 + eps_tilde^2) I
+# - 2 eps_tilde H0; it read 1.421085e-14 at seed 1 from the term-by-term
+# expansion of (H0 - eps_tilde)^2.
 GOLDEN = {
     1: """\
 # diraclab verify trials=500 seed=1
@@ -38,7 +41,7 @@ CHECK phi0_bc_commutant max_residual=0.000000e+00 PASS
 CHECK phi0_bc_negative max_residual=2.000000e+00 PASS
 CHECK hamiltonian_hermiticity max_residual=0.000000e+00 PASS
 CHECK dispersion_vs_eigensolver max_residual=6.217249e-15 PASS
-CHECK dirac_square_kg max_residual=1.421085e-14 PASS
+CHECK dirac_square_kg max_residual=7.105427e-15 PASS
 CHECK gauge_map_roundtrip max_residual=1.776370e-15 PASS
 CHECK levy_leblond_vs_pauli max_residual=6.686715e-16 PASS
 """,
@@ -273,13 +276,13 @@ def test_draw_bounds_lie_in_the_public_parameter_domain(monkeypatch, top):
     assert len(generalized) == 6
     for (m0, eps, p), _ in generalized:
         for i in range(len(m0)):
-            one = GeneralizedParams.from_physical(m0[i], eps[i], p[i])
+            one = GeneralizedParams(m0[i], eps[i], p[i])
             assert (one.m0, one.eps_tilde, *one.p_tilde) == (m0[i], eps[i], *p[i])
     # The last stack is the Levy-Leblond check's: the limit forms, which
     # need m0 > 0, take its rows too.
     (m0, eps, p), _ = generalized[-1]
     for i in range(len(m0)):
-        nonrel.levy_leblond_solve(0.5, GeneralizedParams.from_physical(m0[i], eps[i], p[i]))
+        nonrel.levy_leblond_solve(0.5, GeneralizedParams(m0[i], eps[i], p[i]))
 
 
 def test_blocks_draw_and_check_like_one_stack(monkeypatch):
