@@ -40,16 +40,13 @@ from .operators import (
     PlaneWaveSolution,
     dirac_square_equals_kg,
     dispersion,
-    gauge_map_from_standard,
-    gauge_map_to_standard,
+    gauge_map,
     hamiltonian_matrix,
     kg_rhs_matrix,
     plane_wave_solve,
 )
 from .nonrel import (
     LevyLeblondSolution,
-    NonRelError,
-    dirac_energy,
     kinetic_minus_rest,
     levy_leblond_solve,
     nonrel_abs_error,

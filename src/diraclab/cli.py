@@ -18,14 +18,8 @@ import numpy as np
 from .clifford import _count, _real, basis_decompose, basis_labels
 from .evolution import init_gaussian, trajectory, write_trajectory_csv
 from .invariance import GeneralizedParams
-from .nonrel import (
-    _limit_domain,
-    dirac_energy,
-    kinetic_minus_rest,
-    nonrel_abs_error,
-    nonrel_error,
-    pauli_energy,
-)
+from .nonrel import _limit_domain, kinetic_minus_rest, nonrel_abs_error, nonrel_error, pauli_energy
+from .operators import dispersion
 from .verify import format_report, report_header, run_verification
 
 __all__ = ["main", "build_parser", "parse_matrix_file", "write_matrix_file"]
@@ -192,12 +186,13 @@ def _cmd_dispersion(args) -> int:
             "the span from --k-min to --k-max is not finite: "
             "the inputs overflow double precision"
         )
-    _limit_domain(args.m0, args.c_light)  # before GeneralizedParams, whose m0 rule is m0 >= 0
+    # the Pauli columns' m0 > 0, before GeneralizedParams, whose m0 rule is m0 >= 0
+    _limit_domain(args.m0, args.c_light)
     params = GeneralizedParams(args.m0, args.eps_tilde, (0.0, 0.0, args.p_tilde))
     ks = np.linspace(k_min, k_max, args.steps)
     k3 = ks[:, None] * (0.0, 0.0, 1.0)  # the sweep runs along z
     pauli = pauli_energy(k3, params)
-    plus, minus = (dirac_energy(k3, params, b, c_light=args.c_light) for b in (+1, -1))
+    plus, minus = (dispersion(k3, params, b, c_light=args.c_light) for b in (+1, -1))
     columns = (ks, plus, minus, pauli, pauli)
     _write_csv(args.output, "k,eps_plus,eps_minus,eps_pauli,eps_ll", columns)
     return 0
@@ -229,13 +224,12 @@ def _cmd_limit(args) -> int:
     params = GeneralizedParams(args.m0)
     ks = np.geomspace(args.k_max * 1e-3, args.k_max, args.points)
     k3 = ks[:, None] * (0.0, 0.0, 1.0)
-    err = nonrel_error(k3, params, c_light=args.c_light)
     columns = (
         ks,
         kinetic_minus_rest(k3, params, c_light=args.c_light),
         pauli_energy(k3, params),
         nonrel_abs_error(k3, params, c_light=args.c_light),
-        np.where(err.relative, err.value, np.nan),
+        nonrel_error(k3, params, c_light=args.c_light),
     )
     _write_csv(args.output, "k,dirac_kinetic,pauli_kinetic,abs_error,rel_error", columns)
     return 0

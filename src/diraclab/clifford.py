@@ -101,7 +101,10 @@ def _finite(x, what: str = "energy"):
 def _equal_fields(self, other):
     """Value equality for a dataclass with array fields: the same class and
     np.array_equal on each field.  The generated __eq__ compares the fields
-    as one tuple, and an array cannot answer that comparison."""
+    as one tuple, and an array cannot answer that comparison.  A class
+    using it passes eq=False and sets __hash__ = None: it is not hashable,
+    and with eq=True a frozen dataclass would replace that None by a hash
+    of the field tuple, which fails on the arrays."""
     if other.__class__ is not self.__class__:
         return NotImplemented
     return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
@@ -236,7 +239,7 @@ def basis_labels() -> tuple[str, ...]:
     return _BASIS_LABELS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisCoefficients:
     """Coefficients of a 4x4 matrix over the sixteen-element basis.
 
@@ -252,6 +255,7 @@ class BasisCoefficients:
     e5: complex
 
     __eq__ = _equal_fields
+    __hash__ = None
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate(

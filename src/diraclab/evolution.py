@@ -75,7 +75,7 @@ def _check_grid(n: int, length: float) -> float:
     return length
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WavePacket:
     """Periodic 1-D grid of 4-component spinor samples."""
 
@@ -85,6 +85,7 @@ class WavePacket:
     time: float = 0.0
 
     __eq__ = _equal_fields
+    __hash__ = None
 
     def __post_init__(self):
         object.__setattr__(self, "length", _check_grid(self.n, self.length))
@@ -126,9 +127,9 @@ class _Moments:
     product with k or x, summed over the rows and the pair.  `scratch`,
     m x n complex numbers, holds the squares of one row or the centred
     positions.  trajectory reduces mean_k for its first row (`of`) and its
-    last (`sample`) only, and its blocks with `position`: each mode evolves
-    under its own unitary exp(-iHt), so its weight sum_r |psi_r(k, t)|^2,
-    and with it mean_k, never changes."""
+    last (`momentum`) only, as each mode evolves under its own unitary
+    exp(-iHt), so its weight sum_r |psi_r(k, t)|^2, and with it mean_k,
+    never changes; `position` gives the other moments of every later row."""
 
     def __init__(self, packet: WavePacket):
         self.x, self.k, self.dx = packet.x, packet.k, packet.dx
@@ -159,14 +160,6 @@ class _Moments:
         out[:, 0] = total * self.dx
         out[:, 1] = mean_x
         out[:, 2] = np.sqrt(np.maximum(var, 0.0))
-
-    def sample(self, values_k, scratch, out) -> None:
-        """norm, mean_x, spread, mean_k of each state into out from its
-        spectral coefficients (over n), which are inverse-transformed in
-        place into its samples and then squared."""
-        self.momentum(values_k, scratch, out)
-        np.fft.ifft(values_k, norm="forward", out=values_k)
-        self.position(values_k, scratch, out)
 
     def of(self, values) -> np.ndarray:
         """norm, mean_x, spread, mean_k of one state from its (r, n)
@@ -325,7 +318,7 @@ def evolve(
     return WavePacket(packet.n, packet.length, values, packet.time + dt * steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryResult:
     times: np.ndarray
     norms: np.ndarray
@@ -335,6 +328,7 @@ class TrajectoryResult:
     packet: WavePacket
 
     __eq__ = _equal_fields
+    __hash__ = None
 
 
 # trajectory's sampler (_sample): spinor rows per block.
@@ -477,9 +471,10 @@ def trajectory(
     reduced again: each mode's evolution is unitary, so the momentum
     distribution never changes.  The last row and the returned packet come
     from _Spectrum.at and .spinors, as evolve's packet does, so that packet
-    equals evolve(packet, params, dt, steps) bit for bit; the last row's
-    mean_k is still reduced from that state, so its difference from row 0's
-    is a computed drift.
+    equals evolve(packet, params, dt, steps) bit for bit; the last row is
+    reduced from that packet's samples, with no inverse FFT of its own,
+    and its mean_k from the same state, so its difference from row 0's is
+    a computed drift.
     Beyond the returned arrays, memory does not grow with the row count.
     With two usable CPUs, a helper thread takes each block's inverse FFT
     while this thread reduces and forms the others (_sample); it is joined
@@ -512,7 +507,9 @@ def trajectory(
         values_k = spectrum.at(dt * steps)
         spinors = spectrum.spinors(values_k)
         scratch = np.empty((1, packet.n), dtype=np.complex128)
-        moments.sample(values_k[None], scratch, table[-1:])
+        moments.momentum(values_k[None], scratch, table[-1:])
+        # the occupied rows' samples, a copy that position squares
+        moments.position(spinors.T[spectrum.rows][None], scratch, table[-1:])
     _finite(table, "an observable")
     final = WavePacket(packet.n, packet.length, spinors, float(times[-1]))
     return TrajectoryResult(times, *table.T, packet=final)

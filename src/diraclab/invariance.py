@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseFunction:
     """Gradient zeta of the affine phase multiplying the wavefunction.
 
@@ -80,6 +80,7 @@ class PhaseFunction:
     zeta: np.ndarray
 
     __eq__ = _equal_fields
+    __hash__ = None
 
     def __post_init__(self):
         z = np.array(self.zeta, dtype=np.complex128)
@@ -93,7 +94,7 @@ class PhaseFunction:
         return cls(np.zeros(4, dtype=np.complex128))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralizedParams:
     """Free parameters of the generalized first-order equation: the rest
     mass m0 >= 0, the energy shift eps_tilde and the momentum shift p_tilde
@@ -107,6 +108,7 @@ class GeneralizedParams:
     p_tilde: np.ndarray = (0.0, 0.0, 0.0)
 
     __eq__ = _equal_fields
+    __hash__ = None
 
     def __post_init__(self):
         # + 0.0 stores a signed zero as +0.0: -0.0 and 0.0 give the same bits

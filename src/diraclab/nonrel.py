@@ -10,8 +10,9 @@ as the shift eps_tilde -> eps_tilde - q*A0, so it is modelled by eps_tilde.
 nonrel_error quantifies how fast the relativistic branch approaches the
 limit; the absolute gap is evaluated in a conjugate form that avoids
 catastrophic cancellation at small momenta, where the true gap scales as
-|k + p_tilde|^4 / (8 m0^3 c^2).  The four functions where the speed of
-light enters take it as the keyword c_light > 0, default 1 (natural units).
+|k + p_tilde|^4 / (8 m0^3 c^2).  The three functions here where the speed
+of light enters take it as the keyword c_light > 0, default 1 (natural
+units), as the relativistic branch energy operators.dispersion does.
 
 The energy functions take the momentum k as a scalar (momentum along z)
 or a 3-vector, and return a float; or as a (..., 3) stack of momenta, and
@@ -22,22 +23,21 @@ whose energy overflows is reported as an overflow.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .clifford import _as_k3, _finite, _real
 from .invariance import GeneralizedParams
-from .operators import _branch, _k2, _sigma_dot, _value, _w
+from .operators import _c_light, _k2, _sigma_dot, _value, _w
 
 __all__ = [
     "pauli_energy",
     "LevyLeblondSolution",
     "levy_leblond_solve",
-    "dirac_energy",
     "kinetic_minus_rest",
     "nonrel_abs_error",
-    "NonRelError",
     "nonrel_error",
 ]
 
@@ -45,13 +45,13 @@ __all__ = [
 def _limit_domain(m0, c_light=1.0) -> float:
     """c_light as a float, once m0 and c_light are real numbers, both
     positive: the limit forms' own rules, checked by every function here.
-    The messages show the values passed."""
-    mass, c = _real("m0", m0), _real("c_light", c_light)
+    Both are checked as real numbers before either as positive.  The
+    messages show the values passed."""
+    mass = _real("m0", m0)
+    _real("c_light", c_light)
     if mass <= 0.0:
         raise ValueError(f"m0 must be positive, got {m0!r}")
-    if c <= 0.0:
-        raise ValueError(f"c_light must be positive, got {c_light!r}")
-    return c
+    return _c_light(c_light)
 
 
 def pauli_energy(k, params: GeneralizedParams) -> float | np.ndarray:
@@ -119,14 +119,6 @@ def _relativistic(k, params, c_light):
     return c * c, k2, _w(k2, params.m0, c)
 
 
-def dirac_energy(k, params: GeneralizedParams, branch: int = +1, *,
-                 c_light: float = 1.0) -> float | np.ndarray:
-    """Relativistic branch energy in physical units:
-    +/- sqrt(m0^2 c^4 + c^2 |k + p_tilde|^2) - eps_tilde."""
-    _, _, w = _relativistic(k, params, c_light)
-    return _value(_branch(branch) * w - params.eps_tilde)
-
-
 def kinetic_minus_rest(k, params: GeneralizedParams, *, c_light: float = 1.0) -> float | np.ndarray:
     """sqrt(m0^2 c^4 + c^2 K^2) - m0 c^2 in the cancellation-free form
     c^2 K^2 / (sqrt(...) + m0 c^2)."""
@@ -149,26 +141,22 @@ def nonrel_abs_error(k, params: GeneralizedParams, *, c_light: float = 1.0) -> f
     return _value(err)
 
 
-class NonRelError(NamedTuple):
-    """Limit-error value; relative when the limit energy is nonzero."""
-
-    value: float
-    relative: bool
-
-
-def nonrel_error(k, params: GeneralizedParams, *, c_light: float = 1.0) -> NonRelError:
-    """Relative gap between the relativistic branch (rest energy removed)
-    and the limit energy; falls back to the absolute gap, flagged, when
-    the limit energy vanishes.  On a stack of momenta both fields are
-    arrays, and every momentum must stay below m0 * c_light.  A momentum
-    whose |k + p_tilde|^2 overflows is reported as an overflow, not as one
-    at or above m0 * c_light."""
+def nonrel_error(k, params: GeneralizedParams, *, c_light: float = 1.0) -> float | np.ndarray:
+    """Relative gap nonrel_abs_error / |pauli_energy| between the
+    relativistic branch (rest energy removed) and the limit energy; NaN
+    where the limit energy is below 1e-300 in magnitude.  A float for one
+    momentum, an array for a stack, and every momentum must stay below
+    m0 * c_light.  A momentum whose |k + p_tilde|^2 overflows is reported
+    as an overflow, not as one at or above m0 * c_light."""
     c_light = _limit_domain(params.m0, c_light)
     k2 = _finite(_k2(k, params.p_tilde), "|k + shift|^2")
     if np.any(np.sqrt(k2) >= params.m0 * c_light):
         raise ValueError("kinetic momentum must stay below m0 * c_light")
     abs_err = nonrel_abs_error(k, params, c_light=c_light)
     denom = np.abs(_pauli_energy(k, params))
-    relative = ~(denom < 1e-300)
-    value = _value(abs_err / np.where(relative, denom, 1.0))
-    return NonRelError(value, bool(relative) if np.ndim(relative) == 0 else relative)
+    vanishes = denom < 1e-300
+    rel = _value(abs_err / np.where(vanishes, 1.0, denom))
+    if np.ndim(rel) == 0:
+        return math.nan if vanishes else rel
+    rel[vanishes] = np.nan
+    return rel

@@ -10,11 +10,12 @@ anti-Hermitian) and beta = gamma(0):
 Its eigenvalues are +/- sqrt(m0^2 + |k + p_tilde|^2) - eps_tilde, each
 doubly degenerate.  Applying the operator twice gives the second-order
 form whose momentum-space matrix kg_rhs_matrix reproduces H(k)^2 as an
-operator identity.  Solutions of the generalized equation map onto
-standard ones by the kinematic shift (k, e) -> (k + p_tilde, e + eps_tilde)
-with the spinor unchanged.  One momentum and a stack take the same numpy
-arithmetic (a square is x * x), so stacked rows equal one-momentum calls bit
-for bit; an overflow gives inf or NaN quietly and _finite raises ValueError.
+operator identity.  gauge_map takes a solution for one parameter set to
+the solution for another of the same m0 by the kinematic shift
+(k, e) -> (k + p_s - p_t, e + eps_s - eps_t) with the spinor unchanged.
+One momentum and a stack take the same numpy arithmetic (a square is
+x * x), so stacked rows equal one-momentum calls bit for bit; an overflow
+gives inf or NaN quietly and _finite raises ValueError.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ __all__ = [
     "plane_wave_solve",
     "kg_rhs_matrix",
     "dirac_square_equals_kg",
-    "gauge_map_to_standard",
-    "gauge_map_from_standard",
+    "gauge_map",
 ]
 
 BETA = GAMMA[0]
@@ -121,15 +121,27 @@ def hamiltonian_matrix(k, params: GeneralizedParams) -> np.ndarray:
     return _finite_call(_hamiltonian, _as_k3("k", k), params)
 
 
-def dispersion(k, params: GeneralizedParams, branch: int = +1) -> float | np.ndarray:
-    """Plane-wave energy on the given branch: +/- sqrt(m0^2+|k+p|^2) - eps;
-    a float for one momentum k, an array for a (..., 3) stack of momenta."""
-    branch = _branch(branch)
-    w = _w(_k2(k, params.p_tilde), params.m0)
+def _c_light(c_light) -> float:
+    """c_light as a float, once it is a positive real number; the message
+    shows the value passed."""
+    c = _real("c_light", c_light)
+    if c <= 0.0:
+        raise ValueError(f"c_light must be positive, got {c_light!r}")
+    return c
+
+
+def dispersion(k, params: GeneralizedParams, branch: int = +1, *,
+               c_light: float = 1.0) -> float | np.ndarray:
+    """Plane-wave energy on the given branch,
+    +/- sqrt(m0^2 c^4 + c^2 |k + p_tilde|^2) - eps_tilde, with the speed of
+    light c = c_light > 0 (1 in natural units); a float for one momentum
+    k, an array for a (..., 3) stack of momenta."""
+    branch, c = _branch(branch), _c_light(c_light)
+    w = _w(_k2(k, params.p_tilde), params.m0, c)
     return _value(branch * w - params.eps_tilde)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlaneWaveSolution:
     """One normalized momentum eigenstate of the Hamiltonian: a finite
     momentum (a scalar lies along z), energy and 4-spinor, and the branch
@@ -141,6 +153,7 @@ class PlaneWaveSolution:
     spinor: np.ndarray
 
     __eq__ = _equal_fields
+    __hash__ = None
 
     def __post_init__(self):
         k = _as_k3("k", self.k).copy()
@@ -241,17 +254,18 @@ def _dirac_square_residuals(k: np.ndarray, params) -> np.ndarray:
 _EIGEN_TOL = 1e-8
 
 
-def _shift(k, energy, spinor, params, source, sign: int):
-    """Plane waves moved by sign * (p_tilde, eps_tilde), spinors unchanged,
-    after checking that each is an eigenstate of the Hamiltonian of
-    `source` to within _EIGEN_TOL.  Rows: k (..., 3), energy (...),
-    spinor (..., 4).  Returns the moved k and energy and each row's
-    eigenstate defect."""
+def _shift(k, energy, spinor, source, target):
+    """Plane waves of `source` moved to `target`: k + (p_s - p_t) and
+    energy + (eps_s - eps_t), spinors unchanged, after checking that each
+    is an eigenstate of the Hamiltonian of `source` to within _EIGEN_TOL.
+    Rows: k (..., 3), energy (...), spinor (..., 4).  Returns the moved k
+    and energy and each row's eigenstate defect."""
     with np.errstate(over="ignore", invalid="ignore"):
         h = _finite(_hamiltonian(k, source))
         eigen = (h @ spinor[..., None])[..., 0] - energy[..., None] * spinor
         defect = np.max(np.abs(eigen), axis=-1)
-        k, energy = _finite(k + sign * params.p_tilde), _finite(energy + sign * params.eps_tilde)
+        k = _finite(k + (source.p_tilde - target.p_tilde))
+        energy = _finite(energy + (source.eps_tilde - target.eps_tilde))
     if not np.all(defect <= _EIGEN_TOL):
         raise ValueError(
             f"input is not an eigenstate of its Hamiltonian (residual {np.max(defect):.3e})"
@@ -259,34 +273,17 @@ def _shift(k, energy, spinor, params, source, sign: int):
     return k, energy, defect
 
 
-def _shifted(
-    solution: PlaneWaveSolution, params: GeneralizedParams, sign: int
+def gauge_map(
+    solution: PlaneWaveSolution, source: GeneralizedParams, target: GeneralizedParams
 ) -> PlaneWaveSolution:
-    """_shift for one solution of the generalized Hamiltonian (sign = +1)
-    or of the standard one (sign = -1)."""
-    source = params if sign > 0 else GeneralizedParams(params.m0)
-    k, energy, _ = _shift(
-        solution.k, np.asarray(solution.energy), solution.spinor, params, source, sign
-    )
-    return PlaneWaveSolution(k, float(energy), solution.branch, solution.spinor)
-
-
-def gauge_map_to_standard(
-    solution: PlaneWaveSolution, params: GeneralizedParams
-) -> PlaneWaveSolution:
-    """Shift a generalized solution to the standard-equation solution.
-
-    The mapped state has momentum k + p_tilde, energy e + eps_tilde and
-    the identical spinor; it satisfies the mass-only Hamiltonian exactly.
-    Raises if the input does not solve its own eigenproblem.
+    """Take a solution for `source` to the solution for `target`, a
+    parameter set of the same m0: momentum k + (p_s - p_t), energy
+    e + (eps_s - eps_t), the identical spinor and branch.  With target
+    GeneralizedParams(m0) it is the standard equation's solution, which
+    solves the mass-only Hamiltonian exactly.  Raises if the masses differ
+    or if the input does not solve the eigenproblem of `source`.
     """
-    return _shifted(solution, params, +1)
-
-
-def gauge_map_from_standard(
-    solution: PlaneWaveSolution, params: GeneralizedParams
-) -> PlaneWaveSolution:
-    """Inverse shift: take a standard-equation solution back to the
-    generalized one at momentum k - p_tilde and energy e - eps_tilde.
-    Raises if the input does not solve the standard eigenproblem."""
-    return _shifted(solution, params, -1)
+    if source.m0 != target.m0:
+        raise ValueError(f"m0 of source and target must be equal, got {source.m0} and {target.m0}")
+    k, energy, _ = _shift(solution.k, np.asarray(solution.energy), solution.spinor, source, target)
+    return PlaneWaveSolution(k, float(energy), solution.branch, solution.spinor)

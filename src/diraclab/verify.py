@@ -180,17 +180,16 @@ def _gauge_map(rng, n):
     params, k = _params(u[:, :5]), np.ascontiguousarray(u[:, 5:])
     energy, spinor = _plane_waves(k, params)
     # One row per solution: four per trial, each with its trial's k and
-    # parameters.  To the standard equation and back, as
-    # gauge_map_to_standard and gauge_map_from_standard do; the second
-    # eigenstate check measures the mapped spinor against the standard
-    # Hamiltonian.
+    # parameters.  To the standard equation and back, as gauge_map does;
+    # the second eigenstate check measures the mapped spinor against the
+    # standard Hamiltonian.
     rows = _ParamStack(*(np.repeat(x, 4, axis=0) for x in params))
     standard = rows._replace(
         eps_tilde=np.zeros_like(rows.eps_tilde), p_tilde=np.zeros_like(rows.p_tilde)
     )
     k, energy, spinor = np.repeat(k, 4, axis=0), energy.ravel(), spinor.reshape(-1, 4)
-    k_std, e_std, _ = _shift(k, energy, spinor, rows, rows, +1)
-    k_back, e_back, std_defect = _shift(k_std, e_std, spinor, rows, standard, -1)
+    k_std, e_std, _ = _shift(k, energy, spinor, rows, standard)
+    k_back, e_back, std_defect = _shift(k_std, e_std, spinor, standard, rows)
     r = np.stack([std_defect, np.abs(e_back - energy), np.max(np.abs(k_back - k), axis=-1)])
     return _per_trial(r.T.reshape(n, -1))
 

@@ -23,8 +23,7 @@ from diraclab.nonrel import levy_leblond_solve, nonrel_abs_error, pauli_energy
 from diraclab.operators import (
     dispersion,
     dirac_square_equals_kg,
-    gauge_map_from_standard,
-    gauge_map_to_standard,
+    gauge_map,
     hamiltonian_matrix,
     plane_wave_solve,
 )
@@ -160,12 +159,12 @@ def test_criterion_07_gauge_map_equivalence():
         k = rng.uniform(-2.0, 2.0, 3)
         std = GeneralizedParams(params.m0)
         for sol in plane_wave_solve(k, params):
-            mapped = gauge_map_to_standard(sol, params)
+            mapped = gauge_map(sol, params, std)
             h = hamiltonian_matrix(mapped.k, std)
             worst_eigen = max(
                 worst_eigen, max_abs(h @ mapped.spinor - mapped.energy * mapped.spinor)
             )
-            back = gauge_map_from_standard(mapped, params)
+            back = gauge_map(mapped, std, params)
             worst_round = max(
                 worst_round,
                 float(np.max(np.abs(back.k - sol.k))),

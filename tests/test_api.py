@@ -30,12 +30,10 @@ PUBLIC = {
     "bc_condition_residual", "verify_phi0_uniqueness", "CheckResult",
     # operators
     "ALPHA", "BETA", "hamiltonian_matrix", "dispersion", "plane_wave_solve",
-    "PlaneWaveSolution", "kg_rhs_matrix", "dirac_square_equals_kg",
-    "gauge_map_to_standard", "gauge_map_from_standard",
+    "PlaneWaveSolution", "kg_rhs_matrix", "dirac_square_equals_kg", "gauge_map",
     # limits
     "pauli_energy", "LevyLeblondSolution", "levy_leblond_solve",
-    "dirac_energy", "kinetic_minus_rest", "nonrel_abs_error", "NonRelError",
-    "nonrel_error",
+    "kinetic_minus_rest", "nonrel_abs_error", "nonrel_error",
     # evolution
     "WavePacket", "Observables", "TrajectoryResult", "init_gaussian",
     "observables", "evolve", "trajectory",
@@ -53,6 +51,7 @@ def test_public_surface():
     assert exported == PUBLIC, (
         f"added: {sorted(exported - PUBLIC)}, missing: {sorted(PUBLIC - exported)}"
     )
+    assert len(PUBLIC) == 48
     assert dl.__version__
 
 
@@ -108,7 +107,8 @@ def test_stored_arrays_are_read_only_copies(build, field, array):
 # Value equality (clifford._equal_fields): two separately built values with
 # equal fields compare equal, and a change in an array field or a scalar
 # field makes them differ.  The generated dataclass __eq__ raised ValueError
-# on the array fields.
+# on the array fields.  Such a value is not hashable: hashing it raises
+# TypeError naming its class, not the ndarray of one of its fields.
 EQUAL_VALUES = {
     "GeneralizedParams": lambda shift: dl.GeneralizedParams(1.0, 0.2, shift),
     "WavePacket": lambda shift: dl.init_gaussian(128, 100.0, 50.0 + shift, 0.5, 8.0, params=_STD),
@@ -129,6 +129,8 @@ def test_values_compare_by_their_fields(name):
     assert a != other and not (a == other)
     assert a != object() and a != 1.0
     assert type(a).__eq__ is type(same).__eq__ is _equal_fields
+    with pytest.raises(TypeError, match=f"^unhashable type: '{name}'$"):
+        hash(a)
 
 
 # Every scalar entry point checks its input with one of two rules in
@@ -166,7 +168,7 @@ ENTRY_POINTS = [
     # the limit functions' parameters, built as their callers build them
     ("m0", lambda v: dl.pauli_energy(0.5, dl.GeneralizedParams(v))),
     ("eps_tilde", lambda v: dl.levy_leblond_solve(0.5, dl.GeneralizedParams(1.0, v))),
-    ("c_light", lambda v: dl.dirac_energy(0.5, _STD, c_light=v)),
+    ("c_light", lambda v: dl.dispersion(0.5, _STD, c_light=v)),
     ("axis", lambda v: dl.PoincareTransform.rotation(v, 0.3)),
     ("axis", lambda v: dl.zeta_for(_C, dl.PoincareTransform("boost", v, 0.3))),
     ("rotation parameter", lambda v: dl.PoincareTransform.rotation(1, v)),
@@ -223,19 +225,33 @@ def test_one_count_rule():
     assert text.count("np.integer") == 1
 
 
+def words_in_package_and_readme(words):
+    """(file, word) for each of `words` that a package module or the README holds."""
+    package = Path(dl.__file__).parent
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    texts["README.md"] = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    return [(name, word) for name, text in texts.items() for word in words if word in text]
+
+
 def test_one_parameter_set_for_the_limits():
     # The limit forms take the generalized equation's GeneralizedParams, so
     # the momentum shift has one name, p_tilde: no second parameter type,
     # stack or name for it in the package or the README.  GeneralizedParams
     # stores its physical fields and is built by its own constructor: no
     # builder classmethod and no Hermiticity tolerance on complex fields.
-    package = Path(dl.__file__).parent
-    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
-    texts["README.md"] = (package.parents[1] / "README.md").read_text(encoding="utf-8")
-    found = [(name, word) for name, text in texts.items()
-             for word in ("NonRelParams", "_NonRelStack", "c_tilde", "from_physical",
-                          "GeneralizedParams.standard", "_IMAG_TOL") if word in text]
-    assert found == []
+    assert words_in_package_and_readme(
+        ("NonRelParams", "_NonRelStack", "c_tilde", "from_physical",
+         "GeneralizedParams.standard", "_IMAG_TOL")) == []
+
+
+def test_one_public_name_per_energy_formula():
+    # The branch energy is dispersion, in natural or physical units by its
+    # c_light keyword; one gauge_map moves a solution between any two
+    # parameter sets of equal m0; nonrel_error is the relative gap, NaN
+    # where the limit energy vanishes.  No second name for any of them in
+    # the package or the README.
+    assert words_in_package_and_readme(
+        ("dirac_energy", "gauge_map_to_standard", "gauge_map_from_standard", "NonRelError")) == []
 
 
 @pytest.mark.parametrize(
@@ -297,9 +313,9 @@ OVERFLOWS = {
     "dirac_square_equals_kg": lambda: dl.dirac_square_equals_kg(0.5, _HEAVY),
     "dispersion": lambda: dl.dispersion(1e200, _STD),
     "plane_wave_solve": lambda: dl.plane_wave_solve(1e308, _FAR),
-    "gauge_map_to_standard": lambda: dl.gauge_map_to_standard(
-        dl.PlaneWaveSolution([0.0, 0.0, 1e308], 1.0, 1, [1.0, 0.0, 0.0, 0.0]), _FAR),
-    "dirac_energy": lambda: dl.dirac_energy(0.5, _HEAVY),
+    "gauge_map": lambda: dl.gauge_map(
+        dl.PlaneWaveSolution([0.0, 0.0, 1e308], 1.0, 1, [1.0, 0.0, 0.0, 0.0]), _FAR, _STD),
+    "dispersion-c_light": lambda: dl.dispersion(0.5, _STD, c_light=1e200),
     "levy_leblond_solve": lambda: dl.levy_leblond_solve(1e200, _STD),
     "init_gaussian-width": lambda: dl.init_gaussian(**{**_GAUSSIAN, "width": 1e200}, params=_STD),
     "init_gaussian-m0": lambda: dl.init_gaussian(**_GAUSSIAN, params=_HEAVY),

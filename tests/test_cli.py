@@ -56,8 +56,7 @@ def reference_limit_csv(m0, k_max, points, c_light=1.0):
     for k in np.geomspace(k_max * 1e-3, k_max, points):
         kin = kinetic_minus_rest(float(k), params, c_light=c_light)
         pauli = pauli_energy(float(k), params)
-        err = nonrel_error(float(k), params, c_light=c_light)
-        rel = err.value if err.relative else float("nan")
+        rel = nonrel_error(float(k), params, c_light=c_light)
         row = (float(k), kin, pauli, nonrel_abs_error(float(k), params, c_light=c_light), rel)
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"

@@ -931,3 +931,27 @@ def test_mean_k_is_reduced_for_the_first_and_last_rows_only(monkeypatch, cpus, s
     result = trajectory(packet, STD, 0.1, steps)
     assert result.times.size == steps + 1
     assert calls == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "steps, blocks",
+    # two rows run blocks of four samples: 1 step has no sample between
+    # the first and the last row, 3 steps one block, 40 steps ten
+    [(1, 0), (3, 1), (40, 10)],
+)
+def test_the_last_row_takes_one_inverse_fft(monkeypatch, steps, blocks):
+    # On one CPU every inverse FFT runs in the calling thread: one per
+    # block of samples, and one for the last row, whose observables come
+    # from the samples of the returned packet.
+    with_cpus(monkeypatch, 1)
+    ifft = np.fft.ifft
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting)
+    packet = init_gaussian(256, 100.0, 50.0, 0.5, width=8.0, params=STD)
+    trajectory(packet, STD, 0.1, steps)
+    assert len(calls) == blocks + 1

@@ -16,7 +16,6 @@ from diraclab.invariance import GeneralizedParams, _ParamStack
 from diraclab.nonrel import (
     _levy_leblond_spinors,
     _pauli_energy,
-    dirac_energy,
     kinetic_minus_rest,
     levy_leblond_solve,
     nonrel_abs_error,
@@ -41,28 +40,34 @@ def random_params(rng):
 
 
 # Every limit function, as (params, c_light) -> value at one momentum; the
-# four where the speed of light enters take it as a keyword.
+# three where the speed of light enters take it as a keyword, and so does
+# the relativistic branch energy, dispersion, which is no limit form.
 LIMIT_CALLS = {
     "pauli_energy": lambda p, c: pauli_energy(0.1, p),
     "levy_leblond_solve": lambda p, c: levy_leblond_solve(0.1, p),
-    "dirac_energy": lambda p, c: dirac_energy(0.1, p, c_light=c),
     "kinetic_minus_rest": lambda p, c: kinetic_minus_rest(0.1, p, c_light=c),
     "nonrel_abs_error": lambda p, c: nonrel_abs_error(0.1, p, c_light=c),
     "nonrel_error": lambda p, c: nonrel_error(0.1, p, c_light=c),
 }
-C_LIGHT_CALLS = {name: LIMIT_CALLS[name] for name in
-                 ("dirac_energy", "kinetic_minus_rest", "nonrel_abs_error", "nonrel_error")}
+C_LIGHT_CALLS = {
+    "dispersion": lambda p, c: dispersion(0.1, p, c_light=c),
+    **{name: LIMIT_CALLS[name] for name in
+       ("kinetic_minus_rest", "nonrel_abs_error", "nonrel_error")},
+}
 
 
 class TestParams:
     def test_validation(self):
         # The limit forms' own rules, on top of GeneralizedParams': m0 > 0
         # (the generalized equation allows m0 = 0) and c_light a positive
-        # real number; the messages show the value passed.
+        # real number; the messages show the value passed.  dispersion
+        # takes c_light by the same rule and keeps m0 >= 0.
         massless = GeneralizedParams(0.0, 0.2, 0.3)
         for name, call in LIMIT_CALLS.items():
             with pytest.raises(ValueError, match=r"^m0 must be positive, got 0\.0$"):
                 call(massless, 1.0)
+        assert C_LIGHT_CALLS["dispersion"](massless, 2.0) == pytest.approx(
+            np.sqrt(4.0 * (0.1 + 0.3) ** 2) - 0.2, rel=1e-15)
         for name, call in C_LIGHT_CALLS.items():
             for c, shown in ((0.0, "0.0"), (-2.0, "-2.0"), (np.float64(0.0), "np.float64(0.0)")):
                 with pytest.raises(ValueError, match=rf"^c_light must be positive, got {re.escape(shown)}$"):
@@ -70,10 +75,12 @@ class TestParams:
             with pytest.raises(ValueError, match="^c_light must be a real number, got 'x'"):
                 call(FREE, "x")
             # the real rule on both values comes first, then m0's range rule
-            with pytest.raises(ValueError, match="^m0 must be positive"):
-                call(massless, 0.0)
             with pytest.raises(ValueError, match="^c_light must be finite"):
                 call(massless, np.nan)
+            if name == "dispersion":
+                continue
+            with pytest.raises(ValueError, match="^m0 must be positive"):
+                call(massless, 0.0)
             assert call(FREE, 2) == call(FREE, 2.0), name
 
     @pytest.mark.parametrize("field", ["m0", "eps_tilde", "p_tilde", "c_light"])
@@ -103,11 +110,11 @@ class TestParams:
         tiny_m0 = GeneralizedParams(1e-10)
         calls = [
             lambda: dispersion(0.0, GeneralizedParams(1e200)),
-            lambda: dirac_energy(0.5, GeneralizedParams(1e200)),
+            lambda: dispersion(0.5, FREE, c_light=1e200),
             lambda: kinetic_minus_rest(0.5, FREE, c_light=1e200),
             lambda: nonrel_abs_error(0.5, FREE, c_light=1e200),
             lambda: nonrel_error(0.5, FREE, c_light=1e200),
-            lambda: dirac_energy(stack, FREE),
+            lambda: dispersion(stack, FREE),
             lambda: pauli_energy(stack, FREE),
             # |k|^2 finite, the division by a tiny 2 m0 or the square not
             lambda: pauli_energy(1e150, tiny_m0),
@@ -212,9 +219,8 @@ class TestLevyLeblond:
 class TestLimitError:
     def test_example_value(self):
         err = nonrel_error([0, 0, 0.1], FREE)
-        assert err.relative
-        assert err.value == pytest.approx(0.0024875775822101594, rel=1e-9)
-        assert err.value == pytest.approx(2.5e-3, rel=0.01)
+        assert err == pytest.approx(0.0024875775822101594, rel=1e-9)
+        assert err == pytest.approx(2.5e-3, rel=0.01)
 
     def test_series_oracle(self):
         # direct subtraction at moderate momentum, where cancellation is
@@ -225,13 +231,11 @@ class TestLimitError:
 
     def test_vanishes_at_rest(self):
         p = GeneralizedParams(1.0, 0.3)
-        err = nonrel_error(np.zeros(3), p)
-        assert err.relative
-        assert err.value == 0.0
+        assert nonrel_error(np.zeros(3), p) == 0.0
 
     def test_quadratic_relative_scaling(self):
-        e1 = nonrel_error([0, 0, 0.01], FREE).value
-        e2 = nonrel_error([0, 0, 0.02], FREE).value
+        e1 = nonrel_error([0, 0, 0.01], FREE)
+        e2 = nonrel_error([0, 0, 0.02], FREE)
         assert e2 / e1 == pytest.approx(4.0, rel=0.01)
 
     def test_small_momentum_regime(self):
@@ -247,9 +251,7 @@ class TestLimitError:
             direction /= np.linalg.norm(direction)
             kinetic = float(rng.uniform(0.01, 0.1)) * m0
             k = kinetic * direction - shift
-            err = nonrel_error(k, p)
-            assert err.relative
-            assert err.value <= 0.01
+            assert nonrel_error(k, p) <= 0.01
 
     def test_quartic_absolute_slope(self):
         ks = np.geomspace(1e-3, 1e-1, 25)
@@ -259,10 +261,19 @@ class TestLimitError:
         # prefactor 1/(8 m0^3 c^2) at the small end
         assert errs[0] == pytest.approx(ks[0] ** 4 / 8.0, rel=1e-4)
 
-    def test_absolute_fallback_flagged(self):
+    def test_vanishing_limit_energy_gives_nan(self):
+        # at rest both gaps are zero, and the relative one is undefined:
+        # NaN, as the limit command's rel_error column writes it
+        assert nonrel_abs_error(np.zeros(3), FREE) == 0.0
         err = nonrel_error(np.zeros(3), FREE)
-        assert not err.relative
-        assert err.value == 0.0
+        assert type(err) is float and np.isnan(err)
+        # the absolute gap over the Pauli energy, wherever that is not below 1e-300
+        ks = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.3], [1e-151, 0.0, 0.0], [0.0, 0.2, 0.0]])
+        rel = nonrel_error(ks, FREE)
+        moving = ks[[1, 3]]
+        expected = nonrel_abs_error(moving, FREE) / pauli_energy(moving, FREE)
+        np.testing.assert_array_equal(rel[[1, 3]], expected)
+        assert np.isnan(rel[[0, 2]]).all()
 
     def test_rejects_relativistic_momentum(self):
         with pytest.raises(ValueError):
@@ -279,21 +290,22 @@ class TestLimitError:
         expected = kz ** 4 / (8 * 137.0 ** 2)
         assert nonrel_abs_error([0, 0, kz], FREE, c_light=137.0) == pytest.approx(expected, rel=1e-3)
 
-    def test_dirac_energy_branches(self):
+    def test_dispersion_branches_in_physical_units(self):
         p = GeneralizedParams(1.0, 0.2)
         kz = 0.4
-        w = np.sqrt(1 + kz ** 2)
-        assert dirac_energy([0, 0, kz], p, +1) == pytest.approx(w - 0.2)
-        assert dirac_energy([0, 0, kz], p, -1) == pytest.approx(-w - 0.2)
+        for c in (1.0, 3.0):
+            w = np.sqrt(c ** 4 + c ** 2 * kz ** 2)
+            assert dispersion([0, 0, kz], p, +1, c_light=c) == pytest.approx(w - 0.2)
+            assert dispersion([0, 0, kz], p, -1, c_light=c) == pytest.approx(-w - 0.2)
         for branch in (0, True, 1.0):
             with pytest.raises(ValueError, match="^branch must be"):
-                dirac_energy(np.zeros(3), p, branch)
+                dispersion(np.zeros(3), p, branch, c_light=3.0)
 
     def test_kinetic_consistency(self):
         p = GeneralizedParams(1.0, 0.2)
         kz = 0.4
         lhs = kinetic_minus_rest([0, 0, kz], p)
-        rhs = dirac_energy([0, 0, kz], p, +1) - 1.0 + 0.2
+        rhs = dispersion([0, 0, kz], p, +1) - 1.0 + 0.2
         assert lhs == pytest.approx(rhs, abs=1e-14)
 
     def test_standard_reduction(self):
@@ -331,10 +343,8 @@ def _energies(params, c_light=1.0):
     """Every batched energy helper, as k -> value, for one parameter set
     and speed of light."""
     return {
-        "dispersion+": lambda k: dispersion(k, params, +1),
-        "dispersion-": lambda k: dispersion(k, params, -1),
-        "dirac_energy+": lambda k: dirac_energy(k, params, +1, c_light=c_light),
-        "dirac_energy-": lambda k: dirac_energy(k, params, -1, c_light=c_light),
+        "dispersion+": lambda k: dispersion(k, params, +1, c_light=c_light),
+        "dispersion-": lambda k: dispersion(k, params, -1, c_light=c_light),
         "kinetic_minus_rest": lambda k: kinetic_minus_rest(k, params, c_light=c_light),
         "nonrel_abs_error": lambda k: nonrel_abs_error(k, params, c_light=c_light),
         "pauli_energy": lambda k: pauli_energy(k, params),
@@ -364,18 +374,15 @@ class TestBatchedEnergies:
         ks = radius * u / (1.0 + np.linalg.norm(u, axis=1, keepdims=True)) - params.p_tilde
         batched = nonrel_error(ks, params, c_light=c_light)
         rows = [nonrel_error(k, params, c_light=c_light) for k in ks]
-        np.testing.assert_array_equal(batched.relative, [r.relative for r in rows])
-        np.testing.assert_allclose(
-            batched.value, [r.value for r in rows], rtol=BATCH_RTOL, atol=0
-        )
+        # NaN rows, where the limit energy vanishes, compare equal
+        np.testing.assert_allclose(batched, rows, rtol=BATCH_RTOL, atol=0)
 
     @pytest.mark.parametrize("k", [0.3, np.float64(-0.2), [0.1, -0.2, 0.3], np.zeros(3)])
     def test_one_momentum_gives_float(self, k):
         params = GeneralizedParams(1.3, 0.2, (0.1, 0.0, -0.2))
         for name, energy in _energies(params, 2.0).items():
             assert type(energy(k)) is float, name
-        err = nonrel_error(k, params, c_light=2.0)
-        assert type(err.value) is float and type(err.relative) is bool
+        assert type(nonrel_error(k, params, c_light=2.0)) is float
 
     def test_one_momentum_squares_exactly_like_k_dot_k(self):
         # criterion 08 compares pauli_energy with float(k @ k) / (2 m0)
@@ -396,7 +403,7 @@ class TestBatchedEnergies:
             out = energy(ks)
             assert out.shape == (2, 4), name
             np.testing.assert_allclose(out, energy(ks.reshape(8, 3)).reshape(2, 4), rtol=0)
-        assert nonrel_error(ks, FREE).value.shape == (2, 4)
+        assert nonrel_error(ks, FREE).shape == (2, 4)
 
     @pytest.mark.parametrize("k", [np.zeros(2), np.zeros(4), np.zeros((5, 2)), np.zeros((3, 4))])
     def test_wrong_momentum_shape_raises(self, k):
@@ -450,7 +457,7 @@ MOMENTUM_CALLS = {
     "dirac_square_equals_kg": (lambda k: dirac_square_equals_kg(k, GEN), False),
     "pauli_energy": (lambda k: pauli_energy(k, FREE), True),
     "levy_leblond_solve": (lambda k: levy_leblond_solve(k, FREE), False),
-    "dirac_energy": (lambda k: dirac_energy(k, FREE), True),
+    "dispersion_c_light": (lambda k: dispersion(k, FREE, c_light=2.0), True),
     "kinetic_minus_rest": (lambda k: kinetic_minus_rest(k, FREE), True),
     "nonrel_abs_error": (lambda k: nonrel_abs_error(k, FREE), True),
     "nonrel_error": (lambda k: nonrel_error(k, FREE), True),

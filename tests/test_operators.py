@@ -18,8 +18,7 @@ from diraclab.operators import (
     _shift,
     dirac_square_equals_kg,
     dispersion,
-    gauge_map_from_standard,
-    gauge_map_to_standard,
+    gauge_map,
     hamiltonian_matrix,
     kg_rhs_matrix,
     plane_wave_solve,
@@ -251,13 +250,13 @@ class TestGaugeMap:
     def test_example_shift(self):
         sol = plane_wave_solve(np.zeros(3), GEN)[0]
         assert sol.energy == pytest.approx(0.5307764064044151)
-        mapped = gauge_map_to_standard(sol, GEN)
+        mapped = gauge_map(sol, GEN, STD)
         np.testing.assert_allclose(mapped.k, [0, 0, 0.25], atol=1e-15)
         assert mapped.energy == pytest.approx(1.0307764064044151)
 
     def test_standard_input_unchanged(self):
         sol = plane_wave_solve([0, 0, 0.4], STD)[0]
-        mapped = gauge_map_to_standard(sol, STD)
+        mapped = gauge_map(sol, STD, STD)
         np.testing.assert_array_equal(mapped.k, sol.k)
         assert mapped.energy == sol.energy
 
@@ -268,7 +267,7 @@ class TestGaugeMap:
             k = rng.uniform(-2, 2, 3)
             std = GeneralizedParams(params.m0)
             for sol in plane_wave_solve(k, params):
-                mapped = gauge_map_to_standard(sol, params)
+                mapped = gauge_map(sol, params, std)
                 h = hamiltonian_matrix(mapped.k, std)
                 assert max_abs(h @ mapped.spinor - mapped.energy * mapped.spinor) <= 1e-10
 
@@ -277,8 +276,9 @@ class TestGaugeMap:
         for _ in range(50):
             params = random_params(rng)
             k = rng.uniform(-2, 2, 3)
+            std = GeneralizedParams(params.m0)
             for sol in plane_wave_solve(k, params):
-                back = gauge_map_from_standard(gauge_map_to_standard(sol, params), params)
+                back = gauge_map(gauge_map(sol, params, std), std, params)
                 assert np.max(np.abs(back.k - sol.k)) <= 1e-12
                 assert abs(back.energy - sol.energy) <= 1e-12
                 np.testing.assert_array_equal(back.spinor, sol.spinor)
@@ -289,18 +289,46 @@ class TestGaugeMap:
             k=sol.k, energy=sol.energy + 0.3, branch=sol.branch, spinor=sol.spinor
         )
         with pytest.raises(ValueError):
-            gauge_map_to_standard(bad, GEN)
+            gauge_map(bad, GEN, STD)
 
     def test_rejects_non_finite_spinor(self):
         # A NaN spinor is no solution: the constructor rejects it, and the
-        # shift behind both gauge maps fails a NaN defect, not passes it.
+        # shift behind gauge_map fails a NaN defect, not passes it.
         sol = plane_wave_solve(np.zeros(3), GEN)[0]
         nan_spinor = np.array([np.nan, 0, 0, 0], dtype=complex)
         with pytest.raises(ValueError, match="^spinor must be"):
             type(sol)(k=sol.k, energy=sol.energy, branch=sol.branch, spinor=nan_spinor)
-        for sign in (+1, -1):
+        for target in (STD, GEN):
             with pytest.raises(ValueError, match=r"eigenstate .*\(residual nan\)"):
-                _shift(sol.k, np.asarray(sol.energy), nan_spinor, GEN, GEN, sign)
+                _shift(sol.k, np.asarray(sol.energy), nan_spinor, GEN, target)
+
+    def test_direct_map_equals_the_composition_through_the_standard_set(self):
+        # Between two generalized parameter sets of one m0, the direct map
+        # and the map through GeneralizedParams(m0) give the same solution:
+        # the spinor bit for bit, k and the energy within 1e-12.
+        rng = np.random.default_rng(55)
+        for _ in range(50):
+            source = random_params(rng)
+            target = GeneralizedParams(source.m0, rng.uniform(-1, 1), rng.uniform(-1, 1, 3))
+            std = GeneralizedParams(source.m0)
+            for sol in plane_wave_solve(rng.uniform(-2, 2, 3), source):
+                direct = gauge_map(sol, source, target)
+                composed = gauge_map(gauge_map(sol, source, std), std, target)
+                np.testing.assert_array_equal(direct.spinor.view(np.uint64),
+                                              composed.spinor.view(np.uint64))
+                assert np.max(np.abs(direct.k - composed.k)) <= 1e-12
+                assert abs(direct.energy - composed.energy) <= 1e-12
+                assert direct.branch == composed.branch == sol.branch
+                h = hamiltonian_matrix(direct.k, target)
+                assert max_abs(h @ direct.spinor - direct.energy * direct.spinor) <= 1e-10
+
+    def test_rejects_a_mass_mismatch_by_name(self):
+        # The shift changes no mass: parameter sets of different m0 have
+        # no gauge map between them, whichever way round.
+        sol = plane_wave_solve(np.zeros(3), GEN)[0]
+        for target in (GeneralizedParams(2.0), GeneralizedParams(0.0, 0.5, (0.0, 0.0, 0.25))):
+            with pytest.raises(ValueError, match="^m0 of source and target must be equal"):
+                gauge_map(sol, GEN, target)
 
 
 def reals(lo, hi):
@@ -347,8 +375,9 @@ class TestSpectralCoreProperties:
     @settings(max_examples=100, deadline=None)
     @given(params=generalized_params(), k=momenta())
     def test_gauge_map_roundtrip(self, params, k):
+        std = GeneralizedParams(params.m0)
         for sol in plane_wave_solve(k, params):
-            back = gauge_map_from_standard(gauge_map_to_standard(sol, params), params)
+            back = gauge_map(gauge_map(sol, params, std), std, params)
             np.testing.assert_array_equal(bits(back.spinor), bits(sol.spinor))
             assert np.max(np.abs(back.k - sol.k)) <= 1e-12
             assert abs(back.energy - sol.energy) <= 1e-12
@@ -359,12 +388,12 @@ class TestSpectralCoreProperties:
     def test_from_standard_rejects_non_eigenstate(self, params, k, offset):
         std = GeneralizedParams(params.m0)
         for sol in plane_wave_solve(k, std):
-            gauge_map_from_standard(sol, params)  # a standard eigenstate maps
+            gauge_map(sol, std, params)  # a standard eigenstate maps
             bad = type(sol)(
                 k=sol.k, energy=sol.energy + offset, branch=sol.branch, spinor=sol.spinor
             )
             with pytest.raises(ValueError, match="eigenstate"):
-                gauge_map_from_standard(bad, params)
+                gauge_map(bad, std, params)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -400,6 +429,6 @@ class TestSpectralCoreProperties:
         ks = np.array([[0.3, 0.1, -0.2], [0.0, 0.5, 0.0]])
         energies, spinors = _plane_waves(ks, stack)
         energy, spinor = energies[:, 0], spinors[:, 0]
-        _shift(ks, energy, spinor, stack, stack, +1)
+        _shift(ks, energy, spinor, stack, stack)
         with pytest.raises(ValueError, match="eigenstate"):
-            _shift(ks, energy + [0.0, 0.3], spinor, stack, stack, +1)
+            _shift(ks, energy + [0.0, 0.3], spinor, stack, stack)
